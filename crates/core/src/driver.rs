@@ -4,8 +4,7 @@
 //! Historically every protocol driver was a blocking one-shot function that
 //! owned the simulated clock: `execute(&mut Scenario)` advanced world time
 //! inside its waits, so only one swap could ever be in flight. The machines
-//! in [`crate::ac3wn`], [`crate::ac3tw`], [`crate::herlihy`] and
-//! [`crate::herlihy_multi`] invert that
+//! in [`crate::ac3wn`], [`crate::ac3tw`] and [`crate::herlihy`] invert that
 //! control flow: a machine never advances time — [`SwapMachine::poll`] does
 //! as much protocol work as is possible *at the world's current instant*
 //! (submitting transactions, reading chain state, transitioning phases) and
@@ -72,9 +71,9 @@ pub struct MachineFootprint {
 /// threads mid-poll, so `Sync` is not required.
 ///
 /// Every protocol in the reproduction implements this trait —
-/// [`crate::ac3wn::Ac3wnMachine`], [`crate::ac3tw::Ac3twMachine`],
-/// [`crate::herlihy::HerlihyMachine`] and
-/// [`crate::herlihy_multi::HerlihyMultiMachine`] — so heterogeneous
+/// [`crate::ac3wn::Ac3wnMachine`], [`crate::ac3tw::Ac3twMachine`] and
+/// [`crate::herlihy::HerlihyMachine`] (Nolan and both Herlihy variants) —
+/// so heterogeneous
 /// protocol mixes can share one [`crate::scheduler::Scheduler`] batch; see
 /// the scheduler module docs for a two-machine example.
 pub trait SwapMachine: Send {

@@ -320,21 +320,24 @@ impl SwapGraph {
         }
     }
 
-    /// Whether removing `leader` leaves an acyclic graph — the feasibility
-    /// condition for the single-leader Nolan/Herlihy protocols
+    /// The residual graph once `removed` and every edge touching them are
+    /// deleted, or `None` when no edge survives.
+    fn without(&self, removed: &[Address]) -> Option<SwapGraph> {
+        let edges: Vec<SwapEdge> = self
+            .edges
+            .iter()
+            .filter(|e| !removed.contains(&e.from) && !removed.contains(&e.to))
+            .copied()
+            .collect();
+        SwapGraph::new(edges, self.timestamp).ok()
+    }
+
+    /// Whether removing `leaders` leaves an acyclic graph — the feasibility
+    /// condition for the leader-based Nolan/Herlihy protocols
     /// (Section 5.3: "require the AC2T graph to be acyclic once the leader
     /// node is removed").
-    pub fn acyclic_without(&self, leader: &Address) -> bool {
-        let filtered: Vec<SwapEdge> =
-            self.edges.iter().filter(|e| e.from != *leader && e.to != *leader).copied().collect();
-        if filtered.is_empty() {
-            return true;
-        }
-        // Rebuild a reduced graph; reuse the cycle check.
-        match SwapGraph::new(filtered, self.timestamp) {
-            Ok(g) => !g.is_cyclic(),
-            Err(_) => true,
-        }
+    pub fn acyclic_without(&self, leaders: &[Address]) -> bool {
+        self.without(leaders).is_none_or(|residual| !residual.is_cyclic())
     }
 
     /// A feedback vertex set of the directed graph: a set of participants
@@ -347,21 +350,8 @@ impl SwapGraph {
     /// on the most cycles); minimality is not required for correctness, only
     /// that the residual graph is acyclic.
     pub fn feedback_vertex_set(&self) -> Vec<Address> {
-        let mut removed: BTreeSet<Address> = BTreeSet::new();
-        loop {
-            let remaining: Vec<SwapEdge> = self
-                .edges
-                .iter()
-                .filter(|e| !removed.contains(&e.from) && !removed.contains(&e.to))
-                .copied()
-                .collect();
-            if remaining.is_empty() {
-                break;
-            }
-            let residual = SwapGraph::new(remaining, self.timestamp).expect("non-empty residual");
-            if !residual.is_cyclic() {
-                break;
-            }
+        let mut removed: Vec<Address> = Vec::new();
+        while let Some(residual) = self.without(&removed).filter(SwapGraph::is_cyclic) {
             // Greedy choice: the vertex with the highest degree in the
             // residual graph (ties broken by address order for determinism).
             let mut degree: BTreeMap<Address, usize> = BTreeMap::new();
@@ -374,16 +364,18 @@ impl SwapGraph {
                 .max_by_key(|(addr, d)| (**d, std::cmp::Reverse(**addr)))
                 .map(|(a, _)| *a)
                 .expect("cyclic residual has vertices");
-            removed.insert(victim);
+            removed.push(victim);
         }
-        removed.into_iter().collect()
+        removed.sort();
+        removed
     }
 
-    /// Sequential deployment waves from a *set* of leaders: wave `k`
-    /// contains the edges whose source is at directed distance `k` from the
-    /// nearest leader (multi-source BFS). Edges unreachable from every
-    /// leader form a final synthetic wave. This drives the Herlihy
-    /// multi-leader baseline's sequential phases.
+    /// Sequential deployment waves from a set of leaders: wave `k` contains
+    /// the edges whose source is at directed distance `k` from the nearest
+    /// leader (multi-source BFS; a single leader is a one-element set).
+    /// Edges whose source no leader reaches appear in no wave, so a leader
+    /// set covers the graph iff the waves hold every edge. This drives the
+    /// sequential phases of the Herlihy baselines.
     pub fn waves_from_set(&self, leaders: &[Address]) -> Vec<Vec<SwapEdge>> {
         let adj = self.adjacency();
         let n = self.participants.len();
@@ -407,54 +399,12 @@ impl SwapGraph {
             }
         }
         let mut by_wave: BTreeMap<u64, Vec<SwapEdge>> = BTreeMap::new();
-        let mut unreachable = Vec::new();
         for e in &self.edges {
-            match dist[self.index_of(&e.from)] {
-                Some(d) => by_wave.entry(d).or_default().push(*e),
-                None => unreachable.push(*e),
+            if let Some(d) = dist[self.index_of(&e.from)] {
+                by_wave.entry(d).or_default().push(*e);
             }
         }
-        let mut waves: Vec<Vec<SwapEdge>> = by_wave.into_values().collect();
-        if !unreachable.is_empty() {
-            waves.push(unreachable);
-        }
-        waves
-    }
-
-    /// Number of sequential deployment waves from `leader`: the BFS level
-    /// count over the directed graph starting at the leader. This drives the
-    /// Herlihy baseline's sequential phases.
-    pub fn waves_from(&self, leader: &Address) -> Vec<Vec<SwapEdge>> {
-        // Wave k contains edges whose source is at directed distance k from
-        // the leader (unreachable sources are appended as a final wave).
-        let adj = self.adjacency();
-        let n = self.participants.len();
-        let start = self.index_of(leader);
-        let mut dist = vec![None; n];
-        dist[start] = Some(0u64);
-        let mut queue = VecDeque::from([start]);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u].expect("visited");
-            for &v in &adj[u] {
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    queue.push_back(v);
-                }
-            }
-        }
-        let mut by_wave: BTreeMap<u64, Vec<SwapEdge>> = BTreeMap::new();
-        let mut unreachable = Vec::new();
-        for e in &self.edges {
-            match dist[self.index_of(&e.from)] {
-                Some(d) => by_wave.entry(d).or_default().push(*e),
-                None => unreachable.push(*e),
-            }
-        }
-        let mut waves: Vec<Vec<SwapEdge>> = by_wave.into_values().collect();
-        if !unreachable.is_empty() {
-            waves.push(unreachable);
-        }
-        waves
+        by_wave.into_values().collect()
     }
 }
 
@@ -642,7 +592,7 @@ mod tests {
         .unwrap();
         assert_eq!(g.shape(), GraphShape::Acyclic);
         assert_eq!(g.diameter(), 2);
-        assert!(g.acyclic_without(&ps[0]));
+        assert!(g.acyclic_without(&ps[..1]));
     }
 
     #[test]
@@ -650,7 +600,7 @@ mod tests {
         // Two-party swap: removing either participant removes all edges.
         let g =
             SwapGraph::two_party(addr(b"a"), addr(b"b"), 1, ChainId(0), 2, ChainId(1), 1).unwrap();
-        assert!(g.acyclic_without(&addr(b"a")));
+        assert!(g.acyclic_without(&[addr(b"a")]));
         // A 4-cycle with an extra 2-cycle not touching the leader stays
         // cyclic after removing the leader.
         let ps = names(4);
@@ -664,7 +614,8 @@ mod tests {
             1,
         )
         .unwrap();
-        assert!(!g.acyclic_without(&ps[0]), "B⇄C cycle survives removing A");
+        assert!(!g.acyclic_without(&ps[..1]), "B⇄C cycle survives removing A");
+        assert!(g.acyclic_without(&ps[1..2]), "removing B breaks it");
     }
 
     #[test]
@@ -728,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn waves_from_set_mark_unreachable_edges_as_final_wave() {
+    fn waves_from_set_omit_unreachable_edges() {
         // Two disjoint 2-cycles with leaders from only one component.
         let g = figure7_disconnected(
             addr(b"a"),
@@ -737,12 +688,11 @@ mod tests {
             addr(b"d"),
             [ChainId(0), ChainId(1), ChainId(2), ChainId(3)],
         );
-        let only_first_component = vec![addr(b"a")];
-        let waves = g.waves_from_set(&only_first_component);
-        let total: usize = waves.iter().map(|w| w.len()).sum();
-        assert_eq!(total, 4, "every edge is placed in some wave");
-        // The other component's edges are unreachable and land in the final wave.
-        assert_eq!(waves.last().unwrap().len(), 2);
+        let waves = g.waves_from_set(&[addr(b"a")]);
+        // The other component's edges are unreachable and land in no wave.
+        let placed: Vec<SwapEdge> = waves.into_iter().flatten().collect();
+        assert_eq!(placed.len(), 2);
+        assert!(placed.iter().all(|e| e.from != addr(b"c") && e.from != addr(b"d")));
     }
 
     #[test]
@@ -750,7 +700,7 @@ mod tests {
         let ps = names(4);
         let chains: Vec<ChainId> = (0..4).map(ChainId).collect();
         let g = ring_graph(&ps, &chains, 5);
-        let waves = g.waves_from(&ps[0]);
+        let waves = g.waves_from_set(&ps[..1]);
         let total: usize = waves.iter().map(|w| w.len()).sum();
         assert_eq!(total, g.contract_count());
         // The first wave contains exactly the leader's outgoing edge.

@@ -13,8 +13,7 @@
 //! | Section 4.2 — AC3WN (permissionless witness network) | [`ac3wn`] |
 //! | Section 4.3 — cross-chain evidence validation strategies | [`evidence`] |
 //! | Section 1 / \[23\] — Nolan's two-party atomic swap | [`nolan`] |
-//! | \[16\] — Herlihy's multi-party atomic swap (baseline) | [`herlihy`] |
-//! | \[16\] / Section 5.3 — Herlihy's multi-leader variant | [`herlihy_multi`] |
+//! | \[16\] / Section 5.3 — Herlihy's multi-party atomic swap, single- and multi-leader (baseline) | [`herlihy`] |
 //! | Section 5 — atomicity audit | [`audit`] |
 //! | Section 6 — latency / cost / witness-choice / throughput models | [`analysis`] |
 //! | Section 6.3 — executed 51%-fork attack on the witness chain | [`attack`] |
@@ -62,7 +61,6 @@ pub mod evidence;
 pub mod fee;
 pub mod graph;
 pub mod herlihy;
-pub mod herlihy_multi;
 pub mod nolan;
 pub mod partition;
 pub mod protocol;
@@ -86,8 +84,7 @@ pub use fee::{BidBook, BidChange, FeePolicy};
 pub use graph::{
     figure7_cyclic, figure7_disconnected, ring_graph, GraphShape, SwapEdge, SwapGraph,
 };
-pub use herlihy::{Herlihy, HerlihyMachine};
-pub use herlihy_multi::{HerlihyMulti, HerlihyMultiMachine};
+pub use herlihy::{Herlihy, HerlihyMachine, HerlihyMulti};
 pub use nolan::Nolan;
 pub use partition::{partition_batch, Shard};
 pub use protocol::{

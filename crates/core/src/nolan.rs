@@ -3,8 +3,9 @@
 //! Y ethers, hashlocks `h = H(s)` and timelocks `t1 > t2`).
 //!
 //! Nolan's protocol is the two-party special case of Herlihy's
-//! generalisation, so the driver reuses the [`Herlihy`] execution engine and
-//! only adds the two-party restriction plus the protocol label. The
+//! generalisation, so the driver runs on the same
+//! [`crate::herlihy::HerlihyMachine`] through the single-leader [`Herlihy`]
+//! driver and only adds the two-party restriction plus the protocol label. The
 //! behaviour reproduced is identical to the paper's description: sequential
 //! contract publication, secret revelation on redemption, timelocked
 //! refunds, and the resulting vulnerability to crash failures.

@@ -19,9 +19,9 @@
 //!
 //! # Example: two machines through one scheduler
 //!
-//! Any [`SwapMachine`] can join a batch — the AC3 protocols and both
-//! Herlihy baselines (including the multi-leader
-//! [`crate::herlihy_multi::HerlihyMultiMachine`]) decompose into machines:
+//! Any [`SwapMachine`] can join a batch — the AC3 protocols and the
+//! Nolan/Herlihy baselines (single- and multi-leader, all on
+//! [`crate::herlihy::HerlihyMachine`]) decompose into machines:
 //!
 //! ```
 //! use ac3_core::scenario::{concurrent_swaps_scenario, ScenarioConfig};

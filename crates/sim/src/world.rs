@@ -412,9 +412,10 @@ impl World {
     /// Chains are advanced one at a time with the per-chain event loop of
     /// `World::advance_slot`; cross-chain interleaving is unobservable
     /// (mining or delivering on one chain never reads or writes another),
-    /// so this is bitwise identical to a global time-ordered event loop —
-    /// the differential test `advance_parallel_matches_serial_bitwise`
-    /// pins exactly this equivalence.
+    /// so this is bitwise identical to a global time-ordered event loop.
+    /// The sharded scheduler leans on the same commutativity when it
+    /// advances shards on separate threads; `parallel_determinism` in
+    /// `ac3-core` pins it bitwise at every worker count.
     pub fn advance(&mut self, ms: u64) {
         let target = self.now + ms;
         for slot in self.chains.values_mut() {
@@ -532,36 +533,6 @@ impl World {
                 }
             }
         }
-    }
-
-    /// Advance simulated time by `ms` exactly like [`World::advance`], with
-    /// the per-chain mining loops spread across up to `threads` scoped OS
-    /// threads. Chains are independent within a tick — a block mined on one
-    /// chain never touches another chain's mempool, store, or state — so
-    /// the per-chain loops commute and the post-advance world is bitwise
-    /// identical to the serial schedule at any thread count (including 1).
-    pub fn advance_parallel(&mut self, ms: u64, threads: usize) {
-        let target = self.now + ms;
-        let mut slots: Vec<&mut ChainSlot> = self.chains.values_mut().collect();
-        let workers = threads.max(1).min(slots.len().max(1));
-        if workers <= 1 {
-            for slot in slots {
-                Self::advance_slot(slot, target);
-            }
-        } else {
-            let chunk = slots.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for shard in slots.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for slot in shard {
-                            Self::advance_slot(slot, target);
-                        }
-                    });
-                }
-            });
-        }
-        self.now = target;
-        self.drain_network_outboxes();
     }
 
     /// Advance in steps of one block interval until `pred` is true or
@@ -1225,45 +1196,6 @@ mod tests {
         let snapshot = world.congestion(chain).unwrap();
         assert!(snapshot.base_fee > 1, "sustained full blocks raised the base fee");
         assert_eq!(snapshot.fee_floor, snapshot.base_fee);
-    }
-
-    /// Differential check: advancing with per-chain parallel loops must be
-    /// bitwise identical to the serial global-event-order loop, at every
-    /// thread count (including more threads than chains).
-    #[test]
-    fn advance_parallel_matches_serial_bitwise() {
-        let alice = addr(b"alice");
-        let build = || {
-            let mut world = World::new();
-            for i in 0..5u64 {
-                let mut p = fast_params(&format!("c{i}"));
-                p.block_interval_ms = 700 + 300 * i; // deliberately ragged intervals
-                world.add_chain(p, &[(alice, 100)]);
-            }
-            let mut kp = ac3_chain::TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
-            for id in world.chain_ids() {
-                let (inputs, outputs) =
-                    world.chain(id).unwrap().plan_payment(&alice, &alice, 1, 2).unwrap();
-                world.submit(id, kp.transfer(inputs, outputs, 2)).unwrap();
-            }
-            world
-        };
-
-        let mut serial = build();
-        serial.advance(9_999);
-        for threads in [1, 2, 4, 8] {
-            let mut parallel = build();
-            parallel.advance_parallel(9_999, threads);
-            assert_eq!(parallel.now(), serial.now());
-            for id in serial.chain_ids() {
-                let s = serial.chain(id).unwrap();
-                let p = parallel.chain(id).unwrap();
-                assert_eq!(s.tip(), p.tip(), "{id} tip diverged at {threads} threads");
-                assert_eq!(s.height(), p.height());
-                assert_eq!(s.state(), p.state(), "{id} state diverged at {threads} threads");
-                assert_eq!(s.mempool_len(), p.mempool_len());
-            }
-        }
     }
 
     #[test]
