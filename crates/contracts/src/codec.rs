@@ -7,6 +7,15 @@
 //! human-readable in logs and test failures, and adds no unsafe code. The
 //! encoding is versioned with a one-byte prefix so future formats can be
 //! introduced without ambiguity.
+//!
+//! Both directions stream: [`encode`] writes the value's text straight into
+//! the output buffer and [`decode`] parses the target type straight off the
+//! bytes, so no intermediate document tree is built for a payload however
+//! large its evidence. The bytes themselves are consensus-critical (they are
+//! hashed into transaction ids) and pinned by `tests/golden_bytes.rs`.
+//! [`decode`] is the first code to touch attacker-supplied bytes: whatever
+//! they are — truncated, mistyped, nested a million levels deep — the result
+//! is [`VmError::MalformedPayload`], never a panic.
 
 use ac3_chain::VmError;
 use serde::de::DeserializeOwned;

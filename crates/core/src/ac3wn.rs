@@ -235,10 +235,16 @@ impl Ac3wnMachine {
         contract: ContractId,
         call: &ContractCall,
     ) -> Result<Option<(TxId, u64)>, ProtocolError> {
+        let payload = call.to_payload();
         for addr in self.graph.participants().to_vec() {
-            if let Some(submitted) =
-                self.bids.submit_call(world, participants, &addr, chain, contract, call)?
-            {
+            if let Some(submitted) = self.bids.submit_encoded_call(
+                world,
+                participants,
+                &addr,
+                chain,
+                contract,
+                &payload,
+            )? {
                 return Ok(Some(submitted));
             }
         }

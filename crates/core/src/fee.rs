@@ -326,8 +326,9 @@ impl BidBook {
             return Err(ProtocolError::InsufficientFunds { who: participant.name.clone(), chain });
         };
         let input_total = lock + fee + change.iter().map(|o| o.value).sum::<Amount>();
+        let payload = spec.to_payload();
         let tx =
-            participant.builder(chain).deploy(inputs.clone(), lock, change, spec.to_payload(), fee);
+            participant.builder(chain).deploy(inputs.clone(), lock, change, payload.clone(), fee);
         let txid = tx.id();
         match world.submit(chain, tx) {
             Ok(_) => {}
@@ -344,12 +345,7 @@ impl BidBook {
             last_bid_at: now,
             settled: false,
             billed: true,
-            kind: BidKind::Deploy {
-                inputs,
-                locked_value: lock,
-                input_total,
-                payload: spec.to_payload(),
-            },
+            kind: BidKind::Deploy { inputs, locked_value: lock, input_total, payload },
         });
         Ok(Some((txid, ContractId(txid.0), fee)))
     }
@@ -367,6 +363,21 @@ impl BidBook {
         contract: ContractId,
         call: &ContractCall,
     ) -> Result<Option<(TxId, Amount)>, ProtocolError> {
+        self.submit_encoded_call(world, participants, caller, chain, contract, &call.to_payload())
+    }
+
+    /// [`BidBook::submit_call`] for a call already encoded with
+    /// [`ContractCall::to_payload`] — for a caller that offers the same call
+    /// to several participants and should encode it once.
+    pub fn submit_encoded_call(
+        &mut self,
+        world: &mut dyn ChainApi,
+        participants: &mut ParticipantSet,
+        caller: &Address,
+        chain: ChainId,
+        contract: ContractId,
+        payload: &[u8],
+    ) -> Result<Option<(TxId, Amount)>, ProtocolError> {
         let now = world.now();
         let Some(participant) = participants.by_address_mut(caller) else {
             return Err(ProtocolError::UnknownParticipant(format!("{caller}")));
@@ -376,7 +387,7 @@ impl BidBook {
         }
         let base = world.chain(chain)?.params().call_fee;
         let fee = self.opening_fee(world, chain, base)?;
-        let tx = participant.builder(chain).call(contract, call.to_payload(), fee);
+        let tx = participant.builder(chain).call(contract, payload.to_vec(), fee);
         let txid = tx.id();
         match world.submit(chain, tx) {
             Ok(_) => {}
@@ -393,7 +404,7 @@ impl BidBook {
             last_bid_at: now,
             settled: false,
             billed: true,
-            kind: BidKind::Call { contract, payload: call.to_payload() },
+            kind: BidKind::Call { contract, payload: payload.to_vec() },
         });
         Ok(Some((txid, fee)))
     }

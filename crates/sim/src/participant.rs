@@ -104,6 +104,10 @@ impl Participant {
 #[derive(Debug, Default)]
 pub struct ParticipantSet {
     participants: BTreeMap<String, Participant>,
+    /// Address → name of every member of `participants`, kept in step by
+    /// `add` / `split_off` / `absorb` (a participant's address is fixed by
+    /// its name, so entries never go stale in between).
+    names_by_address: BTreeMap<Address, String>,
     /// Active footprint-audit scope: while set (the driver brackets each
     /// audited machine poll with [`ParticipantSet::begin_audit`] /
     /// [`ParticipantSet::end_audit`]), every single-participant lookup
@@ -132,8 +136,8 @@ impl ParticipantSet {
     }
 
     /// Panic if the audit scope is active and does not declare `p`.
-    fn check_audit(&self, p: &Participant) {
-        if let Some(scope) = &self.audit {
+    fn check_audit(audit: &Option<AuditScope>, p: &Participant) {
+        if let Some(scope) = audit {
             scope.check_actor(p.address(), &p.name);
         }
     }
@@ -143,24 +147,22 @@ impl ParticipantSet {
         let participant = Participant::new(name);
         let address = participant.address();
         self.participants.insert(name.to_string(), participant);
+        self.names_by_address.insert(address, name.to_string());
         address
     }
 
     /// Borrow a participant.
     pub fn get(&self, name: &str) -> Option<&Participant> {
-        let p = self.participants.get(name);
-        if let Some(p) = p {
-            self.check_audit(p);
-        }
-        p
+        let p = self.participants.get(name)?;
+        Self::check_audit(&self.audit, p);
+        Some(p)
     }
 
     /// Mutably borrow a participant.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Participant> {
-        if let Some(p) = self.participants.get(name) {
-            self.check_audit(p);
-        }
-        self.participants.get_mut(name)
+        let p = self.participants.get_mut(name)?;
+        Self::check_audit(&self.audit, p);
+        Some(p)
     }
 
     /// Addresses of every participant, in name order.
@@ -170,19 +172,14 @@ impl ParticipantSet {
 
     /// Find the participant owning `address`.
     pub fn by_address(&self, address: &Address) -> Option<&Participant> {
-        let p = self.participants.values().find(|p| p.address() == *address);
-        if let Some(p) = p {
-            self.check_audit(p);
-        }
-        p
+        self.get(self.names_by_address.get(address)?)
     }
 
     /// Mutably find the participant owning `address`.
     pub fn by_address_mut(&mut self, address: &Address) -> Option<&mut Participant> {
-        if let Some(p) = self.participants.values().find(|p| p.address() == *address) {
-            self.check_audit(p);
-        }
-        self.participants.values_mut().find(|p| p.address() == *address)
+        let p = self.participants.get_mut(self.names_by_address.get(address)?)?;
+        Self::check_audit(&self.audit, p);
+        Some(p)
     }
 
     /// The name of the participant owning `address`.
@@ -202,16 +199,11 @@ impl ParticipantSet {
     /// and [`ParticipantSet::absorb`] returns them with the nonces they
     /// advanced to.
     pub fn split_off(&mut self, addresses: &[Address]) -> ParticipantSet {
-        let wanted: std::collections::BTreeSet<Address> = addresses.iter().copied().collect();
-        let names: Vec<String> = self
-            .participants
-            .iter()
-            .filter(|(_, p)| wanted.contains(&p.address()))
-            .map(|(name, _)| name.clone())
-            .collect();
         let mut out = ParticipantSet::new();
-        for name in names {
+        for address in addresses {
+            let Some(name) = self.names_by_address.remove(address) else { continue };
             if let Some(p) = self.participants.remove(&name) {
+                out.names_by_address.insert(*address, name.clone());
                 out.participants.insert(name, p);
             }
         }
@@ -222,6 +214,7 @@ impl ParticipantSet {
     /// never overwrites a live participant).
     pub fn absorb(&mut self, other: ParticipantSet) {
         self.participants.extend(other.participants);
+        self.names_by_address.extend(other.names_by_address);
     }
 
     /// Number of participants.
@@ -295,5 +288,31 @@ mod tests {
         assert_eq!(set.addresses(), vec![alice, bob]);
         assert_eq!(set.names(), vec!["alice".to_string(), "bob".to_string()]);
         assert!(set.get("nobody").is_none());
+    }
+
+    #[test]
+    fn address_lookup_follows_split_and_absorb() {
+        let mut set = ParticipantSet::new();
+        let [alice, bob, carol] = ["alice", "bob", "carol"].map(|name| set.add(name));
+        assert_eq!(set.name_of(&bob), Some("bob"));
+        assert!(set.by_address(&Participant::new("nobody").address()).is_none());
+
+        // Asking for an address twice, or for one the set does not hold,
+        // moves nothing extra.
+        let mut shard = set.split_off(&[carol, alice, carol, Participant::new("dave").address()]);
+        assert_eq!(shard.names(), vec!["alice".to_string(), "carol".to_string()]);
+        assert_eq!(shard.addresses(), vec![alice, carol]);
+        assert!(set.by_address(&alice).is_none() && set.by_address_mut(&carol).is_none());
+        assert_eq!(set.name_of(&bob), Some("bob"));
+
+        // The moved participant is the same object: nonces travel with it.
+        let first =
+            shard.by_address_mut(&alice).unwrap().builder(ChainId(0)).transfer(vec![], vec![], 0);
+        set.absorb(shard);
+        let second =
+            set.by_address_mut(&alice).unwrap().builder(ChainId(0)).transfer(vec![], vec![], 0);
+        assert_ne!(first.id(), second.id());
+        assert_eq!(set.addresses(), vec![alice, bob, carol]);
+        assert_eq!(set.name_of(&carol), Some("carol"));
     }
 }

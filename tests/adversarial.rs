@@ -6,8 +6,10 @@
 //! `Ac3wn` driver) so a malicious step can be inserted at any point: forged
 //! or mismatched witness evidence, settlement attempts before any decision
 //! exists, decision requests with incomplete deployment evidence, double
-//! redemption, and the rented-hash-power fork attack of Section 6.3.
+//! redemption, a payload built to exhaust the decoder's stack, and the
+//! rented-hash-power fork attack of Section 6.3.
 
+use ac3wn::chain::{coinbase, Block, BlockHeader, ChainError, VmError};
 use ac3wn::contracts::{
     ContractCall, ContractSpec, ExpectedContract, PermissionlessCall, PermissionlessSpec,
     WitnessCall, WitnessSpec, WitnessStateEvidence,
@@ -333,6 +335,58 @@ fn authorize_redeem_requires_evidence_for_every_contract() {
     // The call never makes it into a block; SC_w stays undecided.
     assert!(swap.scenario.world.wait_for_depth(witness_chain, authorize, 0, wait_cap).is_err());
     assert_eq!(contract_tag(&swap.scenario, witness_chain, swap.witness_contract), "P");
+}
+
+#[test]
+fn a_payload_nested_a_million_deep_is_rejected_and_the_chain_mines_on() {
+    // The codec's version byte followed by a megabyte of `[`: a decoder that
+    // recursed once per bracket would overflow its stack and take the
+    // process down. It has to be an ordinary malformed payload instead.
+    let mut swap = deployed_two_party_swap();
+    let witness_chain = swap.scenario.witness_chain;
+    let now = swap.scenario.world.now();
+    let mut payload = vec![1u8];
+    payload.resize(1 + (1 << 20), b'[');
+    let bomb = swap.scenario.participants.get_mut("bob").unwrap().builder(witness_chain).call(
+        swap.witness_contract,
+        payload,
+        2,
+    );
+    let refund = swap.scenario.participants.get_mut("alice").unwrap().builder(witness_chain).call(
+        swap.witness_contract,
+        ContractCall::Witness(WitnessCall::AuthorizeRefund).to_payload(),
+        2,
+    );
+    let chain = swap.scenario.world.chain_mut(witness_chain).unwrap();
+
+    // The miner is the first to decode it, and leaves it out of the block.
+    chain.submit(bomb.clone()).unwrap();
+    let mined = chain.mine_block(swap.bob, now).unwrap();
+    assert_eq!(mined.find_tx(&bomb.id()), None);
+    assert!(chain.mempool_contains(&bomb.id()));
+
+    // A block that carries it anyway is refused by every validator.
+    let height = chain.height() + 1;
+    let transactions = vec![coinbase(swap.bob, chain.params().block_reward, height), bomb.clone()];
+    let header = BlockHeader {
+        chain: witness_chain,
+        parent: chain.tip(),
+        tx_root: Block::compute_tx_root(&transactions),
+        height,
+        timestamp: now,
+        target: chain.params().target(),
+        nonce: 0,
+    };
+    let refused = chain.accept_block(Block { header, transactions }).unwrap_err();
+    assert!(matches!(refused, ChainError::Vm(VmError::MalformedPayload(_))), "{refused:?}");
+    assert_eq!(chain.height(), height - 1);
+
+    // With the bomb still pending, well-formed calls keep getting mined.
+    chain.submit(refund.clone()).unwrap();
+    let mined = chain.mine_block(swap.bob, now).unwrap();
+    assert!(mined.find_tx(&refund.id()).is_some());
+    assert_eq!(mined.find_tx(&bomb.id()), None);
+    assert_eq!(contract_tag(&swap.scenario, witness_chain, swap.witness_contract), "RFauth");
 }
 
 #[test]
