@@ -338,39 +338,6 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
     })
 }
 
-/// The branch length an attacker needs against a decision that waited for
-/// `witness_depth` confirmations, given the extra blocks the honest chain
-/// mines while the attacker prepares (`head_start`). Used by the bench
-/// harness to translate depths into attack costs without running the full
-/// simulation for every point.
-pub fn required_branch_blocks(witness_depth: u64, head_start: u64) -> u64 {
-    (witness_depth + head_start + 1).max(witness_depth + 1)
-}
-
-/// Convenience: run the attack at a given depth with a budget expressed as a
-/// multiple of the required branch length (`>= 1.0` affords the attack).
-pub fn attack_with_budget_factor(
-    witness_depth: u64,
-    factor: f64,
-    scenario: &ScenarioConfig,
-) -> Result<ForkAttackReport, ProtocolError> {
-    // Probe once with zero budget to learn the exact required branch length
-    // for this geometry, then run the real attempt.
-    let probe = execute_fork_attack(&ForkAttackConfig {
-        protocol: ProtocolConfig { witness_depth, deployment_depth: 3, ..Default::default() },
-        scenario: scenario.clone(),
-        attacker_budget_blocks: 0,
-        ..Default::default()
-    })?;
-    let budget = (probe.required_branch_blocks as f64 * factor).floor() as u64;
-    execute_fork_attack(&ForkAttackConfig {
-        protocol: ProtocolConfig { witness_depth, deployment_depth: 3, ..Default::default() },
-        scenario: scenario.clone(),
-        attacker_budget_blocks: budget,
-        ..Default::default()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,13 +408,5 @@ mod tests {
             deep.required_branch_blocks,
             shallow.required_branch_blocks
         );
-    }
-
-    #[test]
-    fn budget_factor_helper_matches_direct_runs() {
-        let afforded = attack_with_budget_factor(3, 1.0, &ScenarioConfig::default()).unwrap();
-        assert!(afforded.attack_succeeded());
-        let starved = attack_with_budget_factor(3, 0.25, &ScenarioConfig::default()).unwrap();
-        assert!(!starved.attack_succeeded());
     }
 }
