@@ -308,9 +308,24 @@ fn enclosing_fns(tokens: &[Spanned]) -> Vec<Option<String>> {
     out
 }
 
+/// The trait whose implementors are protocol machines.
+const MACHINE_TRAIT: &str = "SwapMachine";
+
+/// Whether the file implements a protocol machine outside its tests (an
+/// `impl … SwapMachine for …` header; `#[cfg(test)]` items are already
+/// stripped) — the membership test of the `chainapi-seam` rule.
+pub fn implements_machine(ctx: &FileCtx) -> bool {
+    ctx.tokens.windows(2).any(|pair| {
+        matches!(
+            (&pair[0].tok, &pair[1].tok),
+            (Tok::Ident(name), Tok::Ident(kw)) if name == MACHINE_TRAIT && kw == "for"
+        )
+    })
+}
+
 /// The `chainapi-seam` rule: protocol modules must not name the banned
 /// type (`World`) from the banned crates (`ac3_sim`) — machines speak
-/// `ChainApi` only. Applied to an explicit file list.
+/// `ChainApi` only. Applied to every file that [`implements_machine`].
 pub fn chainapi_seam(ctx: &FileCtx, banned_type: &str, from_crates: &[String]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for import in ctx.imports {
@@ -606,6 +621,26 @@ mod tests {
         let f = chainapi_seam(&ctx, "World", &["ac3_sim".into()]);
         assert_eq!(f.len(), 2);
         assert_eq!((f[0].line, f[1].line), (1, 2));
+    }
+
+    #[test]
+    fn a_machine_file_is_in_the_seam_without_being_listed() {
+        let machine = "use ac3_sim::World;\nstruct M;\nimpl crate::driver::SwapMachine for M {\n fn poll(&mut self, w: &mut World) {}\n}";
+        let (tokens, waivers, imports) = prepare(lex(machine));
+        let ctx = ctx_of("crates/core/src/brand_new_machine.rs", &tokens, &waivers, &imports);
+        assert!(implements_machine(&ctx));
+        let f = chainapi_seam(&ctx, "World", &["ac3_sim".into()]);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 4]);
+
+        // A harness that drives machines, or a machine that only exists in
+        // the file's tests, is outside it.
+        for outside in [
+            "use ac3_sim::World;\nfn drive(m: &mut dyn SwapMachine, w: &mut World) {}",
+            "#[cfg(test)]\nmod tests {\n struct T;\n impl SwapMachine for T {}\n}",
+        ] {
+            let (tokens, waivers, imports) = prepare(lex(outside));
+            assert!(!implements_machine(&ctx_of("x.rs", &tokens, &waivers, &imports)));
+        }
     }
 
     #[test]

@@ -26,10 +26,7 @@ fn fixture_config() -> Config {
     config.set_section("ambient-entropy", entropy);
 
     let mut seam = Section::default();
-    seam.set_array(
-        "modules",
-        vec!["tests/fixtures/chainapi_seam_violation.rs", "tests/fixtures/chainapi_seam_clean.rs"],
-    );
+    seam.set_array("crates", vec!["tests/fixtures"]);
     seam.set_string("banned-type", "World");
     seam.set_array("from-crates", vec!["ac3_sim"]);
     config.set_section("chainapi-seam", seam);

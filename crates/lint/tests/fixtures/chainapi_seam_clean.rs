@@ -4,3 +4,5 @@
 pub fn fail() -> ProtocolError {
     ProtocolError::World("broken".to_string())
 }
+
+impl SwapMachine for Failing {}
