@@ -16,16 +16,13 @@
 use crate::error::ClientError;
 use crate::negotiation::SignedSwap;
 use ac3_chain::{Amount, ChainId, ContractId, TxId};
-use ac3_contracts::{
-    ChainAnchor, ContractCall, ContractSpec, ExpectedContract, PermissionlessCall,
-    PermissionlessSpec, WitnessCall, WitnessSpec, WitnessStateEvidence,
-};
+use ac3_contracts::{ChainAnchor, ExpectedContract};
+use ac3_core::ac3wn;
 use ac3_core::actions::{call_contract, deploy_contract, edge_disposition};
 use ac3_core::audit::AtomicityVerdict;
 use ac3_core::graph::SwapGraph;
 use ac3_core::protocol::{EdgeDisposition, EdgeOutcome, ProtocolConfig};
 use ac3_core::ProtocolError;
-use ac3_crypto::WitnessState;
 use ac3_sim::{ParticipantSet, World};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -226,47 +223,17 @@ impl SwapSession {
         world.delta_ms() * self.config.wait_cap_deltas
     }
 
-    fn first_available(
-        &self,
-        world: &World,
-        participants: &ParticipantSet,
-    ) -> Option<ac3_chain::Address> {
-        let now = world.now();
-        self.graph
-            .participants()
-            .iter()
-            .copied()
-            .find(|a| participants.by_address(a).is_some_and(|p| p.is_available(now)))
-    }
-
     fn register_witness(
         &mut self,
         world: &mut World,
         participants: &mut ParticipantSet,
     ) -> Result<SessionPhase, ClientError> {
-        let mut expected = Vec::with_capacity(self.graph.contract_count());
-        for e in self.graph.edges() {
-            expected.push(ExpectedContract {
-                chain: e.chain,
-                sender: e.from,
-                recipient: e.to,
-                amount: e.amount,
-                anchor: world.anchor(e.chain)?,
-                required_depth: self.config.deployment_depth,
-            });
-        }
-        let spec = ContractSpec::Witness(WitnessSpec {
-            participants: self.graph.participants().to_vec(),
-            // The multisignature digest binds SC_w to the exact agreed
-            // graph, as in Algorithm 3's constructor.
-            graph_digest: self.multisig.digest(),
-            expected_contracts: expected.clone(),
-            operator: None,
-            stake: 0,
-        });
-        let registrant = self.first_available(world, participants).ok_or_else(|| {
-            ClientError::Protocol(ProtocolError::World("no participant available".into()))
-        })?;
+        let expected = ac3wn::expected_contracts(world, &self.graph, self.config.deployment_depth)?;
+        let spec = ac3wn::witness_spec(&self.graph, self.multisig.digest(), &expected);
+        let registrant = ac3wn::first_available(&self.graph, world.now(), participants)
+            .ok_or_else(|| {
+                ClientError::Protocol(ProtocolError::World("no participant available".into()))
+            })?;
         let Some((txid, contract)) =
             deploy_contract(world, participants, &registrant, self.witness_chain, &spec, 0)?
         else {
@@ -298,13 +265,8 @@ impl SwapSession {
             if self.deployments[i].is_some() {
                 continue;
             }
-            let spec = ContractSpec::Permissionless(PermissionlessSpec {
-                recipient: e.to,
-                witness_chain: self.witness_chain,
-                witness_contract: scw,
-                min_depth: self.config.witness_depth,
-                witness_anchor: anchor,
-            });
+            let spec =
+                ac3wn::asset_spec(e.to, self.witness_chain, scw, anchor, self.config.witness_depth);
             if let Some(deployed) =
                 deploy_contract(world, participants, &e.from, e.chain, &spec, e.amount)?
             {
@@ -350,16 +312,7 @@ impl SwapSession {
                 })
             });
 
-        let call = if commit {
-            let mut evidence = Vec::with_capacity(self.graph.contract_count());
-            for (i, e) in self.graph.edges().iter().enumerate() {
-                let (txid, _) = self.deployments[i].expect("commit implies deployed");
-                evidence.push(world.tx_evidence_since(e.chain, &self.expected[i].anchor, txid)?);
-            }
-            ContractCall::Witness(WitnessCall::AuthorizeRedeem { deployments: evidence })
-        } else {
-            ContractCall::Witness(WitnessCall::AuthorizeRefund)
-        };
+        let call = ac3wn::authorize_call(world, commit, &self.expected, &self.deployments)?;
 
         // Any available participant submits the decision request.
         let mut authorize_tx = None;
@@ -393,14 +346,8 @@ impl SwapSession {
         let commit = self.decision.expect("phase invariant: decided");
         let anchor = self.witness_anchor.expect("phase invariant: witness registered");
         let authorize_tx = self.authorize_tx.expect("phase invariant: decided");
-        let evidence = WitnessStateEvidence {
-            claimed: if commit {
-                WitnessState::RedeemAuthorized
-            } else {
-                WitnessState::RefundAuthorized
-            },
-            inclusion: world.tx_evidence_since(self.witness_chain, &anchor, authorize_tx)?,
-        };
+        let evidence =
+            ac3wn::decision_evidence(world, self.witness_chain, &anchor, authorize_tx, commit)?;
 
         let edges: Vec<_> = self.graph.edges().to_vec();
         for (i, e) in edges.iter().enumerate() {
@@ -408,21 +355,7 @@ impl SwapSession {
             if edge_disposition(world, e.chain, Some(contract)) != EdgeDisposition::Locked {
                 continue;
             }
-            let (actor, call) = if commit {
-                (
-                    e.to,
-                    ContractCall::Permissionless(PermissionlessCall::Redeem {
-                        evidence: evidence.clone(),
-                    }),
-                )
-            } else {
-                (
-                    e.from,
-                    ContractCall::Permissionless(PermissionlessCall::Refund {
-                        evidence: evidence.clone(),
-                    }),
-                )
-            };
+            let (actor, call) = ac3wn::settlement_call(commit, e, &evidence);
             if let Some(txid) =
                 call_contract(world, participants, &actor, e.chain, contract, &call)?
             {

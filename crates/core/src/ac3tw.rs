@@ -9,20 +9,18 @@
 //! atomic — *provided Trent is trusted, available and honest*, which is
 //! exactly the assumption AC3WN removes.
 //!
-//! Like the other drivers, the protocol logic lives in a resumable
-//! step/poll state machine ([`Ac3twMachine`], see [`crate::driver`]);
+//! AC3TW is the AC3 commit sequence of [`crate::ac3`] with [`Trent`] as
+//! coordinator: registration and the decision are immediate off-chain
+//! calls, and every Algorithm 2 contract settles against his signature.
+//! [`Ac3tw::machine`] builds the resumable [`Ac3Machine`];
 //! [`Ac3tw::execute`] is the single-swap wrapper.
 
-use crate::actions::edge_disposition;
-use crate::driver::{drive, tx_at_depth, tx_stable, Step, SwapMachine};
-use crate::fee::{BidBook, BidChange};
-use crate::graph::{SwapEdge, SwapGraph};
-use crate::protocol::{EdgeOutcome, ProtocolConfig, ProtocolError, ProtocolKind, SwapReport};
+use crate::ac3::Ac3Machine;
+use crate::driver::drive;
+use crate::graph::SwapGraph;
+use crate::protocol::{ProtocolConfig, ProtocolError, SwapReport};
 use crate::scenario::Scenario;
-use ac3_chain::{ChainId, ContractId, Timestamp, TxId};
-use ac3_contracts::{CentralizedCall, CentralizedSpec, ContractCall, ContractSpec};
 use ac3_crypto::{Hash256, KeyPair, Signature, SignatureLock, WitnessDecision};
-use ac3_sim::{ChainApi, EventKind, ParticipantSet, Timeline};
 use std::collections::BTreeMap;
 
 /// Errors returned by Trent.
@@ -177,480 +175,23 @@ impl Ac3tw {
 
     /// Create a resumable state machine executing `graph` (for use under a
     /// scheduler). Each machine talks to its own Trent instance.
-    pub fn machine(&self, graph: SwapGraph) -> Ac3twMachine {
-        Ac3twMachine::new(self.config.clone(), graph, self.trent_available)
+    pub fn machine(&self, graph: SwapGraph) -> Ac3Machine {
+        let mut trent = Trent::new();
+        trent.available = self.trent_available;
+        Ac3Machine::with_trent(self.config.clone(), graph, trent)
     }
 
     /// Execute the AC2T described by the scenario's graph (single-swap
-    /// wrapper around [`Ac3twMachine`]).
+    /// wrapper around [`Ac3tw::machine`]).
     pub fn execute(&self, scenario: &mut Scenario) -> Result<SwapReport, ProtocolError> {
         let mut machine = self.machine(scenario.graph.clone());
         drive(&mut machine, &mut scenario.world, &mut scenario.participants)
     }
 }
 
-/// Phase of the AC3TW state machine.
-#[derive(Debug)]
-enum Phase {
-    /// Nothing has happened yet; the first poll signs, registers with Trent
-    /// and submits every deployment.
-    Start,
-    /// Waiting for every deployment to reach the required depth.
-    AwaitDeployments { deadline: Timestamp },
-    /// Some participant failed to publish; idling through the grace period
-    /// before asking Trent for a refund decision.
-    AbortGrace { until: Timestamp },
-    /// Settlement calls submitted; waiting for them to stabilise.
-    AwaitSettlements { deadline: Timestamp },
-    /// Recovery pass: idling one Δ before re-attempting unsettled edges.
-    RecoveryIdle { rounds_left: u64, until: Timestamp },
-    /// Recovery pass: waiting for re-attempted settlements to be included.
-    AwaitRecoveryInclusion { rounds_left: u64, pending: Vec<(ChainId, TxId)>, deadline: Timestamp },
-    /// Terminal.
-    Finished,
-}
-
-/// The AC3TW protocol as a resumable state machine (see [`crate::driver`]).
-#[derive(Debug)]
-pub struct Ac3twMachine {
-    config: ProtocolConfig,
-    graph: SwapGraph,
-    trent: Trent,
-    registered: bool,
-    graph_digest: Hash256,
-    phase: Phase,
-    timeline: Timeline,
-    started_at: Timestamp,
-    delta: u64,
-    wait_cap: u64,
-    deployments: u64,
-    calls: u64,
-    fees: u64,
-    fees_scheduled: u64,
-    fee_rebids: u64,
-    /// Live fee bids, escalated each poll under the configured policy.
-    bids: BidBook,
-    edges: Vec<SwapEdge>,
-    edge_deploys: Vec<Option<(TxId, ContractId)>>,
-    decision: Option<bool>,
-    signature: Option<Signature>,
-    settlements: Vec<Option<(ChainId, TxId)>>,
-    finished_at: Option<Timestamp>,
-    report: Option<SwapReport>,
-}
-
-impl Ac3twMachine {
-    /// Create a machine executing `graph` against a fresh Trent.
-    pub fn new(config: ProtocolConfig, graph: SwapGraph, trent_available: bool) -> Self {
-        let edges = graph.edges().to_vec();
-        let n = edges.len();
-        let mut trent = Trent::new();
-        trent.available = trent_available;
-        let bids = BidBook::new(config.fee_policy);
-        Ac3twMachine {
-            config,
-            graph,
-            trent,
-            registered: false,
-            graph_digest: Hash256::default(),
-            phase: Phase::Start,
-            timeline: Timeline::new(),
-            started_at: 0,
-            delta: 0,
-            wait_cap: 0,
-            deployments: 0,
-            calls: 0,
-            fees: 0,
-            fees_scheduled: 0,
-            fee_rebids: 0,
-            bids,
-            edges,
-            edge_deploys: Vec::new(),
-            decision: None,
-            signature: None,
-            settlements: vec![None; n],
-            finished_at: None,
-            report: None,
-        }
-    }
-
-    fn record(&mut self, world: &mut dyn ChainApi, at: Timestamp, kind: EventKind) {
-        self.timeline.record(at, kind.clone());
-        world.record(at, kind);
-    }
-
-    fn poll_step(&self, world: &dyn ChainApi) -> Step {
-        Step::Waiting { not_before: world.now() + world.min_block_interval_ms() }
-    }
-
-    fn settlement_call(
-        commit: bool,
-        e: &SwapEdge,
-        sig: Signature,
-    ) -> (ac3_chain::Address, ContractCall) {
-        if commit {
-            (e.to, ContractCall::Centralized(CentralizedCall::Redeem { signature: sig }))
-        } else {
-            (e.from, ContractCall::Centralized(CentralizedCall::Refund { signature: sig }))
-        }
-    }
-
-    fn unsettled(&self, world: &dyn ChainApi) -> Vec<usize> {
-        crate::driver::unsettled_edges(world, &self.edges, &self.edge_deploys)
-    }
-
-    /// Escalate stuck bids (replace-by-fee) and rewrite every stored copy
-    /// of a superseded transaction/contract id.
-    fn poll_bids(
-        &mut self,
-        world: &mut dyn ChainApi,
-        participants: &mut ParticipantSet,
-    ) -> Result<(), ProtocolError> {
-        let changes = self.bids.poll(world, participants)?;
-        for change in changes {
-            self.apply_bid_change(&change);
-        }
-        Ok(())
-    }
-
-    fn apply_bid_change(&mut self, change: &BidChange) {
-        change.apply_accounting(&mut self.fees, &mut self.fee_rebids);
-        let (old, new) = (change.old_txid, change.new_txid);
-        if change.deploy {
-            for deploy in self.edge_deploys.iter_mut().flatten() {
-                if deploy.0 == old {
-                    *deploy = (new, change.new_contract());
-                }
-            }
-        }
-        for settlement in self.settlements.iter_mut().flatten() {
-            change.rewrite_txid(&mut settlement.1);
-        }
-        if let Phase::AwaitRecoveryInclusion { pending, .. } = &mut self.phase {
-            for entry in pending.iter_mut() {
-                if entry.1 == old {
-                    entry.1 = new;
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, world: &dyn ChainApi) -> Step {
-        let outcomes: Vec<EdgeOutcome> = self
-            .edges
-            .iter()
-            .zip(&self.edge_deploys)
-            .map(|(e, d)| {
-                let contract = d.map(|(_, c)| c);
-                EdgeOutcome {
-                    edge: *e,
-                    contract,
-                    disposition: edge_disposition(world, e.chain, contract),
-                }
-            })
-            .collect();
-        let report = SwapReport {
-            protocol: ProtocolKind::Ac3Tw,
-            decision: self.decision,
-            edges: outcomes,
-            started_at: self.started_at,
-            finished_at: self.finished_at.unwrap_or_else(|| world.now()),
-            delta_ms: self.delta,
-            deployments: self.deployments,
-            calls: self.calls,
-            fees_paid: self.fees,
-            fees_scheduled: self.fees_scheduled,
-            fee_rebids: self.fee_rebids,
-            timeline: self.timeline.clone(),
-        };
-        self.report = Some(report.clone());
-        self.phase = Phase::Finished;
-        Step::Done(Box::new(report))
-    }
-
-    /// Step 3: ask Trent for a decision (he verifies the deployments himself
-    /// as a trusted observer of all chains), then submit every settlement.
-    fn decide_and_settle(
-        &mut self,
-        world: &mut dyn ChainApi,
-        participants: &mut ParticipantSet,
-        stable: bool,
-    ) -> Result<(), ProtocolError> {
-        let all_published = stable
-            && self.edge_deploys.iter().zip(&self.edges).all(|(d, e)| {
-                d.is_some_and(|(_, contract)| {
-                    world.contract_state(e.chain, contract).is_some_and(|(tag, _)| tag == "P")
-                })
-            });
-        let (decision, sig) = if !self.registered {
-            (None, None)
-        } else if all_published {
-            match self.trent.request_redeem(self.graph_digest, true) {
-                Ok(sig) => (Some(true), Some(sig)),
-                Err(_) => (None, None),
-            }
-        } else {
-            match self.trent.request_refund(self.graph_digest) {
-                Ok(sig) => (Some(false), Some(sig)),
-                Err(_) => (None, None),
-            }
-        };
-        self.decision = decision;
-        self.signature = sig;
-        if let Some(commit) = decision {
-            let now = world.now();
-            self.record(world, now, EventKind::DecisionReached { commit });
-        }
-        self.finished_at = Some(world.now());
-
-        let (Some(commit), Some(sig)) = (decision, sig) else {
-            // No decision could be produced (unregistered graph or an
-            // unavailable Trent): every asset stays locked.
-            self.phase = Phase::Finished;
-            return Ok(());
-        };
-
-        // Step 4: settle every published contract with Trent's signature.
-        for i in 0..self.edges.len() {
-            let e = self.edges[i];
-            let Some((_, contract)) = self.edge_deploys[i] else { continue };
-            let (actor, call) = Self::settlement_call(commit, &e, sig);
-            if let Some((txid, fee)) =
-                self.bids.submit_call(world, participants, &actor, e.chain, contract, &call)?
-            {
-                self.calls += 1;
-                self.fees += fee;
-                self.fees_scheduled += world.chain(e.chain)?.params().call_fee;
-                self.settlements[i] = Some((e.chain, txid));
-            }
-        }
-        self.phase = Phase::AwaitSettlements { deadline: world.now() + self.wait_cap };
-        Ok(())
-    }
-
-    /// Re-attempt settlement of the still-locked edges (recovery pass):
-    /// Trent's signature has no expiry, so recovered participants settle
-    /// late without losing assets.
-    fn attempt_recovery(
-        &mut self,
-        world: &mut dyn ChainApi,
-        participants: &mut ParticipantSet,
-        rounds_left: u64,
-    ) -> Result<(), ProtocolError> {
-        let commit = self.decision.expect("recovery follows a decision");
-        let sig = self.signature.expect("recovery follows a decision");
-        let mut pending = Vec::new();
-        for i in self.unsettled(world) {
-            let e = self.edges[i];
-            let Some((_, contract)) = self.edge_deploys[i] else { continue };
-            let (actor, call) = Self::settlement_call(commit, &e, sig);
-            if let Some((txid, fee)) =
-                self.bids.submit_call(world, participants, &actor, e.chain, contract, &call)?
-            {
-                self.calls += 1;
-                self.fees += fee;
-                self.fees_scheduled += world.chain(e.chain)?.params().call_fee;
-                pending.push((e.chain, txid));
-            }
-        }
-        self.phase = if pending.is_empty() {
-            self.next_recovery_phase(world, rounds_left)
-        } else {
-            Phase::AwaitRecoveryInclusion {
-                rounds_left,
-                pending,
-                deadline: world.now() + self.delta * 2,
-            }
-        };
-        Ok(())
-    }
-
-    fn next_recovery_phase(&self, world: &dyn ChainApi, rounds_left: u64) -> Phase {
-        if rounds_left == 0 || self.unsettled(world).is_empty() {
-            Phase::Finished
-        } else {
-            Phase::RecoveryIdle { rounds_left, until: world.now() + self.delta }
-        }
-    }
-}
-
-impl SwapMachine for Ac3twMachine {
-    fn footprint(&self) -> crate::driver::MachineFootprint {
-        // Only the graph's asset chains: Trent is an off-chain coordinator
-        // embedded in the machine, not a world resource.
-        crate::driver::MachineFootprint {
-            chains: self.graph.chains(),
-            actors: self.graph.participants().to_vec(),
-        }
-    }
-
-    fn poll(
-        &mut self,
-        world: &mut dyn ChainApi,
-        participants: &mut ParticipantSet,
-    ) -> Result<Step, ProtocolError> {
-        if !matches!(self.phase, Phase::Finished) {
-            // Fee market: re-bid any submission stuck behind higher bids
-            // before doing phase work against possibly-stale ids.
-            self.poll_bids(world, participants)?;
-        }
-        loop {
-            match &self.phase {
-                Phase::Start => {
-                    let now = world.now();
-                    self.started_at = now;
-                    self.delta = world.delta_ms();
-                    self.wait_cap = self.delta * self.config.wait_cap_deltas;
-
-                    // Step 1: multisign the graph and register it with Trent.
-                    let keypairs: Vec<KeyPair> = self
-                        .graph
-                        .participants()
-                        .iter()
-                        .filter_map(|a| participants.by_address(a).map(|p| p.keypair()))
-                        .collect();
-                    let ms = self.graph.multisign(&keypairs)?;
-                    self.graph_digest = ms.digest();
-                    self.record(world, now, EventKind::GraphSigned);
-                    self.registered = self.trent.register(self.graph_digest).is_ok();
-                    if self.registered {
-                        self.record(world, now, EventKind::WitnessRegistered);
-                    }
-
-                    // Step 2: all participants deploy their Algorithm 2
-                    // contracts in parallel (AC3TW also allows concurrent
-                    // publication).
-                    let witness_key = self.trent.public_key();
-                    for i in 0..self.edges.len() {
-                        let e = self.edges[i];
-                        let spec = ContractSpec::Centralized(CentralizedSpec {
-                            recipient: e.to,
-                            graph_digest: self.graph_digest,
-                            witness_key,
-                        });
-                        let deployed = self.bids.submit_deploy(
-                            world,
-                            participants,
-                            &e.from,
-                            e.chain,
-                            &spec,
-                            e.amount,
-                        )?;
-                        let deployed = deployed.map(|(txid, contract, fee)| {
-                            self.deployments += 1;
-                            self.fees += fee;
-                            (txid, contract)
-                        });
-                        if let Some((_, contract)) = &deployed {
-                            self.fees_scheduled += world.chain(e.chain)?.params().deploy_fee;
-                            let at = world.now();
-                            self.record(
-                                world,
-                                at,
-                                EventKind::ContractSubmitted {
-                                    chain: e.chain,
-                                    contract: *contract,
-                                },
-                            );
-                        }
-                        self.edge_deploys.push(deployed);
-                    }
-                    self.phase = if self.edge_deploys.iter().all(Option::is_some) {
-                        Phase::AwaitDeployments { deadline: now + self.wait_cap }
-                    } else {
-                        Phase::AbortGrace {
-                            until: now + self.config.abort_after_deltas * self.delta,
-                        }
-                    };
-                }
-                Phase::AwaitDeployments { deadline } => {
-                    let deadline = *deadline;
-                    let all_deep = self.edge_deploys.iter().zip(&self.edges).all(|(d, e)| {
-                        d.as_ref().is_some_and(|(txid, _)| {
-                            tx_at_depth(world, e.chain, txid, self.config.deployment_depth)
-                        })
-                    });
-                    if all_deep {
-                        self.decide_and_settle(world, participants, true)?;
-                    } else if world.now() >= deadline {
-                        self.decide_and_settle(world, participants, false)?;
-                    } else {
-                        return Ok(self.poll_step(world));
-                    }
-                }
-                Phase::AbortGrace { until } => {
-                    let until = *until;
-                    if world.now() >= until {
-                        self.decide_and_settle(world, participants, false)?;
-                    } else {
-                        return Ok(Step::Waiting { not_before: until });
-                    }
-                }
-                Phase::AwaitSettlements { deadline } => {
-                    let deadline = *deadline;
-                    let all_stable = self
-                        .settlements
-                        .iter()
-                        .flatten()
-                        .all(|(chain, txid)| tx_stable(world, *chain, txid));
-                    if all_stable || world.now() >= deadline {
-                        self.finished_at = Some(world.now());
-                        self.phase = if self.config.allow_recovery_redemption {
-                            self.next_recovery_phase(world, self.config.wait_cap_deltas)
-                        } else {
-                            Phase::Finished
-                        };
-                    } else {
-                        return Ok(self.poll_step(world));
-                    }
-                }
-                Phase::RecoveryIdle { rounds_left, until } => {
-                    let (rounds_left, until) = (*rounds_left, *until);
-                    if world.now() >= until {
-                        self.attempt_recovery(world, participants, rounds_left - 1)?;
-                    } else {
-                        return Ok(Step::Waiting { not_before: until });
-                    }
-                }
-                Phase::AwaitRecoveryInclusion { rounds_left, pending, deadline } => {
-                    let (rounds_left, deadline) = (*rounds_left, *deadline);
-                    let all_included =
-                        pending.iter().all(|(chain, txid)| tx_at_depth(world, *chain, txid, 0));
-                    if all_included || world.now() >= deadline {
-                        self.phase = self.next_recovery_phase(world, rounds_left);
-                    } else {
-                        return Ok(self.poll_step(world));
-                    }
-                }
-                Phase::Finished => {
-                    if let Some(report) = &self.report {
-                        return Ok(Step::Done(Box::new(report.clone())));
-                    }
-                    return Ok(self.finish(world));
-                }
-            }
-        }
-    }
-
-    fn phase_name(&self) -> &'static str {
-        match self.phase {
-            Phase::Start => "start",
-            Phase::AwaitDeployments { .. } => "await-deployments",
-            Phase::AbortGrace { .. } => "abort-grace",
-            Phase::AwaitSettlements { .. } => "await-settlements",
-            Phase::RecoveryIdle { .. } => "recovery-idle",
-            Phase::AwaitRecoveryInclusion { .. } => "recovery-inclusion",
-            Phase::Finished => "finished",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AtomicityVerdict;
-    use crate::scenario::{two_party_scenario, ScenarioConfig};
-    use ac3_sim::CrashWindow;
 
     #[test]
     fn trent_issues_at_most_one_decision() {
@@ -691,50 +232,5 @@ mod tests {
         assert_eq!(trent.request_refund(g).unwrap_err(), TrentError::NotRegistered);
         trent.available = false;
         assert_eq!(trent.register(g).unwrap_err(), TrentError::Unavailable);
-    }
-
-    #[test]
-    fn two_party_swap_commits_atomically() {
-        let mut s = two_party_scenario(50, 80, &ScenarioConfig::default());
-        let report = Ac3tw::new(ProtocolConfig::default()).execute(&mut s).unwrap();
-        assert_eq!(report.decision, Some(true));
-        assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed);
-        // N deployments and N redeem calls; no witness contract on a chain.
-        assert_eq!(report.deployments, 2);
-        assert_eq!(report.calls, 2);
-    }
-
-    #[test]
-    fn missing_deployment_aborts_atomically() {
-        let mut s = two_party_scenario(50, 80, &ScenarioConfig::default());
-        s.participants.get_mut("bob").unwrap().schedule_crash(CrashWindow::permanent(0));
-        let report = Ac3tw::new(ProtocolConfig::default()).execute(&mut s).unwrap();
-        assert_eq!(report.decision, Some(false));
-        assert_eq!(report.verdict(), AtomicityVerdict::AllRefunded);
-    }
-
-    #[test]
-    fn unavailable_trent_blocks_the_swap_entirely() {
-        // The centralized witness's weakness: if Trent is down, no decision
-        // can ever be produced and all assets stay locked (no violation,
-        // but no progress either).
-        let mut s = two_party_scenario(50, 80, &ScenarioConfig::default());
-        let mut driver = Ac3tw::new(ProtocolConfig::default());
-        driver.trent_available = false;
-        let report = driver.execute(&mut s).unwrap();
-        assert_eq!(report.decision, None);
-        assert!(matches!(report.verdict(), AtomicityVerdict::Incomplete { .. }));
-    }
-
-    #[test]
-    fn crash_during_redemption_recovers_without_loss() {
-        let mut s = two_party_scenario(50, 80, &ScenarioConfig::default());
-        s.participants
-            .get_mut("bob")
-            .unwrap()
-            .schedule_crash(CrashWindow { from: 8_000, until: 60_000 });
-        let report = Ac3tw::new(ProtocolConfig::default()).execute(&mut s).unwrap();
-        assert_eq!(report.decision, Some(true));
-        assert!(report.is_atomic());
     }
 }

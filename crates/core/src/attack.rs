@@ -26,16 +26,15 @@
 //! [`crate::analysis::witness_choice`]) makes the attack uneconomical: the
 //! bench harness combines this executor with that cost model.
 
-use crate::actions::{call_contract, deploy_contract, edge_disposition};
+use crate::ac3wn::{self, Ac3wn};
+use crate::actions::{call_contract, edge_disposition};
 use crate::audit::AtomicityVerdict;
+use crate::driver::{drive_until, tx_at_depth};
 use crate::protocol::{EdgeOutcome, ProtocolConfig, ProtocolError};
 use crate::scenario::{two_party_scenario, ScenarioConfig};
-use ac3_chain::{Amount, ContractId, TxId};
-use ac3_contracts::{
-    ContractCall, ContractSpec, ExpectedContract, PermissionlessCall, PermissionlessSpec,
-    WitnessCall, WitnessSpec, WitnessStateEvidence,
-};
-use ac3_crypto::{KeyPair, WitnessState};
+use ac3_chain::Amount;
+use ac3_contracts::{ContractCall, WitnessCall};
+use ac3_sim::CrashWindow;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one fork-attack experiment.
@@ -106,14 +105,16 @@ impl ForkAttackReport {
 
 /// Execute one fork-attack experiment against a two-party AC3WN swap.
 ///
-/// The honest protocol steps are driven inline (rather than through
-/// [`crate::Ac3wn`]) so the experiment controls exactly when the victim
-/// settles relative to the attack.
+/// The honest prefix is the real [`Ac3wn`] machine, driven until its
+/// authorize call is buried under `d` blocks and stopped *before* the poll
+/// that would settle both edges. From there the experiment is an explicit
+/// linear script that never resumes the machine, because the order of the
+/// attacker's redeem, the fork, the refund attempt and the victim's late
+/// redeem *is* the experiment.
 pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, ProtocolError> {
     let d = cfg.protocol.witness_depth;
     let mut s = two_party_scenario(cfg.asset_x, cfg.asset_y, &cfg.scenario);
-    let delta = s.world.delta_ms();
-    let wait_cap = delta * cfg.protocol.wait_cap_deltas;
+    let wait_cap = s.world.delta_ms() * cfg.protocol.wait_cap_deltas;
     let alice = s.participants.get("alice").expect("scenario has alice").address();
     let bob = s.participants.get("bob").expect("scenario has bob").address();
     let witness_chain = s.witness_chain;
@@ -121,107 +122,39 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
     let chain_b = s.asset_chains[1]; // hosts SC2: Bob → Alice, asset_y
 
     // ---------------------------------------------------------------------
-    // Honest protocol up to and including the attacker's redemption.
+    // Honest protocol up to the buried commit decision.
     // ---------------------------------------------------------------------
-    let keypairs: Vec<KeyPair> = s
-        .graph
-        .participants()
-        .iter()
-        .filter_map(|a| s.participants.by_address(a).map(|p| p.keypair()))
-        .collect();
-    let ms = s.graph.multisign(&keypairs)?;
-
-    let mut expected = Vec::with_capacity(s.graph.contract_count());
-    for e in s.graph.edges() {
-        expected.push(ExpectedContract {
-            chain: e.chain,
-            sender: e.from,
-            recipient: e.to,
-            amount: e.amount,
-            anchor: s.world.anchor(e.chain)?,
-            required_depth: cfg.protocol.deployment_depth,
-        });
-    }
-    let witness_spec = ContractSpec::Witness(WitnessSpec {
-        participants: s.graph.participants().to_vec(),
-        graph_digest: ms.digest(),
-        expected_contracts: expected.clone(),
-        operator: None,
-        stake: 0,
-    });
-    let (reg_txid, scw) = deploy_contract(
-        &mut s.world,
-        &mut s.participants,
-        &alice,
-        witness_chain,
-        &witness_spec,
-        0,
-    )?
-    .expect("alice is available");
-    s.world.wait_for_depth(witness_chain, reg_txid, d, wait_cap)?;
-    let witness_anchor = s.world.anchor(witness_chain)?;
-
-    // Parallel deployment of SC1 and SC2.
-    let edges: Vec<_> = s.graph.edges().to_vec();
-    let mut deploys: Vec<(TxId, ContractId)> = Vec::with_capacity(edges.len());
-    for e in &edges {
-        let spec = ContractSpec::Permissionless(PermissionlessSpec {
-            recipient: e.to,
-            witness_chain,
-            witness_contract: scw,
-            min_depth: d,
-            witness_anchor,
-        });
-        let deployed =
-            deploy_contract(&mut s.world, &mut s.participants, &e.from, e.chain, &spec, e.amount)?
-                .expect("both participants are available");
-        deploys.push(deployed);
-    }
-    {
-        let pending = deploys.clone();
-        let chains: Vec<_> = edges.iter().map(|e| e.chain).collect();
-        let depth = cfg.protocol.deployment_depth;
-        s.world.advance_until("deployments to stabilise", wait_cap, move |w| {
-            pending.iter().zip(&chains).all(|((txid, _), chain)| {
-                w.chain(*chain).ok().and_then(|c| c.tx_depth(txid)).is_some_and(|got| got >= depth)
-            })
-        })?;
-    }
-
-    // Commit decision.
-    let mut deployment_evidence = Vec::with_capacity(edges.len());
-    for (i, e) in edges.iter().enumerate() {
-        deployment_evidence.push(s.world.tx_evidence_since(
-            e.chain,
-            &expected[i].anchor,
-            deploys[i].0,
-        )?);
-    }
-    let authorize_call =
-        ContractCall::Witness(WitnessCall::AuthorizeRedeem { deployments: deployment_evidence });
-    let authorize_txid = call_contract(
-        &mut s.world,
-        &mut s.participants,
-        &bob,
-        witness_chain,
-        scw,
-        &authorize_call,
-    )?
-    .expect("bob is available");
-    s.world.wait_for_depth(witness_chain, authorize_txid, d, wait_cap)?;
-    let commit_decided = true;
-
-    let rd_evidence = WitnessStateEvidence {
-        claimed: WitnessState::RedeemAuthorized,
-        inclusion: s.world.tx_evidence_since(witness_chain, &witness_anchor, authorize_txid)?,
+    // Bob, the attacker, leaves the registration and its fee to Alice: he is
+    // offline for the first instant, so the machine's first-available rule
+    // names her. From then on he is the first participant able to act, and
+    // submits the authorize call himself.
+    s.participants
+        .get_mut("bob")
+        .expect("scenario has bob")
+        .schedule_crash(CrashWindow { from: 0, until: 1 });
+    let mut machine = Ac3wn::new(cfg.protocol.clone()).machine(s.graph.clone(), witness_chain);
+    let ended_early = drive_until(&mut machine, &mut s.world, &mut s.participants, |m, world| {
+        m.authorize_txid().is_some_and(|txid| tx_at_depth(world, witness_chain, &txid, d))
+    })?;
+    let (Some(scw), Some(witness_anchor), Some(authorize_txid), None) = (
+        machine.witness_contract(),
+        machine.witness_anchor(),
+        machine.authorize_txid(),
+        ended_early,
+    ) else {
+        return Err(ProtocolError::World("honest run ended before a buried decision".to_string()));
     };
+    let edges = s.graph.edges().to_vec();
+    let deploys: Vec<_> = machine.deployments().iter().flatten().copied().collect();
+    let (sc1, sc2) = (deploys[0].1, deploys[1].1);
+    let commit_decided =
+        matches!(s.world.contract_state(witness_chain, scw), Some((tag, _)) if tag == "RDauth");
+    let rd_evidence =
+        ac3wn::decision_evidence(&s.world, witness_chain, &witness_anchor, authorize_txid, true)?;
 
     // The attacker (Bob) redeems SC1, collecting Alice's asset. Alice has
     // not settled SC2 yet — this is the window the attack exploits.
-    let sc1 = deploys[0].1;
-    let sc2 = deploys[1].1;
-    let redeem_sc1 =
-        ContractCall::Permissionless(PermissionlessCall::Redeem { evidence: rd_evidence.clone() });
+    let (_, redeem_sc1) = ac3wn::settlement_call(true, &edges[0], &rd_evidence);
     let redeem_txid =
         call_contract(&mut s.world, &mut s.participants, &bob, chain_a, sc1, &redeem_sc1)?
             .expect("bob is available");
@@ -276,14 +209,14 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
 
         if reorg_won {
             // The refund authorization is now canonical; try to use it.
-            if let Ok(inclusion) =
-                s.world.tx_evidence_since(witness_chain, &witness_anchor, refund_auth_txid)
-            {
-                let rf_evidence =
-                    WitnessStateEvidence { claimed: WitnessState::RefundAuthorized, inclusion };
-                let refund_sc2 = ContractCall::Permissionless(PermissionlessCall::Refund {
-                    evidence: rf_evidence,
-                });
+            if let Ok(rf_evidence) = ac3wn::decision_evidence(
+                &s.world,
+                witness_chain,
+                &witness_anchor,
+                refund_auth_txid,
+                false,
+            ) {
+                let (_, refund_sc2) = ac3wn::settlement_call(false, &edges[1], &rf_evidence);
                 if let Some(txid) = call_contract(
                     &mut s.world,
                     &mut s.participants,
@@ -307,8 +240,7 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
     // RDauth evidence — the commitment property — unless the attacker
     // already refunded it out from under her.
     // ---------------------------------------------------------------------
-    let redeem_sc2 =
-        ContractCall::Permissionless(PermissionlessCall::Redeem { evidence: rd_evidence });
+    let (_, redeem_sc2) = ac3wn::settlement_call(true, &edges[1], &rd_evidence);
     if let Some(txid) =
         call_contract(&mut s.world, &mut s.participants, &alice, chain_b, sc2, &redeem_sc2)?
     {

@@ -4,14 +4,15 @@
 //! Historically every protocol driver was a blocking one-shot function that
 //! owned the simulated clock: `execute(&mut Scenario)` advanced world time
 //! inside its waits, so only one swap could ever be in flight. The machines
-//! in [`crate::ac3wn`], [`crate::ac3tw`] and [`crate::herlihy`] invert that
-//! control flow: a machine never advances time — [`SwapMachine::poll`] does
-//! as much protocol work as is possible *at the world's current instant*
+//! in [`crate::ac3`] and [`crate::herlihy`] invert that control flow: a
+//! machine never advances time — [`SwapMachine::poll`] does as much
+//! protocol work as is possible *at the world's current instant*
 //! (submitting transactions, reading chain state, transitioning phases) and
 //! then returns a [`Step`] telling the caller when polling again could
-//! observe progress. Whoever owns the clock — the single-swap [`drive`]
-//! loop or the concurrent [`crate::scheduler::Scheduler`] — advances time
-//! between polls, so N machines can interleave over one shared world.
+//! observe progress. Whoever owns the clock — the single-swap
+//! [`drive_until`] loop ([`drive`] when it never stops early) or the
+//! concurrent [`crate::scheduler::Scheduler`] — advances time between
+//! polls, so N machines can interleave over one shared world.
 //!
 //! Timeouts are implemented inside the machines as deadlines checked at
 //! poll time, which reproduces the blocking drivers' `advance_until`
@@ -71,11 +72,11 @@ pub struct MachineFootprint {
 /// threads mid-poll, so `Sync` is not required.
 ///
 /// Every protocol in the reproduction implements this trait —
-/// [`crate::ac3wn::Ac3wnMachine`], [`crate::ac3tw::Ac3twMachine`] and
+/// [`crate::ac3::Ac3Machine`] (AC3WN and AC3TW) and
 /// [`crate::herlihy::HerlihyMachine`] (Nolan and both Herlihy variants) —
-/// so heterogeneous
-/// protocol mixes can share one [`crate::scheduler::Scheduler`] batch; see
-/// the scheduler module docs for a two-machine example.
+/// so heterogeneous protocol mixes can share one
+/// [`crate::scheduler::Scheduler`] batch; see the scheduler module docs for
+/// a two-machine example.
 pub trait SwapMachine: Send {
     /// Advance the machine as far as possible at the world's current time.
     ///
@@ -106,14 +107,35 @@ pub trait SwapMachine: Send {
 /// Drive a single machine to completion, advancing the world clock between
 /// polls — the legacy blocking `execute` behaviour, expressed as the N = 1
 /// special case of scheduling.
-pub fn drive(
-    machine: &mut dyn SwapMachine,
+pub fn drive<M: SwapMachine + ?Sized>(
+    machine: &mut M,
     world: &mut World,
     participants: &mut ParticipantSet,
 ) -> Result<SwapReport, ProtocolError> {
+    let report = drive_until(machine, world, participants, |_, _| false)?;
+    Ok(report.expect("a machine that is never stopped runs to completion"))
+}
+
+/// [`drive`] with an early exit: `stop` sees the concrete machine and the
+/// world *before* each poll, and the first `true` returns `Ok(None)` with
+/// that poll not made — the machine stays resumable, the world stays at
+/// the instant the condition first held. An experiment that runs the honest
+/// protocol up to some point and then takes over by hand (the Section 6.3
+/// fork attack, the adversarial tests) states that point as a predicate
+/// over the machine's read-only accessors instead of re-implementing the
+/// protocol prefix.
+pub fn drive_until<M: SwapMachine + ?Sized>(
+    machine: &mut M,
+    world: &mut World,
+    participants: &mut ParticipantSet,
+    mut stop: impl FnMut(&M, &World) -> bool,
+) -> Result<Option<SwapReport>, ProtocolError> {
     loop {
+        if stop(machine, world) {
+            return Ok(None);
+        }
         match poll_machine(machine, world, participants)? {
-            Step::Done(report) => return Ok(*report),
+            Step::Done(report) => return Ok(Some(*report)),
             Step::Waiting { not_before } => {
                 let dt = not_before.saturating_sub(world.now()).max(1);
                 world.advance(dt);
@@ -137,12 +159,12 @@ pub fn footprint_audit_enabled() -> bool {
 /// Poll a machine against `world` through the appropriate [`ChainApi`]
 /// implementation: the message-routed [`NetworkedApi`] when a network
 /// profile is attached ([`World::attach_network`]), the synchronous
-/// [`DirectApi`] otherwise. Every driver loop — [`drive`] and both
-/// scheduler paths — polls through here, so attaching a network reroutes
-/// an entire batch without touching machine code. Audits the poll when the
-/// `AC3_FOOTPRINT_AUDIT` environment variable is set.
-pub fn poll_machine(
-    machine: &mut dyn SwapMachine,
+/// [`DirectApi`] otherwise. Every driver loop — [`drive_until`] and the
+/// scheduler's poll pass — polls through here, so attaching a network
+/// reroutes an entire batch without touching machine code. Audits the poll
+/// when the `AC3_FOOTPRINT_AUDIT` environment variable is set.
+pub fn poll_machine<M: SwapMachine + ?Sized>(
+    machine: &mut M,
     world: &mut World,
     participants: &mut ParticipantSet,
 ) -> Result<Step, ProtocolError> {
@@ -159,8 +181,8 @@ pub fn poll_machine(
 /// chain or actor. The wrapper is stateless pass-through otherwise, so an
 /// audited poll that does not panic is bitwise identical to an unaudited
 /// one.
-pub fn poll_machine_audited(
-    machine: &mut dyn SwapMachine,
+pub fn poll_machine_audited<M: SwapMachine + ?Sized>(
+    machine: &mut M,
     world: &mut World,
     participants: &mut ParticipantSet,
     audit: bool,
@@ -203,25 +225,6 @@ pub(crate) fn tx_at_depth(world: &dyn ChainApi, chain: ChainId, txid: &TxId, dep
 pub(crate) fn tx_stable(world: &dyn ChainApi, chain: ChainId, txid: &TxId) -> bool {
     let Ok(c) = world.chain(chain) else { return false };
     tx_at_depth(world, chain, txid, c.params().stable_depth)
-}
-
-/// Indices of deployed edges whose contract is still locked in `P` — the
-/// candidates of a recovery pass (shared by the AC3WN and AC3TW machines).
-pub(crate) fn unsettled_edges(
-    world: &dyn ChainApi,
-    edges: &[crate::graph::SwapEdge],
-    deploys: &[Option<(TxId, ac3_chain::ContractId)>],
-) -> Vec<usize> {
-    (0..edges.len())
-        .filter(|i| {
-            deploys.get(*i).copied().flatten().is_some()
-                && crate::actions::edge_disposition(
-                    world,
-                    edges[*i].chain,
-                    deploys[*i].map(|(_, c)| c),
-                ) == crate::protocol::EdgeDisposition::Locked
-        })
-        .collect()
 }
 
 /// The timeout error the blocking drivers produced from `advance_until`,

@@ -9,8 +9,9 @@
 //! | Paper | Module |
 //! |---|---|
 //! | Section 3 — AC2T graph model `D = (V, E)`, `ms(D)` | [`graph`] |
-//! | Section 4.1 — AC3TW (centralized trusted witness) | [`ac3tw`] |
-//! | Section 4.2 — AC3WN (permissionless witness network) | [`ac3wn`] |
+//! | Sections 4.1 / 4.2 — the AC3 commit sequence, one machine over a coordinator | [`ac3`] |
+//! | Section 4.1 — AC3TW driver and the centralized trusted witness, Trent | [`ac3tw`] |
+//! | Section 4.2 — AC3WN driver and the contents of every AC3WN transaction | [`ac3wn`] |
 //! | Section 4.3 — cross-chain evidence validation strategies | [`evidence`] |
 //! | Section 1 / \[23\] — Nolan's two-party atomic swap | [`nolan`] |
 //! | \[16\] / Section 5.3 — Herlihy's multi-party atomic swap, single- and multi-leader (baseline) | [`herlihy`] |
@@ -22,8 +23,12 @@
 //! Every protocol is decomposed into a resumable step/poll state machine
 //! ([`driver::SwapMachine`]) that never advances the simulated clock, so N
 //! swaps — of any protocol mix — can interleave over one shared world under
-//! the [`scheduler::Scheduler`]; the blocking `execute` entry points are
-//! thin [`driver::drive`] wrappers over the machines.
+//! the [`scheduler::Scheduler`]. There are two machines: [`Ac3Machine`]
+//! (AC3WN and AC3TW, differing only in a private coordinator) and
+//! [`HerlihyMachine`] (Nolan and both Herlihy variants). The blocking
+//! `execute` entry points are thin [`driver::drive`] wrappers over them,
+//! and [`driver::drive_until`] stops one at a stated point for experiments
+//! that take over by hand.
 //!
 //! The protocol drivers execute against the `ac3-sim` discrete-event world;
 //! [`scenario`] assembles standard worlds (two-party swaps, rings of
@@ -48,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ac3;
 pub mod ac3tw;
 pub mod ac3wn;
 pub mod actions;
@@ -67,8 +73,9 @@ pub mod protocol;
 pub mod scenario;
 pub mod scheduler;
 
-pub use ac3tw::{Ac3tw, Ac3twMachine, Trent, TrentError};
-pub use ac3wn::{Ac3wn, Ac3wnMachine};
+pub use ac3::Ac3Machine;
+pub use ac3tw::{Ac3tw, Trent, TrentError};
+pub use ac3wn::Ac3wn;
 pub use attack::{execute_fork_attack, ForkAttackConfig, ForkAttackReport};
 pub use audit::AtomicityVerdict;
 pub use campaign::{
@@ -76,7 +83,7 @@ pub use campaign::{
     CampaignSpace, ProtocolLane, WitnessBond,
 };
 pub use campaign_run::{build_campaign, run_campaign};
-pub use driver::{drive, MachineFootprint, Step, SwapMachine};
+pub use driver::{drive, drive_until, MachineFootprint, Step, SwapMachine};
 pub use evidence::{
     validate_tx, validate_with_all, ValidationCost, ValidationReport, ValidationStrategy,
 };

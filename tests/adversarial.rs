@@ -2,20 +2,23 @@
 //! protocol must not be able to break all-or-nothing atomicity or steal
 //! locked assets.
 //!
-//! These tests drive the protocol phases by hand (rather than through the
-//! `Ac3wn` driver) so a malicious step can be inserted at any point: forged
-//! or mismatched witness evidence, settlement attempts before any decision
-//! exists, decision requests with incomplete deployment evidence, double
-//! redemption, a payload built to exhaust the decoder's stack, and the
-//! rented-hash-power fork attack of Section 6.3.
+//! These tests run the real `Ac3wn` machine up to a stated point
+//! (`drive_until`) and continue by hand, so a malicious step can be inserted
+//! there: forged or mismatched witness evidence, settlement attempts before
+//! any decision exists, decision requests with incomplete deployment
+//! evidence, double redemption, a payload built to exhaust the decoder's
+//! stack, and the rented-hash-power fork attack of Section 6.3. Honest
+//! specs, calls and evidence come from the `ac3wn` builders; only what an
+//! adversary forges is written out.
 
 use ac3wn::chain::{coinbase, Block, BlockHeader, ChainError, VmError};
 use ac3wn::contracts::{
-    ContractCall, ContractSpec, ExpectedContract, PermissionlessCall, PermissionlessSpec,
-    WitnessCall, WitnessSpec, WitnessStateEvidence,
+    ContractCall, ExpectedContract, PermissionlessCall, WitnessCall, WitnessStateEvidence,
 };
+use ac3wn::core::ac3wn::{authorize_call, decision_evidence, settlement_call, witness_spec};
 use ac3wn::core::actions::{call_contract, deploy_contract};
 use ac3wn::core::attack::{execute_fork_attack, ForkAttackConfig};
+use ac3wn::core::drive_until;
 use ac3wn::crypto::WitnessState;
 use ac3wn::prelude::*;
 
@@ -40,86 +43,41 @@ struct DeployedSwap {
 
 fn deployed_two_party_swap() -> DeployedSwap {
     let mut scenario = two_party_scenario(50, 80, &ScenarioConfig::default());
-    let delta = scenario.world.delta_ms();
-    let wait_cap = delta * 12;
     let alice = scenario.participants.get("alice").unwrap().address();
     let bob = scenario.participants.get("bob").unwrap().address();
-    let witness_chain = scenario.witness_chain;
+    let edges = scenario.graph.edges().to_vec();
 
-    let keypairs: Vec<KeyPair> = scenario
-        .graph
-        .participants()
-        .iter()
-        .map(|a| scenario.participants.by_address(a).unwrap().keypair())
-        .collect();
-    let ms = scenario.graph.multisign(&keypairs).unwrap();
-
-    let mut expected = Vec::new();
-    for e in scenario.graph.edges() {
-        expected.push(ExpectedContract {
-            chain: e.chain,
-            sender: e.from,
-            recipient: e.to,
-            amount: e.amount,
-            anchor: scenario.world.anchor(e.chain).unwrap(),
-            required_depth: DEPLOY_DEPTH,
-        });
-    }
-    let witness_spec = ContractSpec::Witness(WitnessSpec {
-        participants: scenario.graph.participants().to_vec(),
-        graph_digest: ms.digest(),
-        expected_contracts: expected.clone(),
-        operator: None,
-        stake: 0,
-    });
-    let (reg_txid, scw) = deploy_contract(
-        &mut scenario.world,
-        &mut scenario.participants,
-        &alice,
-        witness_chain,
-        &witness_spec,
-        0,
-    )
-    .unwrap()
-    .expect("alice deploys SC_w");
-    scenario.world.wait_for_depth(witness_chain, reg_txid, WITNESS_DEPTH, wait_cap).unwrap();
-    let witness_anchor = scenario.world.anchor(witness_chain).unwrap();
-
-    let edges: Vec<SwapEdge> = scenario.graph.edges().to_vec();
-    let mut deployments = Vec::new();
-    for e in &edges {
-        let spec = ContractSpec::Permissionless(PermissionlessSpec {
-            recipient: e.to,
-            witness_chain,
-            witness_contract: scw,
-            min_depth: WITNESS_DEPTH,
-            witness_anchor,
-        });
-        let deployed = deploy_contract(
-            &mut scenario.world,
-            &mut scenario.participants,
-            &e.from,
-            e.chain,
-            &spec,
-            e.amount,
-        )
-        .unwrap()
-        .expect("participant deploys its asset contract");
-        deployments.push(deployed);
-    }
-    for (e, (txid, _)) in edges.iter().zip(&deployments) {
-        scenario.world.wait_for_depth(e.chain, *txid, DEPLOY_DEPTH, wait_cap).unwrap();
-    }
+    // The honest machine, stopped before the poll that would see both
+    // deployments deep and request the decision.
+    let cfg = ProtocolConfig {
+        witness_depth: WITNESS_DEPTH,
+        deployment_depth: DEPLOY_DEPTH,
+        ..Default::default()
+    };
+    let mut machine = Ac3wn::new(cfg).machine(scenario.graph.clone(), scenario.witness_chain);
+    let finished =
+        drive_until(&mut machine, &mut scenario.world, &mut scenario.participants, |m, world| {
+            m.deployments().len() == edges.len()
+                && m.deployments().iter().zip(&edges).all(|(deployed, e)| {
+                    let depth =
+                        deployed.and_then(|(txid, _)| world.chain(e.chain).ok()?.tx_depth(&txid));
+                    depth.is_some_and(|got| got >= DEPLOY_DEPTH)
+                })
+        })
+        .unwrap();
+    assert!(finished.is_none(), "the swap must stop undecided");
+    let witness_contract = machine.witness_contract().expect("SC_w is registered");
 
     DeployedSwap {
         scenario,
         alice,
         bob,
-        witness_contract: scw,
-        witness_registration_tx: reg_txid,
-        witness_anchor,
-        expected,
-        deployments,
+        witness_contract,
+        // A contract's id is the id of the transaction that deployed it.
+        witness_registration_tx: TxId(witness_contract.0),
+        witness_anchor: machine.witness_anchor().expect("registration is buried"),
+        expected: machine.expected_contracts().to_vec(),
+        deployments: machine.deployments().iter().flatten().copied().collect(),
     }
 }
 
@@ -193,13 +151,8 @@ fn evidence_from_a_different_witness_contract_is_rejected() {
     let (_, sc1) = swap.deployments[0];
     let wait_cap = swap.scenario.world.delta_ms() * 12;
 
-    let rogue_spec = ContractSpec::Witness(WitnessSpec {
-        participants: vec![swap.alice, swap.bob],
-        graph_digest: Hash256::digest(b"a different graph"),
-        expected_contracts: swap.expected.clone(),
-        operator: None,
-        stake: 0,
-    });
+    let rogue_spec =
+        witness_spec(&swap.scenario.graph, Hash256::digest(b"a different graph"), &swap.expected);
     let (rogue_reg, rogue_scw) = deploy_contract(
         &mut swap.scenario.world,
         &mut swap.scenario.participants,
@@ -227,16 +180,16 @@ fn evidence_from_a_different_witness_contract_is_rejected() {
         .wait_for_depth(witness_chain, rogue_refund, WITNESS_DEPTH, wait_cap)
         .unwrap();
 
-    let rogue_evidence = WitnessStateEvidence {
-        claimed: WitnessState::RefundAuthorized,
-        inclusion: swap
-            .scenario
-            .world
-            .tx_evidence_since(witness_chain, &swap.witness_anchor, rogue_refund)
-            .expect("rogue refund is canonical"),
-    };
-    let refund_call =
-        ContractCall::Permissionless(PermissionlessCall::Refund { evidence: rogue_evidence });
+    // Honestly built evidence — of the wrong contract's decision.
+    let rogue_evidence = decision_evidence(
+        &swap.scenario.world,
+        witness_chain,
+        &swap.witness_anchor,
+        rogue_refund,
+        false,
+    )
+    .expect("rogue refund is canonical");
+    let (_, refund_call) = settlement_call(false, &swap.scenario.graph.edges()[0], &rogue_evidence);
     let txid = call_contract(
         &mut swap.scenario.world,
         &mut swap.scenario.participants,
@@ -267,18 +220,16 @@ fn claimed_state_must_match_the_authorize_call() {
     let (_, sc1) = swap.deployments[0];
     let wait_cap = swap.scenario.world.delta_ms() * 12;
 
-    let mut evidence = Vec::new();
-    for (exp, (txid, _)) in swap.expected.iter().zip(&swap.deployments) {
-        evidence
-            .push(swap.scenario.world.tx_evidence_since(exp.chain, &exp.anchor, *txid).unwrap());
-    }
+    let deployments: Vec<_> = swap.deployments.iter().copied().map(Some).collect();
+    let authorize_redeem =
+        authorize_call(&swap.scenario.world, true, &swap.expected, &deployments).unwrap();
     let authorize = call_contract(
         &mut swap.scenario.world,
         &mut swap.scenario.participants,
         &swap.bob,
         witness_chain,
         swap.witness_contract,
-        &ContractCall::Witness(WitnessCall::AuthorizeRedeem { deployments: evidence }),
+        &authorize_redeem,
     )
     .unwrap()
     .expect("authorize redeem");
