@@ -248,29 +248,93 @@ pub struct FeeMarketStats {
     pub mean_fee_per_tx: f64,
 }
 
-enum SlotMachine {
-    /// Machine not yet built: the seed runs with the assigned witness
-    /// chain at launch (first poll), so the assignment can observe the
-    /// mempool depths left by the swaps launched before it.
-    Deferred(Option<MachineSeed>),
-    Live(Box<dyn SwapMachine>),
-}
-
+/// One swap of a batch, in either path: the serial loop holds every slot
+/// against the whole world, the parallel path hands each shard its own.
 struct Slot {
+    /// Index in the batch's submission order: names the deferred seed to
+    /// launch from, and restores outcome order after shards complete out
+    /// of order.
+    index: usize,
     id: SwapId,
-    machine: SlotMachine,
+    /// `None` until launched (see [`Scheduler::run_assigned`]): the seed
+    /// runs with the assigned witness chain at the first poll, so the
+    /// assignment can observe the mempool depths left by the swaps launched
+    /// before it.
+    machine: Option<Box<dyn SwapMachine>>,
     witness: Option<ChainId>,
     not_before: Timestamp,
     done: Option<Result<SwapReport, ProtocolError>>,
 }
 
+/// Builds the machine of the deferred slot at a batch index, on the witness
+/// chain it picks from the world as it stands.
+type Launch<'a> = dyn FnMut(&World, usize) -> (ChainId, Box<dyn SwapMachine>) + 'a;
+
 impl Slot {
+    fn new(
+        index: usize,
+        id: SwapId,
+        machine: Option<Box<dyn SwapMachine>>,
+        not_before: Timestamp,
+    ) -> Self {
+        Slot { index, id, machine, witness: None, not_before, done: None }
+    }
+
     fn phase_name(&self) -> &'static str {
-        match &self.machine {
-            SlotMachine::Deferred(_) => "unlaunched",
-            SlotMachine::Live(machine) => machine.phase_name(),
+        self.machine.as_ref().map_or("unlaunched", |machine| machine.phase_name())
+    }
+
+    fn into_outcome(self) -> SwapOutcome {
+        SwapOutcome {
+            id: self.id,
+            witness: self.witness,
+            result: self.done.expect("loop ran to completion"),
         }
     }
+}
+
+/// The poll pass both paths share: every unfinished slot whose wake-up
+/// time has come is polled once, in submission order, with its fees
+/// attributed to its swap. A deferred slot is launched first — after the
+/// polls of the slots ahead of it, so `launch` sees what they just
+/// submitted.
+fn poll_due(
+    slots: &mut [Slot],
+    world: &mut World,
+    participants: &mut ParticipantSet,
+    audit: bool,
+    launch: &mut Launch,
+) {
+    let now = world.now();
+    for slot in slots.iter_mut().filter(|s| s.done.is_none() && now >= s.not_before) {
+        let machine = match &mut slot.machine {
+            Some(machine) => machine,
+            None => {
+                let (witness, machine) = launch(world, slot.index);
+                slot.witness = Some(witness);
+                slot.machine.insert(machine)
+            }
+        };
+        world.set_fee_attribution(Some(slot.id));
+        match crate::driver::poll_machine_audited(
+            machine.as_mut(),
+            world,
+            participants,
+            audit,
+            Some(slot.id.0),
+        ) {
+            Ok(Step::Done(report)) => slot.done = Some(Ok(*report)),
+            Ok(Step::Waiting { not_before }) => slot.not_before = not_before,
+            Err(e) => slot.done = Some(Err(e)),
+        }
+        world.set_fee_attribution(None);
+    }
+}
+
+/// The earliest instant any unfinished slot asked to be polled again;
+/// `None` once the whole batch is done.
+fn next_wake<'a>(slots: impl Iterator<Item = &'a Slot>) -> Option<Timestamp> {
+    slots.filter(|s| s.done.is_none()).map(|s| s.not_before).min()
 }
 
 impl Scheduler {
@@ -336,15 +400,12 @@ impl Scheduler {
         }
         let slots = machines
             .into_iter()
-            .map(|(id, machine)| Slot {
-                id,
-                machine: SlotMachine::Live(machine),
-                witness: None,
-                not_before: world.now(),
-                done: None,
-            })
+            .enumerate()
+            .map(|(i, (id, machine))| Slot::new(i, id, Some(machine), world.now()))
             .collect();
-        self.run_slots(world, participants, slots, &[], WitnessAssignment::RoundRobin)
+        self.run_slots(world, participants, slots, &mut |_, _| {
+            unreachable!("every machine of the batch is already built")
+        })
     }
 
     /// Like [`Scheduler::run`], but the scheduler itself assigns each swap
@@ -354,6 +415,10 @@ impl Scheduler {
     /// mempool depths left by every previously launched swap, so a batch
     /// self-balances across the k witness networks instead of splitting
     /// statically.
+    ///
+    /// Always runs the serial loop: [`Scheduler::workers`] is ignored,
+    /// because a launch-time assignment needs the global view of every
+    /// witness mempool that sharding takes away.
     pub fn run_assigned(
         &self,
         world: &mut World,
@@ -364,17 +429,20 @@ impl Scheduler {
     ) -> BatchReport {
         assert!(!witness_chains.is_empty(), "witness assignment needs at least one witness chain");
         self.attach_network(world);
-        let slots = seeds
+        let (slots, mut seeds): (Vec<Slot>, Vec<Option<MachineSeed>>) = seeds
             .into_iter()
-            .map(|(id, seed)| Slot {
-                id,
-                machine: SlotMachine::Deferred(Some(seed)),
-                witness: None,
-                not_before: world.now(),
-                done: None,
-            })
-            .collect();
-        self.run_slots(world, participants, slots, witness_chains, strategy)
+            .enumerate()
+            .map(|(i, (id, seed))| (Slot::new(i, id, None, world.now()), Some(seed)))
+            .unzip();
+        let mut launched = 0usize;
+        let mut assigned: BTreeMap<ChainId, usize> = BTreeMap::new();
+        self.run_slots(world, participants, slots, &mut |world, index| {
+            let witness = Self::pick_witness(world, witness_chains, strategy, launched, &assigned);
+            launched += 1;
+            *assigned.entry(witness).or_insert(0) += 1;
+            let seed = seeds[index].take().expect("deferred seed consumed once");
+            (witness, seed(witness))
+        })
     }
 
     /// Pick the witness chain for the `index`-th launched swap.
@@ -409,89 +477,50 @@ impl Scheduler {
         }
     }
 
+    /// The serial reference loop: the whole world, never split.
     fn run_slots(
         &self,
         world: &mut World,
         participants: &mut ParticipantSet,
         mut slots: Vec<Slot>,
-        witness_chains: &[ChainId],
-        strategy: WitnessAssignment,
+        launch: &mut Launch,
     ) -> BatchReport {
         let started_at = world.now();
         let mut ticks = 0u64;
-        let mut launched = 0usize;
-        let mut assigned: BTreeMap<ChainId, usize> = BTreeMap::new();
 
         loop {
-            let now = world.now();
-            for slot in slots.iter_mut().filter(|s| s.done.is_none()) {
-                if now < slot.not_before {
-                    continue;
-                }
-                if let SlotMachine::Deferred(seed) = &mut slot.machine {
-                    let witness =
-                        Self::pick_witness(world, witness_chains, strategy, launched, &assigned);
-                    launched += 1;
-                    *assigned.entry(witness).or_insert(0) += 1;
-                    slot.witness = Some(witness);
-                    let seed = seed.take().expect("deferred seed consumed once");
-                    slot.machine = SlotMachine::Live(seed(witness));
-                }
-                let SlotMachine::Live(machine) = &mut slot.machine else { unreachable!() };
-                world.set_fee_attribution(Some(slot.id));
-                match crate::driver::poll_machine_audited(
-                    machine.as_mut(),
-                    world,
-                    participants,
-                    self.audit,
-                    Some(slot.id.0),
-                ) {
-                    Ok(Step::Done(report)) => slot.done = Some(Ok(*report)),
-                    Ok(Step::Waiting { not_before }) => slot.not_before = not_before,
-                    Err(e) => slot.done = Some(Err(e)),
-                }
-                world.set_fee_attribution(None);
-            }
-
-            if slots.iter().all(|s| s.done.is_some()) {
+            poll_due(&mut slots, world, participants, self.audit, launch);
+            let Some(next) = next_wake(slots.iter()) else { break };
+            if self.budget_exhausted(world, started_at) {
+                self.fail_unfinished(slots.iter_mut());
                 break;
             }
-            if world.now().saturating_sub(started_at) >= self.max_ms {
-                for slot in slots.iter_mut().filter(|s| s.done.is_none()) {
-                    slot.done = Some(Err(ProtocolError::World(format!(
-                        "scheduler budget of {} ms exhausted in phase {}",
-                        self.max_ms,
-                        slot.phase_name()
-                    ))));
-                }
-                break;
-            }
-
             // One tick: advance to the earliest instant any pending machine
             // wants to be polled again.
-            let next = slots
-                .iter()
-                .filter(|s| s.done.is_none())
-                .map(|s| s.not_before)
-                .min()
-                .expect("pending slots exist");
-            let now = world.now();
-            world.advance(next.saturating_sub(now).max(1));
+            world.advance(next.saturating_sub(world.now()).max(1));
             ticks += 1;
         }
 
         BatchReport {
-            outcomes: slots
-                .into_iter()
-                .map(|s| SwapOutcome {
-                    id: s.id,
-                    witness: s.witness,
-                    result: s.done.expect("loop ran to completion"),
-                })
-                .collect(),
+            outcomes: slots.into_iter().map(Slot::into_outcome).collect(),
             started_at,
             finished_at: world.now(),
             ticks,
+        }
+    }
+
+    fn budget_exhausted(&self, world: &World, started_at: Timestamp) -> bool {
+        world.now().saturating_sub(started_at) >= self.max_ms
+    }
+
+    /// The simulated-time budget ran out: every swap still in flight fails.
+    fn fail_unfinished<'a>(&self, slots: impl Iterator<Item = &'a mut Slot>) {
+        for slot in slots.filter(|s| s.done.is_none()) {
+            slot.done = Some(Err(ProtocolError::World(format!(
+                "scheduler budget of {} ms exhausted in phase {}",
+                self.max_ms,
+                slot.phase_name()
+            ))));
         }
     }
 
@@ -561,7 +590,7 @@ impl Scheduler {
                 .iter()
                 .map(|&i| {
                     let (id, machine) = machines[i].take().expect("each machine joins one shard");
-                    ParSlot { index: i, id, machine, not_before: started_at, done: None }
+                    Slot::new(i, id, Some(machine), started_at)
                 })
                 .collect();
             tasks.push(ShardTask {
@@ -607,28 +636,11 @@ impl Scheduler {
 
             // Merge barrier: fold shard summaries, decide the next dt —
             // the same decisions, in the same order, as the serial loop.
-            if tasks.iter().all(|t| t.slots.iter().all(|s| s.done.is_some())) {
+            let Some(next) = next_wake(tasks.iter().flat_map(|t| t.slots.iter())) else { break };
+            if self.budget_exhausted(world, started_at) {
+                self.fail_unfinished(tasks.iter_mut().flat_map(|t| t.slots.iter_mut()));
                 break;
             }
-            if world.now().saturating_sub(started_at) >= self.max_ms {
-                for task in &mut tasks {
-                    for slot in task.slots.iter_mut().filter(|s| s.done.is_none()) {
-                        slot.done = Some(Err(ProtocolError::World(format!(
-                            "scheduler budget of {} ms exhausted in phase {}",
-                            self.max_ms,
-                            slot.machine.phase_name()
-                        ))));
-                    }
-                }
-                break;
-            }
-            let next = tasks
-                .iter()
-                .flat_map(|t| t.slots.iter())
-                .filter(|s| s.done.is_none())
-                .map(|s| s.not_before)
-                .min()
-                .expect("pending slots exist");
             dt = next.saturating_sub(world.now()).max(1);
         }
 
@@ -641,11 +653,8 @@ impl Scheduler {
             world.absorb_shard(task.world);
             participants.absorb(task.participants);
             for slot in task.slots {
-                outcomes[slot.index] = Some(SwapOutcome {
-                    id: slot.id,
-                    witness: None,
-                    result: slot.done.expect("loop ran to completion"),
-                });
+                let index = slot.index;
+                outcomes[index] = Some(slot.into_outcome());
             }
         }
         BatchReport {
@@ -660,19 +669,6 @@ impl Scheduler {
     }
 }
 
-/// A slot of the parallel scheduler: one machine, owned by exactly one
-/// shard (no deferred seeds — witness assignment is a global decision the
-/// serial launcher makes; see [`Scheduler::run_assigned`]).
-struct ParSlot {
-    /// Index in the batch's submission order, to restore outcome order
-    /// after shards complete out of order.
-    index: usize,
-    id: SwapId,
-    machine: Box<dyn SwapMachine>,
-    not_before: Timestamp,
-    done: Option<Result<SwapReport, ProtocolError>>,
-}
-
 /// One worker-owned shard: a split-off world, the participants its
 /// machines sign for, and the machines themselves. `Send` because every
 /// constituent is (`World` and `ParticipantSet` own their data; machines
@@ -680,7 +676,7 @@ struct ParSlot {
 struct ShardTask {
     world: World,
     participants: ParticipantSet,
-    slots: Vec<ParSlot>,
+    slots: Vec<Slot>,
     /// Whether polls run behind the footprint-audit sanitizer (see
     /// [`Scheduler::audit`]).
     audit: bool,
@@ -688,31 +684,21 @@ struct ShardTask {
 
 impl ShardTask {
     /// One lockstep tick of this shard: advance the shard clock by the
-    /// batch-wide `dt`, then poll due machines in submission order —
-    /// verbatim the serial loop's poll pass restricted to this shard.
+    /// batch-wide `dt`, then run the poll pass restricted to this shard.
+    /// Shards never hold deferred seeds — witness assignment is a global
+    /// decision only the serial launcher makes (see
+    /// [`Scheduler::run_assigned`]).
     fn step(&mut self, dt: u64) {
         if dt > 0 {
             self.world.advance(dt);
         }
-        let now = self.world.now();
-        for slot in self.slots.iter_mut().filter(|s| s.done.is_none()) {
-            if now < slot.not_before {
-                continue;
-            }
-            self.world.set_fee_attribution(Some(slot.id));
-            match crate::driver::poll_machine_audited(
-                slot.machine.as_mut(),
-                &mut self.world,
-                &mut self.participants,
-                self.audit,
-                Some(slot.id.0),
-            ) {
-                Ok(Step::Done(report)) => slot.done = Some(Ok(*report)),
-                Ok(Step::Waiting { not_before }) => slot.not_before = not_before,
-                Err(e) => slot.done = Some(Err(e)),
-            }
-            self.world.set_fee_attribution(None);
-        }
+        poll_due(
+            &mut self.slots,
+            &mut self.world,
+            &mut self.participants,
+            self.audit,
+            &mut |_, _| unreachable!("shards hold launched machines only"),
+        );
     }
 }
 
