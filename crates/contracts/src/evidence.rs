@@ -3,9 +3,11 @@
 //! Two evidence shapes appear in the AC3WN protocol:
 //!
 //! * [`TxInclusionEvidence`] — "transaction T happened on chain C": the
-//!   transaction itself, the headers linking a known stable anchor block to
-//!   the current tip of C, and a Merkle proof of T's inclusion in one of
-//!   those blocks, buried under at least `d` of them. Used by the witness
+//!   transaction itself, the headers of C following a known stable anchor
+//!   block, and a Merkle proof of T's inclusion in one of those blocks,
+//!   buried under at least `d` of them. Builders cut the headers at T's
+//!   block plus `d` ([`TxInclusionEvidence::cut_at_depth`]), so the evidence
+//!   stops growing once T is buried. Used by the witness
 //!   contract to check that every asset contract in the AC2T was deployed
 //!   (Algorithm 3's `VerifyContracts`).
 //! * [`WitnessStateEvidence`] — "the witness contract `SC_w` reached state
@@ -53,8 +55,9 @@ pub struct TxInclusionEvidence {
     pub tx: Transaction,
     /// Height of the block containing the transaction.
     pub tx_height: u64,
-    /// Headers following the anchor, oldest first, up to the validated
-    /// chain's tip at evidence-construction time.
+    /// Headers following the anchor, oldest first: up to the validated
+    /// chain's tip at evidence-construction time, or up to `tx_height + d`
+    /// once cut with [`TxInclusionEvidence::cut_at_depth`].
     pub headers: Vec<BlockHeader>,
     /// Merkle inclusion proof of the transaction in the block at
     /// `tx_height`.
@@ -101,6 +104,21 @@ impl TxInclusionEvidence {
             )));
         }
         Ok(())
+    }
+
+    /// Drop the headers above height `tx_height + depth` — everything a
+    /// verifier demanding `depth` does not need. Evidence with fewer headers
+    /// above the transaction (or none at its height) is returned unchanged,
+    /// so it fails [`TxInclusionEvidence::verify`] exactly as before. Once
+    /// the transaction is `depth` deep, the cut evidence no longer changes
+    /// as the chain grows.
+    pub fn cut_at_depth(mut self, depth: u64) -> Self {
+        let first_height = self.headers.first().map_or(u64::MAX, |h| h.height);
+        if let Some(idx) = self.tx_height.checked_sub(first_height) {
+            let keep = idx.saturating_add(depth).saturating_add(1);
+            self.headers.truncate(usize::try_from(keep).unwrap_or(usize::MAX));
+        }
+        self
     }
 
     /// The chain the evidence headers belong to (all headers share one
@@ -403,6 +421,39 @@ mod tests {
         let (anchor, ev) = fabricate_evidence(sample_transfer(), 3);
         assert!(ev.verify(&anchor, 6).is_err());
         ev.verify(&anchor, 3).unwrap();
+    }
+
+    #[test]
+    fn evidence_cut_at_depth_verifies_at_exactly_that_depth() {
+        let (anchor, ev) = fabricate_evidence(sample_transfer(), 6);
+        let cut = ev.cut_at_depth(3);
+        assert_eq!(cut.headers.len(), 4, "the tx block plus three above it");
+        cut.verify(&anchor, 3).unwrap();
+        assert_eq!(
+            cut.verify(&anchor, 4),
+            Err(VmError::RequirementFailed(
+                "transaction buried under 3 blocks, 4 required".to_string()
+            ))
+        );
+        // Once the transaction is buried, a longer chain cuts to the same
+        // evidence.
+        let (_, longer) = fabricate_evidence(sample_transfer(), 9);
+        assert_eq!(longer.cut_at_depth(3), cut);
+    }
+
+    #[test]
+    fn cutting_too_shallow_evidence_is_a_no_op() {
+        // The fork-attack short branch: fewer than `d` headers above the
+        // transaction. The cut leaves the evidence, and its failure, alone.
+        let (anchor, ev) = fabricate_evidence(sample_transfer(), 3);
+        let before = ev.verify(&anchor, 6).unwrap_err();
+        let cut = ev.clone().cut_at_depth(6);
+        assert_eq!(cut, ev);
+        assert_eq!(cut.verify(&anchor, 6), Err(before));
+        // So is evidence with no headers at all.
+        let mut headless = ev;
+        headless.headers.clear();
+        assert_eq!(headless.clone().cut_at_depth(0), headless);
     }
 
     #[test]
