@@ -346,8 +346,14 @@ impl SwapSession {
         let commit = self.decision.expect("phase invariant: decided");
         let anchor = self.witness_anchor.expect("phase invariant: witness registered");
         let authorize_tx = self.authorize_tx.expect("phase invariant: decided");
-        let evidence =
-            ac3wn::decision_evidence(world, self.witness_chain, &anchor, authorize_tx, commit)?;
+        let evidence = ac3wn::decision_evidence(
+            world,
+            self.witness_chain,
+            &anchor,
+            authorize_tx,
+            commit,
+            self.config.witness_depth,
+        )?;
 
         let edges: Vec<_> = self.graph.edges().to_vec();
         for (i, e) in edges.iter().enumerate() {

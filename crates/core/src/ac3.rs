@@ -577,6 +577,7 @@ impl Ac3Machine {
                 &w.anchor.expect("anchor fixed before settlement"),
                 w.authorize_txid.expect("decision reached before settlement"),
                 commit,
+                self.config.witness_depth,
             )?);
         }
         for i in 0..self.edges.len() {
@@ -863,7 +864,9 @@ mod tests {
         ScenarioConfig,
     };
     use crate::{Ac3tw, Ac3wn};
-    use ac3_sim::CrashWindow;
+    use ac3_chain::{Amount, BlockHash, Blockchain, Transaction, TxKind};
+    use ac3_contracts::TxInclusionEvidence;
+    use ac3_sim::{ChainCongestion, CrashWindow, OutageWindow, World, WorldError};
     use proptest::prelude::*;
 
     type Execute = fn(&mut Scenario) -> Result<SwapReport, ProtocolError>;
@@ -1003,6 +1006,152 @@ mod tests {
             Step::Done(again) => assert_eq!(again.finished_at, report.finished_at),
             Step::Waiting { .. } => panic!("terminal machine must stay done"),
         }
+    }
+
+    /// A witness chain whose partition the participants cannot see: every
+    /// submission to it inside `lost` goes out and is lost on the way (the
+    /// sender gets `ChainUnreachable`). Every call sent to the witness
+    /// chain is logged with the machine phase its poll started in.
+    struct LossyWitnessLink<'a> {
+        world: &'a mut World,
+        witness: ChainId,
+        lost: OutageWindow,
+        phase: &'static str,
+        sent: &'a mut Vec<(&'static str, Vec<u8>)>,
+    }
+
+    impl ChainApi for LossyWitnessLink<'_> {
+        fn now(&self) -> Timestamp {
+            self.world.now()
+        }
+
+        fn delta_ms(&self) -> u64 {
+            self.world.delta_ms()
+        }
+
+        fn min_block_interval_ms(&self) -> u64 {
+            self.world.min_block_interval_ms()
+        }
+
+        fn is_reachable(&self, chain: ChainId) -> bool {
+            self.world.is_reachable(chain)
+        }
+
+        fn chain(&self, chain: ChainId) -> Result<&Blockchain, WorldError> {
+            self.world.chain(chain)
+        }
+
+        fn anchor(&self, chain: ChainId) -> Result<ChainAnchor, WorldError> {
+            self.world.anchor(chain)
+        }
+
+        fn tx_evidence_since(
+            &self,
+            chain: ChainId,
+            anchor: &ChainAnchor,
+            txid: TxId,
+        ) -> Result<TxInclusionEvidence, WorldError> {
+            self.world.tx_evidence_since(chain, anchor, txid)
+        }
+
+        fn contract_state(&self, chain: ChainId, contract: ContractId) -> Option<(String, u64)> {
+            self.world.contract_state(chain, contract)
+        }
+
+        fn is_billed(&self, txid: &TxId) -> bool {
+            self.world.fees.is_billed(txid)
+        }
+
+        fn congestion(&mut self, chain: ChainId) -> Result<ChainCongestion, WorldError> {
+            self.world.congestion(chain)
+        }
+
+        fn marginal_fee(&mut self, chain: ChainId) -> Result<Option<Amount>, WorldError> {
+            self.world.marginal_fee(chain)
+        }
+
+        fn submit(&mut self, chain: ChainId, tx: Transaction) -> Result<TxId, WorldError> {
+            if chain == self.witness {
+                if let TxKind::Call { payload, .. } = &tx.kind {
+                    self.sent.push((self.phase, payload.clone()));
+                }
+                if self.lost.covers(self.world.now()) {
+                    return Err(WorldError::ChainUnreachable(chain));
+                }
+            }
+            self.world.submit(chain, tx)
+        }
+
+        fn replace_tx(
+            &mut self,
+            chain: ChainId,
+            old: TxId,
+            tx: Transaction,
+        ) -> Result<TxId, WorldError> {
+            self.world.replace_tx(chain, old, tx)
+        }
+
+        fn record(&mut self, at: Timestamp, kind: EventKind) {
+            self.world.timeline.record(at, kind);
+        }
+
+        fn schedule_outage(
+            &mut self,
+            chain: ChainId,
+            window: OutageWindow,
+        ) -> Result<(), WorldError> {
+            self.world.schedule_outage(chain, window)
+        }
+
+        fn inject_fork(
+            &mut self,
+            chain: ChainId,
+            fork_depth: u64,
+            length: u64,
+        ) -> Result<Vec<BlockHash>, WorldError> {
+            self.world.inject_fork(chain, fork_depth, length)
+        }
+    }
+
+    #[test]
+    fn retried_authorize_calls_resubmit_identical_bytes() {
+        // The healing witness partition of the golden runs, with every
+        // retry actually sent: the asset chains keep mining under the
+        // deployments, but a buried deployment's evidence stops at the
+        // depth the witness contract demands, so each retry carries the
+        // same bytes.
+        let mut s = two_party_scenario(50, 80, &ScenarioConfig::default());
+        let witness = s.witness_chain;
+        let cfg = ProtocolConfig { deployment_depth: 3, wait_cap_deltas: 64, ..Default::default() };
+        let mut machine = Ac3wn::new(cfg).machine(s.graph.clone(), witness);
+        let lost = OutageWindow { from: 6_000, until: 60_000 };
+        let mut sent = Vec::new();
+        let report = loop {
+            let mut api = LossyWitnessLink {
+                world: &mut s.world,
+                witness,
+                lost,
+                phase: machine.phase_name(),
+                sent: &mut sent,
+            };
+            match machine.poll(&mut api, &mut s.participants).unwrap() {
+                Step::Done(report) => break report,
+                Step::Waiting { not_before } => {
+                    let dt = not_before.saturating_sub(s.world.now()).max(1);
+                    s.world.advance(dt);
+                }
+            }
+        };
+        assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed);
+        assert!(report.finished_at >= lost.until, "{}", report.summary());
+        let retries: Vec<&[u8]> = sent
+            .iter()
+            .filter(|(phase, _)| *phase == "retry-authorize")
+            .map(|(_, payload)| payload.as_slice())
+            .collect();
+        assert!(retries.len() > 10, "only {} authorize submissions retried", retries.len());
+        let differing = retries.iter().filter(|p| **p != retries[0]).count();
+        assert_eq!(differing, 0, "{differing} of {} retries changed the payload", retries.len());
     }
 
     #[test]

@@ -136,8 +136,8 @@ pub fn asset_spec(
 }
 
 /// The state-change request sent to `SC_w`: `AuthorizeRedeem` carrying
-/// inclusion evidence of every deployment since its expected anchor, or a
-/// bare `AuthorizeRefund`.
+/// inclusion evidence of every deployment since its expected anchor, cut
+/// at the depth `SC_w` demands of it, or a bare `AuthorizeRefund`.
 ///
 /// # Panics
 ///
@@ -157,28 +157,32 @@ pub fn authorize_call(
         .zip(deployments)
         .map(|(exp, deployed)| {
             let (txid, _) = deployed.expect("commit implies all deployed");
-            world.tx_evidence_since(exp.chain, &exp.anchor, txid)
+            let evidence = world.tx_evidence_since(exp.chain, &exp.anchor, txid)?;
+            Ok(evidence.cut_at_depth(exp.required_depth))
         })
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, WorldError>>()?;
     Ok(ContractCall::Witness(WitnessCall::AuthorizeRedeem { deployments }))
 }
 
 /// Evidence that `authorize_txid` moved `SC_w` to the decided state, built
-/// from the witness anchor the asset contracts store.
+/// from the witness anchor the asset contracts store and cut at the depth
+/// `min_depth` they demand.
 pub fn decision_evidence(
     world: &dyn ChainApi,
     witness_chain: ChainId,
     witness_anchor: &ChainAnchor,
     authorize_txid: TxId,
     commit: bool,
+    min_depth: u64,
 ) -> Result<WitnessStateEvidence, WorldError> {
+    let inclusion = world.tx_evidence_since(witness_chain, witness_anchor, authorize_txid)?;
     Ok(WitnessStateEvidence {
         claimed: if commit {
             WitnessState::RedeemAuthorized
         } else {
             WitnessState::RefundAuthorized
         },
-        inclusion: world.tx_evidence_since(witness_chain, witness_anchor, authorize_txid)?,
+        inclusion: inclusion.cut_at_depth(min_depth),
     })
 }
 

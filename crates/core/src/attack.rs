@@ -149,8 +149,14 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
     let (sc1, sc2) = (deploys[0].1, deploys[1].1);
     let commit_decided =
         matches!(s.world.contract_state(witness_chain, scw), Some((tag, _)) if tag == "RDauth");
-    let rd_evidence =
-        ac3wn::decision_evidence(&s.world, witness_chain, &witness_anchor, authorize_txid, true)?;
+    let rd_evidence = ac3wn::decision_evidence(
+        &s.world,
+        witness_chain,
+        &witness_anchor,
+        authorize_txid,
+        true,
+        d,
+    )?;
 
     // The attacker (Bob) redeems SC1, collecting Alice's asset. Alice has
     // not settled SC2 yet — this is the window the attack exploits.
@@ -215,6 +221,7 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
                 &witness_anchor,
                 refund_auth_txid,
                 false,
+                d,
             ) {
                 let (_, refund_sc2) = ac3wn::settlement_call(false, &edges[1], &rf_evidence);
                 if let Some(txid) = call_contract(

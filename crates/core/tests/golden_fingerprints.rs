@@ -332,7 +332,7 @@ fn ac3wn_single_runs() {
             },
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "5cfa20b4475951f4f4685851869914533e058f7490082980bcc7fde7c967cf44",
+            digest: "2a407760212eb83a2565320fec5fb580e897a8720c6d6ff14379b560d1957108",
         },
     ];
     let cfg = ProtocolConfig { wait_cap_deltas: 64, ..depth3() };

@@ -187,6 +187,7 @@ fn evidence_from_a_different_witness_contract_is_rejected() {
         &swap.witness_anchor,
         rogue_refund,
         false,
+        WITNESS_DEPTH,
     )
     .expect("rogue refund is canonical");
     let (_, refund_call) = settlement_call(false, &swap.scenario.graph.edges()[0], &rogue_evidence);
