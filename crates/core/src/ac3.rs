@@ -81,6 +81,10 @@ struct WitnessContract {
     /// The stable witness-chain block every asset contract stores as its
     /// evidence anchor. It precedes the authorize call by construction.
     anchor: Option<ChainAnchor>,
+    /// The authorize call nobody could submit yet, with its encoded
+    /// payload: the next retry re-encodes only if the rebuilt call differs.
+    /// Dropped once the call is in flight (its bid keeps the payload).
+    authorize: Option<(ContractCall, Vec<u8>)>,
     authorize_txid: Option<TxId>,
     /// Evidence of the buried decision, presented by every settlement.
     evidence: Option<WitnessStateEvidence>,
@@ -241,6 +245,7 @@ impl Ac3Machine {
             expected: Vec::new(),
             scw: None,
             anchor: None,
+            authorize: None,
             authorize_txid: None,
             evidence: None,
         };
@@ -542,8 +547,14 @@ impl Ac3Machine {
     ) -> Result<bool, ProtocolError> {
         let w = self.coordinator.witness_mut();
         let scw = w.scw.expect("witness contract registered before authorize");
-        let payload =
-            ac3wn::authorize_call(world, commit, &w.expected, &self.edge_deploys)?.to_payload();
+        let call = ac3wn::authorize_call(world, commit, &w.expected, &self.edge_deploys)?;
+        let (call, payload) = match w.authorize.take() {
+            Some(last) if last.0 == call => last,
+            _ => {
+                let payload = call.to_payload();
+                (call, payload)
+            }
+        };
         for addr in self.graph.participants() {
             let Some((txid, fee)) =
                 self.bids.submit_encoded_call(world, participants, addr, w.chain, scw, &payload)?
@@ -557,6 +568,7 @@ impl Ac3Machine {
             self.phase = Phase::AwaitDecision { deadline: world.now() + self.wait_cap };
             return Ok(true);
         }
+        w.authorize = Some((call, payload));
         Ok(false)
     }
 

@@ -139,10 +139,8 @@ pub fn asset_spec(
 /// inclusion evidence of every deployment since its expected anchor, cut
 /// at the depth `SC_w` demands of it, or a bare `AuthorizeRefund`.
 ///
-/// # Panics
-///
-/// If `commit` is set while an edge has no deployment — a commit is only
-/// ever requested once every contract is published.
+/// A commit needs a deployment for every expected contract;
+/// [`WorldError::EvidenceUnavailable`] names the first edge without one.
 pub fn authorize_call(
     world: &dyn ChainApi,
     commit: bool,
@@ -154,13 +152,17 @@ pub fn authorize_call(
     }
     let deployments = expected
         .iter()
-        .zip(deployments)
-        .map(|(exp, deployed)| {
-            let (txid, _) = deployed.expect("commit implies all deployed");
+        .enumerate()
+        .map(|(i, exp)| {
+            let Some(&Some((txid, _))) = deployments.get(i) else {
+                return Err(WorldError::EvidenceUnavailable(format!(
+                    "edge {i} has no deployment to prove"
+                )));
+            };
             let evidence = world.tx_evidence_since(exp.chain, &exp.anchor, txid)?;
             Ok(evidence.cut_at_depth(exp.required_depth))
         })
-        .collect::<Result<_, WorldError>>()?;
+        .collect::<Result<_, _>>()?;
     Ok(ContractCall::Witness(WitnessCall::AuthorizeRedeem { deployments }))
 }
 
@@ -198,5 +200,31 @@ pub fn settlement_call(
         (edge.to, ContractCall::Permissionless(PermissionlessCall::Redeem { evidence }))
     } else {
         (edge.from, ContractCall::Permissionless(PermissionlessCall::Refund { evidence }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{two_party_scenario, ScenarioConfig};
+
+    #[test]
+    fn a_commit_without_every_deployment_is_an_error_not_a_panic() {
+        let s = two_party_scenario(50, 80, &ScenarioConfig::default());
+        let expected = expected_contracts(&s.world, &s.graph, 1).unwrap();
+        let deployed = Some((TxId(Hash256::ZERO), ContractId(Hash256::ZERO)));
+        for (deployments, edge) in [(vec![None, deployed], 0), (vec![], 0), (vec![None], 0)] {
+            assert_eq!(
+                authorize_call(&s.world, true, &expected, &deployments),
+                Err(WorldError::EvidenceUnavailable(format!(
+                    "edge {edge} has no deployment to prove"
+                )))
+            );
+        }
+        // An abort proves nothing, so it needs no deployment.
+        assert_eq!(
+            authorize_call(&s.world, false, &expected, &[]),
+            Ok(ContractCall::Witness(WitnessCall::AuthorizeRefund))
+        );
     }
 }
