@@ -230,8 +230,9 @@ impl LightClient {
 pub struct HeaderEvidence {
     /// The chain the evidence is about.
     pub chain: ChainId,
-    /// Headers following the anchor, oldest first, up to the current tip of
-    /// the validated chain.
+    /// Headers following the anchor, oldest first, at least up to the
+    /// block that buries the transaction under the depth the verifier
+    /// demands (headers beyond it prove nothing more).
     pub headers: Vec<BlockHeader>,
     /// Height (within `headers`) of the block containing the transaction.
     pub tx_height: u64,

@@ -17,7 +17,7 @@
 //!    eventually takes effect, with no timelock to race against.
 //!
 //! [`Ac3Machine`] is the only implementation of that sequence. What the two
-//! protocols do differently lives in the private [`Coordinator`] enum: a
+//! protocols do differently lives in the private `Coordinator` enum: a
 //! witness contract `SC_w` on a permissionless witness chain
 //! ([`crate::Ac3wn`], whose transaction contents are built in
 //! [`crate::ac3wn`]) or the centralized [`Trent`] ([`crate::Ac3tw`]).
