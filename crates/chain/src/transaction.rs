@@ -349,8 +349,9 @@ pub fn coinbase(recipient: Address, reward: Amount, height: u64) -> Transaction 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
     use crate::types::ContractId;
-    use ac3_crypto::KeyPair;
+    use ac3_crypto::{KeyPair, MerkleTree};
 
     fn builder(seed: &[u8]) -> TxBuilder {
         TxBuilder::new(KeyPair::from_seed(seed), 0)
@@ -463,14 +464,28 @@ mod tests {
 
     #[test]
     fn clone_does_not_inherit_stale_cache() {
+        // The root of a one-transaction block is that transaction's leaf.
+        let leaf_of = |tx: &Transaction| Block::compute_tx_root(std::slice::from_ref(tx));
         let mut alice = builder(b"alice");
         let tx = alice.transfer(vec![dummy_outpoint(1)], vec![], 1);
-        let _ = tx.id(); // warm the cache
+        // Warm every memoized value on the original.
+        let (id, leaf) = (tx.id(), leaf_of(&tx));
+        assert!(tx.signature_valid());
         let mut tampered = tx.clone();
         tampered.fee = 99;
         // The clone must recompute from its own (mutated) fields.
-        assert_ne!(tampered.id(), tx.id());
+        assert_ne!(tampered.id(), id);
         assert_ne!(tampered.canonical_bytes(), tx.canonical_bytes());
+        assert_ne!(leaf_of(&tampered), leaf);
+        assert_eq!(
+            leaf_of(&tampered),
+            MerkleTree::from_leaves([tampered.canonical_bytes()]).root(),
+            "the clone's leaf hashes its own bytes"
+        );
+        assert!(!tampered.signature_valid(), "the clone re-verifies its own fields");
+        // The original keeps reporting its own values.
+        assert_eq!((tx.id(), leaf_of(&tx)), (id, leaf));
+        assert!(tx.signature_valid());
     }
 
     #[test]
