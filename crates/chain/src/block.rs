@@ -89,16 +89,21 @@ impl Block {
     }
 
     /// Compute the Merkle root over a transaction list. Leaves are the
-    /// memoized canonical encodings, so each transaction is serialized at
-    /// most once across root computation, id hashing and proof generation.
+    /// memoized leaf hashes, so each transaction instance is hashed into a
+    /// leaf at most once across root computation, root validation and
+    /// proof generation.
     pub fn compute_tx_root(transactions: &[Transaction]) -> Hash256 {
-        MerkleTree::from_leaves(transactions.iter().map(|t| t.canonical_bytes_cached())).root()
+        Self::tree_of(transactions).root()
     }
 
     /// The Merkle tree over this block's transactions (used to produce SPV
     /// inclusion proofs).
     pub fn tx_tree(&self) -> MerkleTree {
-        MerkleTree::from_leaves(self.transactions.iter().map(|t| t.canonical_bytes_cached()))
+        Self::tree_of(&self.transactions)
+    }
+
+    fn tree_of(transactions: &[Transaction]) -> MerkleTree {
+        MerkleTree::from_leaf_hashes(transactions.iter().map(Transaction::leaf_hash).collect())
     }
 
     /// Whether the header's Merkle root matches the transactions.

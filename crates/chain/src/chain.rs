@@ -536,7 +536,7 @@ impl Blockchain {
             if tx.fee < block_base_fee {
                 continue;
             }
-            match Self::execute_tx(&self.vm, self.id, &mut scratch, &tx, height, now) {
+            match Self::execute_tx(&self.vm, self.id, &mut scratch, tx, height, now) {
                 Ok(()) => {
                     fees += tx.fee;
                     included.push(tx);
@@ -549,7 +549,9 @@ impl Blockchain {
         }
 
         let mut transactions = vec![coinbase(miner, self.params.block_reward + fees, height)];
-        transactions.extend(included);
+        // The pool's instances were verified at admission and never mutate;
+        // warm copies carry that work into the block the store keeps.
+        transactions.extend(included.into_iter().map(Transaction::clone_warm));
 
         // Fold the coinbase into the scratch state. It executes first in
         // block order, but no included candidate can reference its outputs
@@ -579,8 +581,11 @@ impl Blockchain {
                 .expect("mined block re-validates");
             debug_assert_eq!(revalidated, scratch, "mining scratch diverged from validation");
         }
-        self.commit_block(block.clone(), scratch)?;
-        Ok(block)
+        // The store keeps the warm instance; the caller gets a cold copy,
+        // which any chain it is sent to verifies from scratch.
+        let mined = block.clone();
+        self.commit_block(block, scratch)?;
+        Ok(mined)
     }
 
     /// Seal a block according to the chain's seal policy.

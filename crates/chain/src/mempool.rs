@@ -460,8 +460,10 @@ impl Mempool {
     }
 
     /// The highest-priority `limit` transactions, without removing them.
-    pub fn select(&self, limit: usize) -> Vec<Transaction> {
-        self.order.iter().take(limit).map(|(_, txid)| self.txs[txid].clone()).collect()
+    /// Borrowed, not cloned: these are the pool's own instances, carrying
+    /// the id and signature verdict admission memoized.
+    pub fn select(&self, limit: usize) -> Vec<&Transaction> {
+        self.order.iter().take(limit).map(|(_, txid)| &self.txs[txid]).collect()
     }
 
     /// Iterate all pending transactions in priority order.

@@ -7,7 +7,7 @@
 //! (which may lock assets, `msg.value`) and contract function calls.
 
 use crate::types::{Address, Amount, OutPoint, TxId};
-use ac3_crypto::{Hash256, KeyPair, Sha256, Signature};
+use ac3_crypto::{merkle, Hash256, KeyPair, Sha256, Signature};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -70,19 +70,22 @@ pub enum TxKind {
     },
 }
 
-/// Lazily computed identity of a transaction: its canonical encoding and the
-/// hash of that encoding. Both are derived purely from the transaction's
+/// Lazily computed identity of a transaction: its canonical encoding, the
+/// hash of that encoding (the id), its Merkle leaf hash and the verdict of
+/// its signature check. All four are derived purely from the transaction's
 /// other fields, so the cache is invisible to equality, ordering and
 /// serialization, and it is deliberately *not* carried across `clone()` —
 /// a clone may be mutated before use (tests do this to model tampering), and
-/// a stale cached id would silently mask the mutation.
+/// a stale cached id or verdict would silently mask the mutation.
 ///
-/// Treat a transaction as immutable once its id or canonical bytes have been
-/// observed: mutating fields afterwards yields stale cached values.
+/// Treat a transaction as immutable once any of these has been observed:
+/// mutating fields afterwards yields stale cached values.
 #[derive(Debug, Default)]
 pub struct TxIdentityCache {
     bytes: OnceLock<Vec<u8>>,
     id: OnceLock<TxId>,
+    leaf: OnceLock<Hash256>,
+    signature_valid: OnceLock<bool>,
 }
 
 impl Clone for TxIdentityCache {
@@ -114,7 +117,8 @@ pub struct Transaction {
     /// The sender's signature over the canonical encoding; `None` only for
     /// coinbase transactions.
     pub signature: Option<Signature>,
-    /// Memoized canonical bytes and id (see [`TxIdentityCache`]).
+    /// Memoized canonical bytes, id, leaf hash and signature verdict (see
+    /// [`TxIdentityCache`]).
     #[serde(skip)]
     pub cache: TxIdentityCache,
 }
@@ -212,13 +216,39 @@ impl Transaction {
         })
     }
 
+    /// The Merkle leaf hash of the canonical encoding, computed once per
+    /// transaction instance. Block roots, root validation and inclusion
+    /// proofs all build from it.
+    pub fn leaf_hash(&self) -> Hash256 {
+        *self.cache.leaf.get_or_init(|| merkle::leaf_hash(self.canonical_bytes_cached()))
+    }
+
     /// Whether the embedded signature is valid for the sender over the
-    /// signing bytes. Coinbase transactions are vacuously authorised.
+    /// signing bytes. Coinbase transactions are vacuously authorised. The
+    /// verdict is computed once per transaction instance: mempool admission
+    /// verifies the pool's instance, and mining that instance reuses the
+    /// verdict (a per-instance signature cache).
     pub fn signature_valid(&self) -> bool {
-        match (&self.sender, &self.signature) {
+        *self.cache.signature_valid.get_or_init(|| match (&self.sender, &self.signature) {
             (None, None) => matches!(self.kind, TxKind::Coinbase { .. }),
             (Some(sender), Some(sig)) => sender.public_key().verifies(&self.signing_bytes(), sig),
             _ => false,
+        })
+    }
+
+    /// A copy that keeps this instance's memoized values, unlike `clone()`.
+    /// Only the mining path uses it, to move transactions the mempool owns
+    /// (and never mutates) into a block without hashing them again.
+    pub(crate) fn clone_warm(&self) -> Transaction {
+        let cache = &self.cache;
+        Transaction {
+            cache: TxIdentityCache {
+                bytes: cache.bytes.clone(),
+                id: cache.id.clone(),
+                leaf: cache.leaf.clone(),
+                signature_valid: cache.signature_valid.clone(),
+            },
+            ..self.clone()
         }
     }
 
@@ -486,6 +516,26 @@ mod tests {
         // The original keeps reporting its own values.
         assert_eq!((tx.id(), leaf_of(&tx)), (id, leaf));
         assert!(tx.signature_valid());
+    }
+
+    #[test]
+    fn warm_copy_keeps_the_memo_and_clone_drops_it() {
+        let mut alice = builder(b"alice");
+        let tx = alice.transfer(vec![dummy_outpoint(1)], vec![], 1);
+        let (id, leaf) = (tx.id(), tx.leaf_hash());
+        assert!(tx.signature_valid());
+        assert_eq!(leaf, merkle::leaf_hash(&tx.canonical_bytes()));
+
+        let warm = tx.clone_warm();
+        assert_eq!(warm, tx);
+        assert_eq!(warm.cache.id.get(), Some(&id));
+        assert_eq!(warm.cache.leaf.get(), Some(&leaf));
+        assert_eq!(warm.cache.signature_valid.get(), Some(&true));
+
+        let cold = tx.clone();
+        assert!(cold.cache.id.get().is_none());
+        assert!(cold.cache.leaf.get().is_none());
+        assert!(cold.cache.signature_valid.get().is_none());
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl TxInclusionEvidence {
         let header = self.headers.get(idx).ok_or_else(|| {
             VmError::RequirementFailed("tx height beyond evidence headers".to_string())
         })?;
-        if !self.proof.verify(&header.tx_root, &self.tx.canonical_bytes()) {
+        if !self.proof.verify_hash(&header.tx_root, &self.tx.leaf_hash()) {
             return Err(VmError::RequirementFailed("inclusion proof invalid".to_string()));
         }
         if !self.tx.signature_valid() {

@@ -17,7 +17,11 @@ use serde::{Deserialize, Serialize};
 const LEAF_PREFIX: &[u8] = b"\x00ac3wn/merkle/leaf";
 const NODE_PREFIX: &[u8] = b"\x01ac3wn/merkle/node";
 
-fn leaf_hash(data: &[u8]) -> Hash256 {
+/// The hash of one serialized leaf under the leaf domain — what
+/// [`MerkleTree::from_leaves`] computes per leaf, exposed so callers that
+/// memoize leaf hashes can build the same tree with
+/// [`MerkleTree::from_leaf_hashes`].
+pub fn leaf_hash(data: &[u8]) -> Hash256 {
     let mut h = Sha256::new();
     h.update(LEAF_PREFIX);
     h.update(data);
