@@ -26,10 +26,11 @@
 //!    witness-free Herlihy baselines.
 //!
 //! The run summary (per-worker wall-clock throughput of the scheduler loop
-//! plus per-protocol latency distributions) is written to
-//! `BENCH_parallel_scale.json`; the committed copy tracks the same shape
-//! CI's tiny-budget run asserts. The raw serial-vs-parallel speedup gate
-//! (≥ 2× at 4 workers on a 200-chain/1k-swap batch) lives in the
+//! plus per-protocol latency distributions) is printed as JSON. A run at
+//! the default size also writes it to `BENCH_parallel_scale.json`, the
+//! committed record; any other size leaves that file alone, so CI's
+//! tiny-budget run cannot overwrite it. The raw serial-vs-parallel speedup
+//! gate (≥ 2× at 4 workers on a 200-chain/1k-swap batch) lives in the
 //! `parallel_scale` criterion bench.
 //!
 //! Usage: `sec52_scale [clusters] [swaps_per_cluster] [max_workers]`
@@ -49,6 +50,11 @@ use std::time::Instant;
 /// Protocol wait cap: queueing on a 2 tps witness chain must read as
 /// delay, not failure, even with dozens of clustermates.
 const WAIT_CAP_DELTAS: u64 = 64;
+
+/// `(clusters, swaps_per_cluster, max_workers)` when no argument is given.
+/// Only a run at this size writes `BENCH_parallel_scale.json`.
+const DEFAULT_SIZE: (usize, usize, usize) = (250, 40, 4);
+const RECORD_FILE: &str = "BENCH_parallel_scale.json";
 
 fn protocol_cfg() -> ProtocolConfig {
     ProtocolConfig {
@@ -200,9 +206,9 @@ struct ScaleRecord {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let clusters: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(250);
-    let swaps_per_cluster: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(40);
-    let max_workers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
+    let mut next_or = |default| args.next().and_then(|a| a.parse().ok()).unwrap_or(default);
+    let size = (next_or(DEFAULT_SIZE.0), next_or(DEFAULT_SIZE.1), next_or(DEFAULT_SIZE.2));
+    let (clusters, swaps_per_cluster, max_workers) = size;
     let swaps = clusters * swaps_per_cluster;
 
     let mut worker_counts = vec![1usize, 2, 4, max_workers];
@@ -311,8 +317,11 @@ fn main() {
         protocols,
     };
     let json = serde_json::to_string(&record).expect("record serializes");
-    std::fs::write("BENCH_parallel_scale.json", format!("{json}\n"))
-        .expect("BENCH_parallel_scale.json is writable");
-    println!("\nScale sweep recorded in BENCH_parallel_scale.json");
+    if size == DEFAULT_SIZE {
+        std::fs::write(RECORD_FILE, format!("{json}\n")).expect("record file is writable");
+        println!("\nScale sweep recorded in {RECORD_FILE}");
+    } else {
+        println!("\nNot the default size {DEFAULT_SIZE:?}: {RECORD_FILE} left untouched\n{json}");
+    }
     print_json_rows("sec52_scale", &record.runs);
 }
