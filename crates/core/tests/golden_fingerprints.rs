@@ -8,6 +8,16 @@
 //! reports across refactors of the machines — "unchanged" is a test, not a
 //! claim. A digest may only be edited by a change that *means* to alter
 //! protocol behaviour, and must say so.
+//!
+//! Every case pins two digests. The *byte* digest moves with any change to
+//! the bytes ids are hashed from, the codec included. The *id-blind* digest
+//! is taken over the `Debug` text of the report(s) with every
+//! `Hash256(<hex>)` replaced by the ordinal of its first appearance, plus
+//! per-chain heights (not tips), and for the mixed batch the fee ledger as
+//! per-swap totals (not its txid-keyed map, whose order follows the txid
+//! values). It moves only when behaviour does: who did what, when, for what
+//! fee, with which outcome. A change that re-encodes ids without changing
+//! behaviour re-captures byte digests and leaves every id-blind one alone.
 
 use ac3_core::analysis::witness_choice;
 use ac3_core::scenario::{
@@ -21,6 +31,8 @@ use ac3_core::{
 };
 use ac3_crypto::Hash256;
 use ac3_sim::{CrashWindow, OutageWindow, World};
+use std::collections::BTreeMap;
+use std::fmt::Write;
 
 fn depth3() -> ProtocolConfig {
     ProtocolConfig { deployment_depth: 3, ..Default::default() }
@@ -37,14 +49,42 @@ fn chain_lines(world: &World) -> Vec<String> {
         .collect()
 }
 
-/// SHA-256 over the serialized report and the final per-chain tip/height.
-fn digest(report: &SwapReport, s: &Scenario) -> String {
+fn height_lines(world: &World) -> Vec<String> {
+    world
+        .chain_ids()
+        .into_iter()
+        .map(|id| format!("{id}: height={}", world.chain(id).unwrap().height()))
+        .collect()
+}
+
+/// SHA-256 of `text` after replacing every `Hash256(<hex>)` by `#<n>`, the
+/// ordinal of that hash's first appearance.
+fn id_blind_digest(text: &str) -> String {
+    let mut ordinals: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut pieces = text.split("Hash256(");
+    let mut blind = pieces.next().unwrap_or_default().to_string();
+    for piece in pieces {
+        let (hex, rest) = piece.split_at(64);
+        let next = ordinals.len();
+        write!(blind, "#{}{rest}", ordinals.entry(hex).or_insert(next)).unwrap();
+    }
+    Hash256::digest(blind.as_bytes()).to_hex()
+}
+
+/// The byte digest (SHA-256 over the serialized report and the final
+/// per-chain tip/height) and the id-blind digest of one run.
+fn digests(report: &SwapReport, s: &Scenario) -> [String; 2] {
     let mut bytes = serde_json::to_string(report).unwrap();
     for line in chain_lines(&s.world) {
         bytes.push('\n');
         bytes.push_str(&line);
     }
-    Hash256::digest(bytes.as_bytes()).to_hex()
+    let mut text = format!("{report:?}");
+    for line in height_lines(&s.world) {
+        text.push('\n');
+        text.push_str(&line);
+    }
+    [Hash256::digest(bytes.as_bytes()).to_hex(), id_blind_digest(&text)]
 }
 
 fn addr(s: &Scenario, name: &str) -> ac3_chain::Address {
@@ -57,8 +97,11 @@ fn nolan_two_party() {
     let report = Nolan::new(ProtocolConfig::default()).execute(&mut s).unwrap();
     assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed);
     assert_eq!(
-        digest(&report, &s),
-        "d4bcca688ebbd470c99955bccb51390751449006271d627433e0df16988a2481"
+        digests(&report, &s),
+        [
+            "d4bcca688ebbd470c99955bccb51390751449006271d627433e0df16988a2481",
+            "9edf9063b6fb313fee5261793d153039384563bf567cc42933a7d8fdab36285a",
+        ]
     );
 }
 
@@ -68,8 +111,11 @@ fn herlihy_ring_of_four() {
     let report = Herlihy::new(depth3()).execute(&mut s).unwrap();
     assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed);
     assert_eq!(
-        digest(&report, &s),
-        "be8e18c7dadcdb9bd659fc1782d0712537540aa62617fcb9b2fd7c7e1faf2f8f"
+        digests(&report, &s),
+        [
+            "be8e18c7dadcdb9bd659fc1782d0712537540aa62617fcb9b2fd7c7e1faf2f8f",
+            "0f4588b62cb2e9f096914f34e320cd16640cdcc50176088e78930886c1a08ef0",
+        ]
     );
 }
 
@@ -83,8 +129,11 @@ fn herlihy_explicit_leader() {
     let report = Herlihy::with_leader(depth3(), leader).execute(&mut s).unwrap();
     assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed);
     assert_eq!(
-        digest(&report, &s),
-        "6ffc5a4cd99ddce8b715f178a0531b8ff991ba2bf3de2b365c01bfa9bb2f2ab7"
+        digests(&report, &s),
+        [
+            "6ffc5a4cd99ddce8b715f178a0531b8ff991ba2bf3de2b365c01bfa9bb2f2ab7",
+            "5df439d7fbd55f7602cdda318a4c21cf01e1909eb347be6a6ad1599113b697e0",
+        ]
     );
 }
 
@@ -101,8 +150,11 @@ fn herlihy_crash_past_timelock_violation() {
     let report = Herlihy::with_leader(depth3(), alice).execute(&mut s).unwrap();
     assert!(matches!(report.verdict(), AtomicityVerdict::Violated { .. }));
     assert_eq!(
-        digest(&report, &s),
-        "e0fe603bf88f65ee4496243a7e80bdaef1b95691eb03077d1d3875f4b7816270"
+        digests(&report, &s),
+        [
+            "e0fe603bf88f65ee4496243a7e80bdaef1b95691eb03077d1d3875f4b7816270",
+            "3801409f2336ade34742de2d3f9a99f97a8b5398114e17eeb70d95b9eb199a48",
+        ]
     );
 }
 
@@ -115,8 +167,11 @@ fn herlihy_declined_deployment_refunds() {
     let report = Herlihy::with_leader(depth3(), alice).execute(&mut s).unwrap();
     assert_eq!(report.verdict(), AtomicityVerdict::AllRefunded);
     assert_eq!(
-        digest(&report, &s),
-        "b0b9fd36866b5396f0fda20a62f23e8b09bf838c7dd51b7f3282315a64a539f3"
+        digests(&report, &s),
+        [
+            "b0b9fd36866b5396f0fda20a62f23e8b09bf838c7dd51b7f3282315a64a539f3",
+            "43f431034490d97b9ed113f167fb8d08f5462c53cb6d6f020b4f8ca3f443a5ac",
+        ]
     );
 }
 
@@ -126,8 +181,11 @@ fn herlihy_multi_figure7a() {
     let report = HerlihyMulti::new(depth3()).execute(&mut s).unwrap();
     assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed);
     assert_eq!(
-        digest(&report, &s),
-        "ab3417336ea7875feddcf1ef8dac011c55ab7e160c7b621c588036bac17e7675"
+        digests(&report, &s),
+        [
+            "ab3417336ea7875feddcf1ef8dac011c55ab7e160c7b621c588036bac17e7675",
+            "610add1be69e574060d9c47c9601e4c57cee51a0e1f2e14caaffb35d322112d9",
+        ]
     );
 }
 
@@ -142,8 +200,11 @@ fn herlihy_multi_two_leaders_bridged_double_cycle() {
     let report = HerlihyMulti::new(depth3()).execute(&mut s).unwrap();
     assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed);
     assert_eq!(
-        digest(&report, &s),
-        "e4b03b3eecdf02bd15105f86ff7984ef8e1f78beac3f96d074215b44ce3933d4"
+        digests(&report, &s),
+        [
+            "e4b03b3eecdf02bd15105f86ff7984ef8e1f78beac3f96d074215b44ce3933d4",
+            "04071488b667145cf0e2c08652bd09b3a2c6fa8d0e78876c9cc3edce0130489f",
+        ]
     );
 }
 
@@ -162,8 +223,11 @@ fn herlihy_multi_crashed_leader_fails_the_exchange() {
     assert!(report.is_atomic());
     assert!(report.edges.iter().all(|e| e.disposition != EdgeDisposition::Redeemed));
     assert_eq!(
-        digest(&report, &s),
-        "67c003fdd82be6c920badd5ae457aa7d75de4bef887c05b4834f56ef5aad7586"
+        digests(&report, &s),
+        [
+            "67c003fdd82be6c920badd5ae457aa7d75de4bef887c05b4834f56ef5aad7586",
+            "455cb020682c287b271ec2f5539ce09e3dd72d1d63e6396e88560a006d348ae9",
+        ]
     );
 }
 
@@ -206,9 +270,21 @@ fn mixed_four_protocol_batch_at_one_worker() {
     lines.push(serde_json::to_string(&s.world.fees).unwrap());
     lines.extend(chain_lines(&s.world));
     lines.extend(s.world.timeline.events().iter().map(|e| serde_json::to_string(e).unwrap()));
+
+    let mut blind: Vec<String> =
+        batch.outcomes.iter().map(|o| format!("{:?}: {:?}", o.id, o.result)).collect();
+    blind.push(format!("ticks={} {}..{}", batch.ticks, batch.started_at, batch.finished_at));
+    blind.extend(
+        s.swaps.iter().map(|w| format!("{:?} fees={}", w.id, s.world.fees.fees_for_swap(w.id))),
+    );
+    blind.extend(height_lines(&s.world));
+    blind.extend(s.world.timeline.events().iter().map(|e| format!("{e:?}")));
     assert_eq!(
-        Hash256::digest(lines.join("\n").as_bytes()).to_hex(),
-        "f06c1efbefd74812be699dd6103f4330e2d61d785345df00b3612423456c8f36"
+        [Hash256::digest(lines.join("\n").as_bytes()).to_hex(), id_blind_digest(&blind.join("\n"))],
+        [
+            "f06c1efbefd74812be699dd6103f4330e2d61d785345df00b3612423456c8f36",
+            "977003ce2ddf521bce00f4221920184525f7b7716f44d217087a467b8da3b6d0",
+        ]
     );
 }
 
@@ -219,6 +295,7 @@ struct Ac3Case {
     decision: Option<bool>,
     verdict: fn(&AtomicityVerdict) -> bool,
     digest: &'static str,
+    id_blind: &'static str,
 }
 
 fn two_party() -> Scenario {
@@ -266,10 +343,11 @@ fn check_ac3_cases(
         let report = execute(case, &mut s).unwrap();
         assert_eq!(report.decision, case.decision, "{}", case.label);
         assert!((case.verdict)(&report.verdict()), "{}: {}", case.label, report.verdict());
-        got.push((case.label, digest(&report, &s)));
+        got.push((case.label, digests(&report, &s)));
         reports.push(report);
     }
-    let want: Vec<_> = cases.iter().map(|c| (c.label, c.digest.to_string())).collect();
+    let want: Vec<_> =
+        cases.iter().map(|c| (c.label, [c.digest.to_string(), c.id_blind.to_string()])).collect();
     assert_eq!(got, want);
     reports
 }
@@ -287,6 +365,7 @@ fn ac3wn_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "505128937cf66f31ea21ab808753fcb1d5dfdac87a9f08a726ba4b3b7aaf40e7",
+            id_blind: "f7772ed995ad68cd64474ba423b4df50ccb8fdd044ae7589b08e24b9a6a78967",
         },
         Ac3Case {
             label: "figure 7a",
@@ -294,6 +373,7 @@ fn ac3wn_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "8fcf3bff808170fafd34ad8285661f5cac1e2545e2bb2a772abb9991a160c16a",
+            id_blind: "b212ee726d93271a4572080895e201b0b6d634b0a0a83d4738300e5a0f0f2317",
         },
         Ac3Case {
             label: "figure 7b",
@@ -301,6 +381,7 @@ fn ac3wn_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "65a6520f83285600f03f30346b14741b2154bcbabc11774b23d62e773776c648",
+            id_blind: "252e93b4f730cfbee4f620f55dbee8a583ebbab0a23d3cabd0755c7abc203131",
         },
         Ac3Case {
             label: "ring of four",
@@ -308,6 +389,7 @@ fn ac3wn_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "f8b10b34b6c65b92d4be61649163d29e91e2529177f3a0b80946d76080a6af6b",
+            id_blind: "c0393cc9866edd883e9de5997dd2f36fa7455a422c45d24bcba2a073e32b6f24",
         },
         Ac3Case {
             label: "declined deployment",
@@ -315,6 +397,7 @@ fn ac3wn_single_runs() {
             decision: Some(false),
             verdict: all_refunded,
             digest: "f070e8d1dbac9ac6cced41a93ac931387e78bc2831d4d33d520e3c9c8e6e8e68",
+            id_blind: "3bb46b494e5cab6668d64a289116b4b312d472560f7491d76dd26f7c53129ffb",
         },
         Ac3Case {
             label: "crash during redemption",
@@ -322,6 +405,7 @@ fn ac3wn_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "8a0ecf8524cc84504c7687b6f7394f8bd9fd98cf2865fbf51321c0b616664b1a",
+            id_blind: "5c2caed9f237f1d9617e83480141f95ceae018b20b2ed3253d5c7dab1de985b8",
         },
         Ac3Case {
             label: "witness partition heals inside the wait cap",
@@ -333,6 +417,7 @@ fn ac3wn_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "2a407760212eb83a2565320fec5fb580e897a8720c6d6ff14379b560d1957108",
+            id_blind: "a16c15862518869fae7ccfca76f31964d438ad71156d67a4052a0a2f996321b4",
         },
     ];
     let cfg = ProtocolConfig { wait_cap_deltas: 64, ..depth3() };
@@ -350,6 +435,7 @@ fn ac3tw_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "f7f1c2a6a137c89d987e863a724bd10c000fc906485a946ad771f7c810d554ca",
+            id_blind: "fac028889c26be79528ce277fb9515188b93e96d1ecb69b2dd4da6f32ad3fa40",
         },
         Ac3Case {
             label: "figure 7a",
@@ -357,6 +443,7 @@ fn ac3tw_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "05f44a352a99eef7ad189478f0d4df8088102bf488ba3d9199ae604e77242f7c",
+            id_blind: "7de5c96f3b65b2000ce521a1b16dbd4fd45d282fe98e0d6b989835718cad5019",
         },
         Ac3Case {
             label: "figure 7b",
@@ -364,6 +451,7 @@ fn ac3tw_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "c68581cbeef3f9f90c67930119ab95dd4de49da1fd44fc36c19f2eff1246c2c3",
+            id_blind: "3df897c8a2acae3892e0abc40182522b5ebeecf27e6d56fe15986dcba4947250",
         },
         Ac3Case {
             label: "ring of four",
@@ -371,6 +459,7 @@ fn ac3tw_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "46fde4abd2388c5db7d001975efe31040b5fbff43c406302da0c444a601a38ab",
+            id_blind: "8e7b078412ff68ce1584ca08140d2ad6607eae63d0c7c3fc63007218c82e9b48",
         },
         Ac3Case {
             label: "declined deployment",
@@ -378,6 +467,7 @@ fn ac3tw_single_runs() {
             decision: Some(false),
             verdict: all_refunded,
             digest: "bd5873219ec942463c817d5412afa8c9aaf6dc414295f2a3b1919deaf3a8bbf0",
+            id_blind: "b2edfd8d8b4e1f96e2fd78767d84ffd3eeccab6661ed5afd992c128f1148feb5",
         },
         Ac3Case {
             label: "crash during redemption",
@@ -385,6 +475,7 @@ fn ac3tw_single_runs() {
             decision: Some(true),
             verdict: all_redeemed,
             digest: "412711e8b1393ce273668515b932bc6a60714d6550ea20c2e1f0557bdd05650e",
+            id_blind: "75ffd23b2363ece68a4686fd0b965f50312c33cca5b40b9dcdfda19eb3b53f4c",
         },
         Ac3Case {
             label: "trent unavailable",
@@ -392,6 +483,7 @@ fn ac3tw_single_runs() {
             decision: None,
             verdict: incomplete,
             digest: "ddbdb80a287948f2b6d42a9637f2875039ddb4f18a472ccc2eed273a95c0c7c7",
+            id_blind: "d6925ad3416b6302453250f9ba173e1237b6f1ec1e196dd8a5a43cf791427aa4",
         },
     ];
     check_ac3_cases(&cases, |case, s| {
@@ -401,10 +493,13 @@ fn ac3tw_single_runs() {
     });
 }
 
-fn attack_digest(cfg: &ForkAttackConfig) -> (u64, String) {
+/// The byte digest (over the serialized `ForkAttackReport`) and the
+/// id-blind digest (over its `Debug` text) of one attack.
+fn attack_digests(cfg: &ForkAttackConfig) -> (u64, [String; 2]) {
     let report = execute_fork_attack(cfg).unwrap();
     let json = serde_json::to_string(&report).unwrap();
-    (report.required_branch_blocks, Hash256::digest(json.as_bytes()).to_hex())
+    let blind = id_blind_digest(&format!("{report:?}"));
+    (report.required_branch_blocks, [Hash256::digest(json.as_bytes()).to_hex(), blind])
 }
 
 /// The Section 6.3 experiment at `d = 3`: no budget, an underfunded fork,
@@ -413,15 +508,24 @@ fn attack_digest(cfg: &ForkAttackConfig) -> (u64, String) {
 fn fork_attack_reports_at_depth_three() {
     let with_budget =
         |blocks| ForkAttackConfig { attacker_budget_blocks: blocks, ..Default::default() };
-    let (required, idle) = attack_digest(&with_budget(0));
-    let got = [idle, attack_digest(&with_budget(2)).1, attack_digest(&with_budget(required)).1];
+    let (required, idle) = attack_digests(&with_budget(0));
+    let got = [idle, attack_digests(&with_budget(2)).1, attack_digests(&with_budget(required)).1];
     assert_eq!(required, 6);
     assert_eq!(
         got,
         [
-            "aadd68962e2b89887e78eefa3c6bbd40a4db7e4c1b872930ebe37576a0d8971b",
-            "dba5985ee7c1d70ef75e2086a8b5152abcfe29f61ba0ebb63ba7dce8b48eb68f",
-            "e78b0bb97f41a64b830b58278eddcf9e33383a909db3e9586a54b5472c6b4431",
+            [
+                "aadd68962e2b89887e78eefa3c6bbd40a4db7e4c1b872930ebe37576a0d8971b",
+                "63822ca499f71091671944e5be7f76840deb3d8073fc89b0e6a88ef619b10703"
+            ],
+            [
+                "dba5985ee7c1d70ef75e2086a8b5152abcfe29f61ba0ebb63ba7dce8b48eb68f",
+                "0048b2a07fbfa56c0586904e9b7a34cdc4db096ed6278a28670af66b9c8cdc6a"
+            ],
+            [
+                "e78b0bb97f41a64b830b58278eddcf9e33383a909db3e9586a54b5472c6b4431",
+                "f77c69b0f7d97e323e96e70aaf56980cd5e122034168a3b6d4dd4695afe23b9a"
+            ],
         ]
     );
 }
@@ -434,9 +538,9 @@ fn fork_attack_depth_sweep_of_sec63_attack() {
     let affordable_blocks = (value_at_risk * blocks_per_hour / hourly_cost).floor() as u64;
     let paper_required_depth =
         witness_choice::required_depth(value_at_risk, hourly_cost, blocks_per_hour);
-    let got: Vec<String> = (1..=paper_required_depth + 2)
+    let got: Vec<[String; 2]> = (1..=paper_required_depth + 2)
         .map(|d| {
-            attack_digest(&ForkAttackConfig {
+            attack_digests(&ForkAttackConfig {
                 protocol: ProtocolConfig {
                     witness_depth: d,
                     deployment_depth: 2,
@@ -451,14 +555,38 @@ fn fork_attack_depth_sweep_of_sec63_attack() {
     assert_eq!(
         got,
         [
-            "72babcffec0d90425e83a8a0fe7d35d226090a1023935f7bd16056706d22f6b6",
-            "94b020d59d1e1c86b2357f1ff7b7fdd43ad6fa76d14bc7691b726e5f3e403bb7",
-            "280354814a7e26663d2821eb6a367ef1b0787eff43c50b9c8c4cfb6ba0332489",
-            "a256133f8c5bf4d20519f423f40ca4032934f162fa71db181d76111fe3010b2c",
-            "4d7a2471cea6b8157723c5f1f2e8290e525a5c8fd0a3495a347b3d0abae02454",
-            "4d97b65e6053ebee3e580d5b6a89a3396ac3ac14d0d44d6962336e4181eeb95d",
-            "c250937292867fa2730da8e761c3a98d76094f1452cc7d82132b004657505d71",
-            "1dfb1a7ce692bd270368bde215b23b1df63910b0c86ac4cc55cacb9fd08e1712",
+            [
+                "72babcffec0d90425e83a8a0fe7d35d226090a1023935f7bd16056706d22f6b6",
+                "ee0bf64f4e060a06cb9830f99c47a1dc277a6eecf66493108331f14ff55cf0f6"
+            ],
+            [
+                "94b020d59d1e1c86b2357f1ff7b7fdd43ad6fa76d14bc7691b726e5f3e403bb7",
+                "eb8b6a20dd56953c27b98ec919a6fc3f156bb38b9b9e81a6cc1d3908660ac165"
+            ],
+            [
+                "280354814a7e26663d2821eb6a367ef1b0787eff43c50b9c8c4cfb6ba0332489",
+                "1fd91b382e736426d87c8987694af014eb42f1904931f8a744b4074d2eca6bcd"
+            ],
+            [
+                "a256133f8c5bf4d20519f423f40ca4032934f162fa71db181d76111fe3010b2c",
+                "d82264cf472559a0bd2e8efdf11526eebcce049c8cb07fb860600b29578b8705"
+            ],
+            [
+                "4d7a2471cea6b8157723c5f1f2e8290e525a5c8fd0a3495a347b3d0abae02454",
+                "67b19227f7160cc0b5394f8460d68237b3e32266a89333cb3644d40797f04e5d"
+            ],
+            [
+                "4d97b65e6053ebee3e580d5b6a89a3396ac3ac14d0d44d6962336e4181eeb95d",
+                "931a3f1b79ab2da8706f05f245ef232dbbbb73ce040bad9d1299f04a8fa8ee25"
+            ],
+            [
+                "c250937292867fa2730da8e761c3a98d76094f1452cc7d82132b004657505d71",
+                "93117a7df02ca4f55c231b2cb394519b4225648b9afcfc1277adfc6fb2ee5591"
+            ],
+            [
+                "1dfb1a7ce692bd270368bde215b23b1df63910b0c86ac4cc55cacb9fd08e1712",
+                "f03aa377cebae0c336bf287769e842a47056d0337a7c9432e237a3d9747fda72"
+            ],
         ]
     );
 }
