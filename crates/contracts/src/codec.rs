@@ -16,13 +16,19 @@
 //! [`decode`] is the first code to touch attacker-supplied bytes: whatever
 //! they are — truncated, mistyped, nested a million levels deep — the result
 //! is [`VmError::MalformedPayload`], never a panic.
+//!
+//! Version 2 writes every byte string — an embedded payload, a `Hash256`-based
+//! id, a Merkle sibling — as one base64 string (`serde::base64`) instead of
+//! an array of decimal numbers. Evidence nests transactions inside payloads
+//! inside transactions, and the number-array form grew about 3.2× per level;
+//! base64 grows 4/3×. Version 1 is not read: decoding accepts one version.
 
 use ac3_chain::VmError;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-/// Version prefix for the current encoding.
-const VERSION: u8 = 1;
+/// Version prefix for the current encoding: JSON with base64 byte strings.
+const VERSION: u8 = 2;
 
 /// Encode a payload or contract state.
 pub fn encode<T: Serialize>(value: &T) -> Vec<u8> {
@@ -60,6 +66,15 @@ mod tests {
         let bytes = encode(&s);
         let back: Sample = decode(&bytes).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn byte_strings_are_base64() {
+        let s = Sample { a: 7, b: "swap".to_string(), c: vec![1, 2, 3] };
+        assert_eq!(encode(&s), b"\x02{\"a\":7,\"b\":\"swap\",\"c\":\"AQID\"}");
+        let mut old = encode(&s);
+        old.splice(old.len() - 7.., *b"[1,2,3]}");
+        assert!(matches!(decode::<Sample>(&old), Err(VmError::MalformedPayload(_))));
     }
 
     #[test]

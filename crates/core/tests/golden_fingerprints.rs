@@ -99,7 +99,7 @@ fn nolan_two_party() {
     assert_eq!(
         digests(&report, &s),
         [
-            "d4bcca688ebbd470c99955bccb51390751449006271d627433e0df16988a2481",
+            "c5d62f19ddc60e3728a6a16086111196c0f5446eca709e891fb2d9207fe15d86",
             "9edf9063b6fb313fee5261793d153039384563bf567cc42933a7d8fdab36285a",
         ]
     );
@@ -113,7 +113,7 @@ fn herlihy_ring_of_four() {
     assert_eq!(
         digests(&report, &s),
         [
-            "be8e18c7dadcdb9bd659fc1782d0712537540aa62617fcb9b2fd7c7e1faf2f8f",
+            "ce966bcb7598c87d1b060137330a04e304786a42ad268e142f33e10073dd4231",
             "0f4588b62cb2e9f096914f34e320cd16640cdcc50176088e78930886c1a08ef0",
         ]
     );
@@ -131,7 +131,7 @@ fn herlihy_explicit_leader() {
     assert_eq!(
         digests(&report, &s),
         [
-            "6ffc5a4cd99ddce8b715f178a0531b8ff991ba2bf3de2b365c01bfa9bb2f2ab7",
+            "8cf25d69d222b43a0adec62d19334de1a515f7b148c893c55f59a4aed37115ea",
             "5df439d7fbd55f7602cdda318a4c21cf01e1909eb347be6a6ad1599113b697e0",
         ]
     );
@@ -152,7 +152,7 @@ fn herlihy_crash_past_timelock_violation() {
     assert_eq!(
         digests(&report, &s),
         [
-            "e0fe603bf88f65ee4496243a7e80bdaef1b95691eb03077d1d3875f4b7816270",
+            "87212175e8057bb7bbc623450e022df0b97465cc14541ca8269634784c7dafbe",
             "3801409f2336ade34742de2d3f9a99f97a8b5398114e17eeb70d95b9eb199a48",
         ]
     );
@@ -169,7 +169,7 @@ fn herlihy_declined_deployment_refunds() {
     assert_eq!(
         digests(&report, &s),
         [
-            "b0b9fd36866b5396f0fda20a62f23e8b09bf838c7dd51b7f3282315a64a539f3",
+            "cf9271d07ca50e832c7820b6e99df754a1e2d500e9751ca39d60f15d641166c1",
             "43f431034490d97b9ed113f167fb8d08f5462c53cb6d6f020b4f8ca3f443a5ac",
         ]
     );
@@ -183,7 +183,7 @@ fn herlihy_multi_figure7a() {
     assert_eq!(
         digests(&report, &s),
         [
-            "ab3417336ea7875feddcf1ef8dac011c55ab7e160c7b621c588036bac17e7675",
+            "f52f2b437bb280570c8c084938d128d6936b14bab7ad8e8e2537a88f7e24e730",
             "610add1be69e574060d9c47c9601e4c57cee51a0e1f2e14caaffb35d322112d9",
         ]
     );
@@ -202,7 +202,7 @@ fn herlihy_multi_two_leaders_bridged_double_cycle() {
     assert_eq!(
         digests(&report, &s),
         [
-            "e4b03b3eecdf02bd15105f86ff7984ef8e1f78beac3f96d074215b44ce3933d4",
+            "c5db53827c13b8abf07efc4014e95c738c1c8940d294a6bdb2501e06a8e5787a",
             "04071488b667145cf0e2c08652bd09b3a2c6fa8d0e78876c9cc3edce0130489f",
         ]
     );
@@ -225,7 +225,7 @@ fn herlihy_multi_crashed_leader_fails_the_exchange() {
     assert_eq!(
         digests(&report, &s),
         [
-            "67c003fdd82be6c920badd5ae457aa7d75de4bef887c05b4834f56ef5aad7586",
+            "bba010d4a6dcba8273aca2e8b4a87654b421f923391e070bbb191c1e68368d11",
             "455cb020682c287b271ec2f5539ce09e3dd72d1d63e6396e88560a006d348ae9",
         ]
     );
@@ -282,7 +282,7 @@ fn mixed_four_protocol_batch_at_one_worker() {
     assert_eq!(
         [Hash256::digest(lines.join("\n").as_bytes()).to_hex(), id_blind_digest(&blind.join("\n"))],
         [
-            "f06c1efbefd74812be699dd6103f4330e2d61d785345df00b3612423456c8f36",
+            "8ee4c849269f74008c100359bce355ff52496d20520117128b0c496af792d3a7",
             "977003ce2ddf521bce00f4221920184525f7b7716f44d217087a467b8da3b6d0",
         ]
     );
@@ -364,7 +364,7 @@ fn ac3wn_single_runs() {
             scenario: two_party,
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "505128937cf66f31ea21ab808753fcb1d5dfdac87a9f08a726ba4b3b7aaf40e7",
+            digest: "7844584b1ebfa1ba92b1fa0cfb251c40586c4e8fabf3764ab36e261ae5bbdedd",
             id_blind: "f7772ed995ad68cd64474ba423b4df50ccb8fdd044ae7589b08e24b9a6a78967",
         },
         Ac3Case {
@@ -372,7 +372,7 @@ fn ac3wn_single_runs() {
             scenario: || figure7a_scenario(&ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "8fcf3bff808170fafd34ad8285661f5cac1e2545e2bb2a772abb9991a160c16a",
+            digest: "725feab9b1b4c990d974e90726191e141f0d20787f11fad21d4a4996b0a33d16",
             id_blind: "b212ee726d93271a4572080895e201b0b6d634b0a0a83d4738300e5a0f0f2317",
         },
         Ac3Case {
@@ -380,7 +380,7 @@ fn ac3wn_single_runs() {
             scenario: || figure7b_scenario(&ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "65a6520f83285600f03f30346b14741b2154bcbabc11774b23d62e773776c648",
+            digest: "dbd311c166fab3eb39d2f1f2da4c046b5460b01ceddaf1c674c5a43861a4ab79",
             id_blind: "252e93b4f730cfbee4f620f55dbee8a583ebbab0a23d3cabd0755c7abc203131",
         },
         Ac3Case {
@@ -388,7 +388,7 @@ fn ac3wn_single_runs() {
             scenario: || ring_scenario(4, 10, &ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "f8b10b34b6c65b92d4be61649163d29e91e2529177f3a0b80946d76080a6af6b",
+            digest: "9aba54d72282574747ee96fbc857b1851b26c9cbbe2d3066803f4a87e0092941",
             id_blind: "c0393cc9866edd883e9de5997dd2f36fa7455a422c45d24bcba2a073e32b6f24",
         },
         Ac3Case {
@@ -396,7 +396,7 @@ fn ac3wn_single_runs() {
             scenario: bob_declines,
             decision: Some(false),
             verdict: all_refunded,
-            digest: "f070e8d1dbac9ac6cced41a93ac931387e78bc2831d4d33d520e3c9c8e6e8e68",
+            digest: "d8e848b26314b65514feebeddac1e088d87d03fce662e49f6114b8fe071dd64a",
             id_blind: "3bb46b494e5cab6668d64a289116b4b312d472560f7491d76dd26f7c53129ffb",
         },
         Ac3Case {
@@ -404,7 +404,7 @@ fn ac3wn_single_runs() {
             scenario: || bob_crashed(10_000, 40_000),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "8a0ecf8524cc84504c7687b6f7394f8bd9fd98cf2865fbf51321c0b616664b1a",
+            digest: "c1737b0d52e343acb41fdbe89dcda32c1b0b3ade72334a461e3a47ac36b3cf88",
             id_blind: "5c2caed9f237f1d9617e83480141f95ceae018b20b2ed3253d5c7dab1de985b8",
         },
         Ac3Case {
@@ -416,7 +416,7 @@ fn ac3wn_single_runs() {
             },
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "2a407760212eb83a2565320fec5fb580e897a8720c6d6ff14379b560d1957108",
+            digest: "0da536adb9ee0c7f4dd8df3cdaa8835a99055590819a2492fd86f77b8ae09e01",
             id_blind: "a16c15862518869fae7ccfca76f31964d438ad71156d67a4052a0a2f996321b4",
         },
     ];
@@ -434,7 +434,7 @@ fn ac3tw_single_runs() {
             scenario: two_party,
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "f7f1c2a6a137c89d987e863a724bd10c000fc906485a946ad771f7c810d554ca",
+            digest: "b4c2b741bdc277a4dacf13319952ead7c27a9c13b4adf0d7c9a8fcd09d2533d8",
             id_blind: "fac028889c26be79528ce277fb9515188b93e96d1ecb69b2dd4da6f32ad3fa40",
         },
         Ac3Case {
@@ -442,7 +442,7 @@ fn ac3tw_single_runs() {
             scenario: || figure7a_scenario(&ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "05f44a352a99eef7ad189478f0d4df8088102bf488ba3d9199ae604e77242f7c",
+            digest: "8273c13b2216614c458c17b057510905447be2b66c2bf72cdb400155298f1d76",
             id_blind: "7de5c96f3b65b2000ce521a1b16dbd4fd45d282fe98e0d6b989835718cad5019",
         },
         Ac3Case {
@@ -450,7 +450,7 @@ fn ac3tw_single_runs() {
             scenario: || figure7b_scenario(&ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "c68581cbeef3f9f90c67930119ab95dd4de49da1fd44fc36c19f2eff1246c2c3",
+            digest: "61e8e7280b7b8fe76dd1211eb1972842380b2b4bf517fa50f3f4ae764f532722",
             id_blind: "3df897c8a2acae3892e0abc40182522b5ebeecf27e6d56fe15986dcba4947250",
         },
         Ac3Case {
@@ -458,7 +458,7 @@ fn ac3tw_single_runs() {
             scenario: || ring_scenario(4, 10, &ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "46fde4abd2388c5db7d001975efe31040b5fbff43c406302da0c444a601a38ab",
+            digest: "807f7e9cd55046f41487fdaf07407fdc916954475849a64d90ad2680fc2b98ce",
             id_blind: "8e7b078412ff68ce1584ca08140d2ad6607eae63d0c7c3fc63007218c82e9b48",
         },
         Ac3Case {
@@ -466,7 +466,7 @@ fn ac3tw_single_runs() {
             scenario: bob_declines,
             decision: Some(false),
             verdict: all_refunded,
-            digest: "bd5873219ec942463c817d5412afa8c9aaf6dc414295f2a3b1919deaf3a8bbf0",
+            digest: "3f07e837bd049961d56af3dafad7deac5ca2f9caacb19088c40ecf7965ad1918",
             id_blind: "b2edfd8d8b4e1f96e2fd78767d84ffd3eeccab6661ed5afd992c128f1148feb5",
         },
         Ac3Case {
@@ -474,7 +474,7 @@ fn ac3tw_single_runs() {
             scenario: || bob_crashed(3_000, 30_000),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "412711e8b1393ce273668515b932bc6a60714d6550ea20c2e1f0557bdd05650e",
+            digest: "d07d1fb7425c98ad7055c58155c5c5cc71753907ac950af0684b1e5bd081c0b0",
             id_blind: "75ffd23b2363ece68a4686fd0b965f50312c33cca5b40b9dcdfda19eb3b53f4c",
         },
         Ac3Case {
@@ -482,7 +482,7 @@ fn ac3tw_single_runs() {
             scenario: two_party,
             decision: None,
             verdict: incomplete,
-            digest: "ddbdb80a287948f2b6d42a9637f2875039ddb4f18a472ccc2eed273a95c0c7c7",
+            digest: "e778d83cd5fe7beb2929f1c692738b7ea163a0d91924ff8007103836b9fc230d",
             id_blind: "d6925ad3416b6302453250f9ba173e1237b6f1ec1e196dd8a5a43cf791427aa4",
         },
     ];
@@ -515,15 +515,15 @@ fn fork_attack_reports_at_depth_three() {
         got,
         [
             [
-                "aadd68962e2b89887e78eefa3c6bbd40a4db7e4c1b872930ebe37576a0d8971b",
+                "59d628c01920fd936fcfb8c9aa46fd724b2ade1f8bcdabb4c42c2c8e0140ce26",
                 "63822ca499f71091671944e5be7f76840deb3d8073fc89b0e6a88ef619b10703"
             ],
             [
-                "dba5985ee7c1d70ef75e2086a8b5152abcfe29f61ba0ebb63ba7dce8b48eb68f",
+                "0e8a5fc625f64d24c9272cd6dc7bd623fdca17ab3c72fdb9389cc477b98cadba",
                 "0048b2a07fbfa56c0586904e9b7a34cdc4db096ed6278a28670af66b9c8cdc6a"
             ],
             [
-                "e78b0bb97f41a64b830b58278eddcf9e33383a909db3e9586a54b5472c6b4431",
+                "767c8c508a42b0d1c75cfca9953461fea9e71d0cf6b5205d9a1207c92bb476d8",
                 "f77c69b0f7d97e323e96e70aaf56980cd5e122034168a3b6d4dd4695afe23b9a"
             ],
         ]
@@ -556,35 +556,40 @@ fn fork_attack_depth_sweep_of_sec63_attack() {
         got,
         [
             [
-                "72babcffec0d90425e83a8a0fe7d35d226090a1023935f7bd16056706d22f6b6",
+                "ac92548c42d83a063b0560821427de81b3ebbbea9faf80f7cc43f7fd0b5d0225",
                 "ee0bf64f4e060a06cb9830f99c47a1dc277a6eecf66493108331f14ff55cf0f6"
             ],
             [
-                "94b020d59d1e1c86b2357f1ff7b7fdd43ad6fa76d14bc7691b726e5f3e403bb7",
+                "21a9682c00cbce998467005b1821e6d0684dc5f88a74f0c78f5e4f8c9c7dd019",
                 "eb8b6a20dd56953c27b98ec919a6fc3f156bb38b9b9e81a6cc1d3908660ac165"
             ],
+            // d = 3: the attacker affords exactly the fork depth (5 blocks,
+            // one short of `required_branch_blocks`), so its branch ties
+            // the honest chain in height and the smaller tip hash wins.
+            // This entry is decided by block hashes, so it is not id-blind:
+            // base64 byte strings flipped the tie to the attacker.
             [
-                "280354814a7e26663d2821eb6a367ef1b0787eff43c50b9c8c4cfb6ba0332489",
-                "1fd91b382e736426d87c8987694af014eb42f1904931f8a744b4074d2eca6bcd"
+                "d9dee11a2d593215db5c2db18609768575cfb0b28392457022e0532416b373cd",
+                "8ab7704982c0d9bfbc14a6797371c11f0056c468fb737bdc47e4399b0f3f4ed2"
             ],
             [
-                "a256133f8c5bf4d20519f423f40ca4032934f162fa71db181d76111fe3010b2c",
+                "82589a281fc5ee1a211b39d36941dbcec745379cff66f918a86be727d266aa7e",
                 "d82264cf472559a0bd2e8efdf11526eebcce049c8cb07fb860600b29578b8705"
             ],
             [
-                "4d7a2471cea6b8157723c5f1f2e8290e525a5c8fd0a3495a347b3d0abae02454",
+                "266a114fe281f998d9ea5fdd77f8e78db20a077040e40ba861cb4469d0576b39",
                 "67b19227f7160cc0b5394f8460d68237b3e32266a89333cb3644d40797f04e5d"
             ],
             [
-                "4d97b65e6053ebee3e580d5b6a89a3396ac3ac14d0d44d6962336e4181eeb95d",
+                "b04be0acbd508029631c2163c154ad5fad93e702cf4064ebed0a2469e0cb34f0",
                 "931a3f1b79ab2da8706f05f245ef232dbbbb73ce040bad9d1299f04a8fa8ee25"
             ],
             [
-                "c250937292867fa2730da8e761c3a98d76094f1452cc7d82132b004657505d71",
+                "74ea524e09fa8026170ccb8f099e9f51242ff0764c21d2f8dae1d3b6d7692818",
                 "93117a7df02ca4f55c231b2cb394519b4225648b9afcfc1277adfc6fb2ee5591"
             ],
             [
-                "1dfb1a7ce692bd270368bde215b23b1df63910b0c86ac4cc55cacb9fd08e1712",
+                "684245d7bd9a33c3ba4261d137e198d99b3e4edf772a4305e9dfd849b594f263",
                 "f03aa377cebae0c336bf287769e842a47056d0337a7c9432e237a3d9747fda72"
             ],
         ]

@@ -4,8 +4,11 @@
 //! Every transaction id, Merkle root, paged-store page count and committed
 //! fingerprint in the repository is a function of these bytes, so a codec
 //! change that moves one of them is a consensus change. The expected files
-//! under `tests/golden/` were captured with the tree-based codec that
-//! preceded the streaming one and are never regenerated.
+//! under `tests/golden/` were re-captured once, by the change that made byte
+//! strings base64 (codec version 2), against the id-blind digests of
+//! `crates/core/tests/golden_fingerprints.rs`; before that they had held the
+//! tree-based codec's bytes unchanged through the streaming rewrite. They
+//! are not regenerated otherwise.
 //!
 //! The values come out of one committed two-party AC3WN swap, so they are
 //! the real thing: an authorize call carrying header-range evidence for both
