@@ -49,10 +49,10 @@ use crate::protocol::{
 use ac3_chain::{Address, ChainId, ContractId, Timestamp, TxId};
 use ac3_contracts::{
     CentralizedCall, CentralizedSpec, ChainAnchor, ContractCall, ContractSpec, ExpectedContract,
-    WitnessStateEvidence,
 };
 use ac3_crypto::{Hash256, KeyPair, Signature};
 use ac3_sim::{ChainApi, EventKind, ParticipantSet, Timeline};
+use std::borrow::Cow;
 
 /// Who issues the single commit/abort decision — everything AC3WN and
 /// AC3TW do differently.
@@ -86,8 +86,10 @@ struct WitnessContract {
     /// Dropped once the call is in flight (its bid keeps the payload).
     authorize: Option<(ContractCall, Vec<u8>)>,
     authorize_txid: Option<TxId>,
-    /// Evidence of the buried decision, presented by every settlement.
-    evidence: Option<WitnessStateEvidence>,
+    /// The settlement call presenting the evidence of the buried decision,
+    /// encoded once when the decision is reached: it names no edge, so every
+    /// settlement and every recovery round submits these same bytes.
+    settlement: Option<Vec<u8>>,
 }
 
 impl Coordinator {
@@ -134,21 +136,21 @@ impl Coordinator {
         }
     }
 
-    /// Who settles an edge and with which call (step 5): the recipient
-    /// redeems on commit, the sender refunds on abort.
-    fn settlement_call(&self, commit: bool, edge: &SwapEdge) -> (Address, ContractCall) {
+    /// The encoded settlement call every edge presents (step 5): `Redeem`
+    /// on commit, `Refund` on abort.
+    fn settlement_payload(&self, commit: bool) -> Cow<'_, [u8]> {
         match self {
             Coordinator::Witness(w) => {
-                let evidence = w.evidence.as_ref().expect("settlement follows a decision");
-                ac3wn::settlement_call(commit, edge, evidence)
+                Cow::Borrowed(w.settlement.as_deref().expect("settlement follows a decision"))
             }
             Coordinator::Trent { signature, .. } => {
                 let signature = signature.expect("settlement follows a decision");
-                if commit {
-                    (edge.to, ContractCall::Centralized(CentralizedCall::Redeem { signature }))
+                let call = if commit {
+                    CentralizedCall::Redeem { signature }
                 } else {
-                    (edge.from, ContractCall::Centralized(CentralizedCall::Refund { signature }))
-                }
+                    CentralizedCall::Refund { signature }
+                };
+                Cow::Owned(ContractCall::Centralized(call).to_payload())
             }
         }
     }
@@ -247,7 +249,7 @@ impl Ac3Machine {
             anchor: None,
             authorize: None,
             authorize_txid: None,
-            evidence: None,
+            settlement: None,
         };
         Self::new(config, graph, Coordinator::Witness(Box::new(witness)))
     }
@@ -583,14 +585,15 @@ impl Ac3Machine {
         let now = world.now();
         self.record(world, now, EventKind::DecisionReached { commit });
         if let Coordinator::Witness(w) = &mut self.coordinator {
-            w.evidence = Some(ac3wn::decision_evidence(
+            let evidence = ac3wn::decision_evidence(
                 world,
                 w.chain,
                 &w.anchor.expect("anchor fixed before settlement"),
                 w.authorize_txid.expect("decision reached before settlement"),
                 commit,
                 self.config.witness_depth,
-            )?);
+            )?;
+            w.settlement = Some(ac3wn::settlement(commit, evidence).to_payload());
         }
         for i in 0..self.edges.len() {
             if let Some(txid) = self.submit_settlement(world, participants, commit, i)? {
@@ -602,7 +605,8 @@ impl Ac3Machine {
     }
 
     /// Submit the settlement call of edge `i`, if it was deployed and its
-    /// settling participant can act.
+    /// settling participant can act: the recipient redeems on commit, the
+    /// sender refunds on abort.
     fn submit_settlement(
         &mut self,
         world: &mut dyn ChainApi,
@@ -612,9 +616,16 @@ impl Ac3Machine {
     ) -> Result<Option<TxId>, ProtocolError> {
         let e = self.edges[i];
         let Some((_, contract)) = self.edge_deploys[i] else { return Ok(None) };
-        let (actor, call) = self.coordinator.settlement_call(commit, &e);
-        let Some((txid, fee)) =
-            self.bids.submit_call(world, participants, &actor, e.chain, contract, &call)?
+        let actor = if commit { e.to } else { e.from };
+        let payload = self.coordinator.settlement_payload(commit);
+        let Some((txid, fee)) = self.bids.submit_encoded_call(
+            world,
+            participants,
+            &actor,
+            e.chain,
+            contract,
+            &payload,
+        )?
         else {
             return Ok(None);
         };

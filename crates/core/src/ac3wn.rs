@@ -188,6 +188,16 @@ pub fn decision_evidence(
     })
 }
 
+/// The settlement call presenting `evidence`: `Redeem` on commit, `Refund`
+/// on abort. It names no edge, so one call settles every edge of the swap.
+pub fn settlement(commit: bool, evidence: WitnessStateEvidence) -> ContractCall {
+    ContractCall::Permissionless(if commit {
+        PermissionlessCall::Redeem { evidence }
+    } else {
+        PermissionlessCall::Refund { evidence }
+    })
+}
+
 /// Who settles an edge and with which call: the recipient redeems on
 /// commit, the sender refunds on abort.
 pub fn settlement_call(
@@ -195,12 +205,8 @@ pub fn settlement_call(
     edge: &SwapEdge,
     evidence: &WitnessStateEvidence,
 ) -> (Address, ContractCall) {
-    let evidence = evidence.clone();
-    if commit {
-        (edge.to, ContractCall::Permissionless(PermissionlessCall::Redeem { evidence }))
-    } else {
-        (edge.from, ContractCall::Permissionless(PermissionlessCall::Refund { evidence }))
-    }
+    let settler = if commit { edge.to } else { edge.from };
+    (settler, settlement(commit, evidence.clone()))
 }
 
 #[cfg(test)]
