@@ -112,23 +112,17 @@ impl PermissionlessState {
     }
 
     /// Execute a redeem call. Any participant may submit the evidence; the
-    /// payout always goes to the recipient recorded at deployment.
+    /// payout always goes to the recipient recorded at deployment. Evidence
+    /// that does not verify fails the call with the precise reason.
     pub fn redeem(&mut self, evidence: &WitnessStateEvidence) -> Result<Payout, VmError> {
-        let ok = self.is_redeemable(evidence).is_ok();
-        // Surface the precise failure reason rather than a generic message.
-        if !ok {
-            self.is_redeemable(evidence)?;
-        }
-        self.core.redeem(ok)
+        self.is_redeemable(evidence)?;
+        self.core.redeem(true)
     }
 
     /// Execute a refund call; the payout goes back to the sender.
     pub fn refund(&mut self, evidence: &WitnessStateEvidence) -> Result<Payout, VmError> {
-        let ok = self.is_refundable(evidence).is_ok();
-        if !ok {
-            self.is_refundable(evidence)?;
-        }
-        self.core.refund(ok)
+        self.is_refundable(evidence)?;
+        self.core.refund(true)
     }
 
     /// The contract phase.
@@ -191,8 +185,9 @@ mod tests {
                 proof: ac3_crypto::MerkleProof { leaf_index: 0, siblings: vec![] },
             },
         };
-        assert!(s.redeem(&bogus).is_err());
-        assert!(s.refund(&bogus).is_err());
+        // The call fails with the verifier's own error.
+        assert_eq!(s.redeem(&bogus), Err(s.is_redeemable(&bogus).unwrap_err()));
+        assert_eq!(s.refund(&bogus), Err(s.is_refundable(&bogus).unwrap_err()));
         assert_eq!(s.phase(), SwapPhase::Published);
     }
 }
