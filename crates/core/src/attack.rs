@@ -81,7 +81,9 @@ pub struct ForkAttackReport {
     /// Blocks the attacker was allowed to mine.
     pub attacker_budget_blocks: u64,
     /// Blocks the attacker would have needed to both win the longest-chain
-    /// race and bury the refund authorization under `d` blocks.
+    /// race outright and bury the refund authorization under `d` blocks.
+    /// When the race is the binding constraint, one block fewer ties the
+    /// honest chain in height and the smaller tip hash wins the tie.
     pub required_branch_blocks: u64,
     /// Whether the commit decision was reached honestly before the attack.
     pub commit_decided: bool,
