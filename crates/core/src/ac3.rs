@@ -52,11 +52,12 @@ use ac3_contracts::{
 };
 use ac3_crypto::{Hash256, KeyPair, Signature};
 use ac3_sim::{ChainApi, EventKind, ParticipantSet, Timeline};
+use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// Who issues the single commit/abort decision — everything AC3WN and
 /// AC3TW do differently.
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 enum Coordinator {
     /// AC3WN: a witness contract on a permissionless witness chain.
     Witness(Box<WitnessContract>),
@@ -72,7 +73,7 @@ enum Coordinator {
 }
 
 /// What the machine knows about `SC_w` as the run progresses.
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 struct WitnessContract {
     chain: ChainId,
     /// Expected asset contracts (one per edge), fixed at registration.
@@ -170,7 +171,7 @@ impl Coordinator {
 
 /// Phase of the machine. Waits carry the deadline computed when the phase
 /// was entered, reproducing the blocking drivers' capped waits.
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 enum Phase {
     /// Nothing has happened yet; the first poll signs the graph and
     /// registers it with the coordinator.
@@ -205,8 +206,10 @@ enum Phase {
 /// [`crate::Ac3tw::machine`]: each [`SwapMachine::poll`] does as much work
 /// as the current simulated instant allows and reports when polling again
 /// is useful, so many AC2Ts can interleave over shared chains under the
-/// [`crate::scheduler::Scheduler`].
-#[derive(Debug)]
+/// [`crate::scheduler::Scheduler`]. Between two polls the machine
+/// serialises to everything it knows, and a decoded copy continues exactly
+/// where it left off (the client's persistent session relies on this).
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Ac3Machine {
     config: ProtocolConfig,
     graph: SwapGraph,

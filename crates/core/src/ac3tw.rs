@@ -21,6 +21,7 @@ use crate::graph::SwapGraph;
 use crate::protocol::{ProtocolConfig, ProtocolError, SwapReport};
 use crate::scenario::Scenario;
 use ac3_crypto::{Hash256, KeyPair, Signature, SignatureLock, WitnessDecision};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Errors returned by Trent.
@@ -55,7 +56,7 @@ impl std::fmt::Display for TrentError {
 impl std::error::Error for TrentError {}
 
 /// The centralized trusted witness.
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Trent {
     keypair: KeyPair,
     /// `ms(D)` digest → issued decision (if any).

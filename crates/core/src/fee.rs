@@ -125,7 +125,7 @@ impl FeePolicy {
 }
 
 /// What a bid needs to rebuild its transaction at a higher fee.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 enum BidKind {
     /// A contract deployment: same inputs, same locked value; the change
     /// output shrinks as the fee grows.
@@ -136,7 +136,7 @@ enum BidKind {
 
 /// One fee-bid lifecycle: a submitted transaction a machine is waiting on,
 /// with enough kept around to re-bid it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Bid {
     chain: ChainId,
     actor: Address,
@@ -271,7 +271,7 @@ pub(crate) fn is_soft_submit_error(e: &WorldError) -> bool {
 }
 
 /// The set of live bids owned by one protocol machine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BidBook {
     policy: FeePolicy,
     bids: Vec<Bid>,

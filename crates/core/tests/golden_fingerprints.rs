@@ -18,6 +18,10 @@
 //! values). It moves only when behaviour does: who did what, when, for what
 //! fee, with which outcome. A change that re-encodes ids without changing
 //! behaviour re-captures byte digests and leaves every id-blind one alone.
+//!
+//! Every AC3 case is also the resume oracle: it runs a second time with the
+//! machine replaced by its own JSON round-trip before every poll, and must
+//! reach the same two digests.
 
 use ac3_core::analysis::witness_choice;
 use ac3_core::scenario::{
@@ -25,9 +29,9 @@ use ac3_core::scenario::{
     two_party_scenario, Scenario, ScenarioConfig,
 };
 use ac3_core::{
-    execute_fork_attack, Ac3tw, Ac3wn, AtomicityVerdict, EdgeDisposition, ForkAttackConfig,
-    Herlihy, HerlihyMulti, Nolan, ProtocolConfig, ProtocolError, Scheduler, SwapMachine,
-    SwapReport,
+    drive, drive_until, execute_fork_attack, Ac3Machine, Ac3tw, Ac3wn, AtomicityVerdict,
+    EdgeDisposition, ForkAttackConfig, Herlihy, HerlihyMulti, Nolan, ProtocolConfig, ProtocolError,
+    Scheduler, SwapMachine, SwapReport,
 };
 use ac3_crypto::Hash256;
 use ac3_sim::{CrashWindow, OutageWindow, World};
@@ -330,24 +334,54 @@ fn incomplete(v: &AtomicityVerdict) -> bool {
     matches!(v, AtomicityVerdict::Incomplete { .. })
 }
 
-/// Run every case, check decision and verdict, and compare all digests at
-/// once (so a deliberate re-capture reads every new value off one failure).
+/// [`drive`], with the machine replaced by its own JSON round-trip before
+/// every poll. Re-encoding the decoded machine must give the same JSON.
+fn drive_persisted(
+    machine: &mut Ac3Machine,
+    s: &mut Scenario,
+) -> Result<SwapReport, ProtocolError> {
+    loop {
+        let json = serde_json::to_string(&*machine).unwrap();
+        *machine = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&*machine).unwrap(), json);
+        let mut polled = false;
+        let stop = |_: &Ac3Machine, _: &World| std::mem::replace(&mut polled, true);
+        if let Some(report) = drive_until(machine, &mut s.world, &mut s.participants, stop)? {
+            return Ok(report);
+        }
+    }
+}
+
+/// Run every case twice — straight through and persisted after every poll —
+/// check decision and verdict, and compare all digests at once (so a
+/// deliberate re-capture reads every new value off one failure). Returns
+/// the straight-through reports; the persisted ones have the same digests.
 fn check_ac3_cases(
     cases: &[Ac3Case],
-    execute: impl Fn(&Ac3Case, &mut Scenario) -> Result<SwapReport, ProtocolError>,
+    machine: impl Fn(&Ac3Case, &Scenario) -> Ac3Machine,
 ) -> Vec<SwapReport> {
+    type Run = fn(&mut Ac3Machine, &mut Scenario) -> Result<SwapReport, ProtocolError>;
+    let runs: [(&str, Run); 2] = [
+        ("", |m, s| drive(m, &mut s.world, &mut s.participants)),
+        (" (persisted)", drive_persisted),
+    ];
     let mut got = Vec::new();
+    let mut want = Vec::new();
     let mut reports = Vec::new();
     for case in cases {
-        let mut s = (case.scenario)();
-        let report = execute(case, &mut s).unwrap();
-        assert_eq!(report.decision, case.decision, "{}", case.label);
-        assert!((case.verdict)(&report.verdict()), "{}: {}", case.label, report.verdict());
-        got.push((case.label, digests(&report, &s)));
-        reports.push(report);
+        for (suffix, run) in runs {
+            let label = format!("{}{suffix}", case.label);
+            let mut s = (case.scenario)();
+            let report = run(&mut machine(case, &s), &mut s).unwrap();
+            assert_eq!(report.decision, case.decision, "{label}");
+            assert!((case.verdict)(&report.verdict()), "{label}: {}", report.verdict());
+            got.push((label.clone(), digests(&report, &s)));
+            want.push((label, [case.digest.to_string(), case.id_blind.to_string()]));
+            if suffix.is_empty() {
+                reports.push(report);
+            }
+        }
     }
-    let want: Vec<_> =
-        cases.iter().map(|c| (c.label, [c.digest.to_string(), c.id_blind.to_string()])).collect();
     assert_eq!(got, want);
     reports
 }
@@ -421,7 +455,9 @@ fn ac3wn_single_runs() {
         },
     ];
     let cfg = ProtocolConfig { wait_cap_deltas: 64, ..depth3() };
-    let reports = check_ac3_cases(&cases, |_, s| Ac3wn::new(cfg.clone()).execute(s));
+    let reports = check_ac3_cases(&cases, |_, s| {
+        Ac3wn::new(cfg.clone()).machine(s.graph.clone(), s.witness_chain)
+    });
     // The decision cannot predate the partition healing.
     assert!(reports[6].finished_at >= WITNESS_OUTAGE.until, "{}", reports[6].summary());
 }
@@ -489,7 +525,7 @@ fn ac3tw_single_runs() {
     check_ac3_cases(&cases, |case, s| {
         let mut driver = Ac3tw::new(depth3());
         driver.trent_available = case.label != "trent unavailable";
-        driver.execute(s)
+        driver.machine(s.graph.clone())
     });
 }
 
