@@ -11,13 +11,6 @@ pub enum ClientError {
     Protocol(ProtocolError),
     /// Collecting or verifying the graph multisignature failed.
     Multisig(MultisigError),
-    /// A session operation was attempted in the wrong phase.
-    InvalidPhase {
-        /// What the caller tried to do.
-        action: String,
-        /// The phase the session was actually in.
-        phase: String,
-    },
     /// A persisted session could not be decoded.
     Persistence(String),
 }
@@ -27,9 +20,6 @@ impl fmt::Display for ClientError {
         match self {
             ClientError::Protocol(e) => write!(f, "protocol error: {e}"),
             ClientError::Multisig(e) => write!(f, "multisignature error: {e}"),
-            ClientError::InvalidPhase { action, phase } => {
-                write!(f, "cannot {action} while the session is in phase {phase}")
-            }
             ClientError::Persistence(m) => write!(f, "persistence error: {m}"),
         }
     }
@@ -49,24 +39,14 @@ impl From<MultisigError> for ClientError {
     }
 }
 
-impl From<ac3_sim::WorldError> for ClientError {
-    fn from(e: ac3_sim::WorldError) -> Self {
-        ClientError::Protocol(ProtocolError::World(e.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn errors_display_their_cause() {
-        let e = ClientError::InvalidPhase {
-            action: "settle".to_string(),
-            phase: "Created".to_string(),
-        };
-        assert!(e.to_string().contains("settle"));
-        assert!(e.to_string().contains("Created"));
+        let e = ClientError::Persistence("truncated file".to_string());
+        assert!(e.to_string().contains("truncated file"));
         let p: ClientError = ProtocolError::World("boom".to_string()).into();
         assert!(p.to_string().contains("boom"));
     }

@@ -12,12 +12,13 @@
 //!   in which one participant proposes the graph `D = (V, E)` and every
 //!   participant contributes a signature share until the multisignature
 //!   `ms(D)` of Equation 1 is complete;
-//! * **executing the AC2T** — [`session::SwapSession`]: a persistent,
-//!   resumable state machine that walks the AC3WN phases (register `SC_w`,
-//!   deploy contracts in parallel, decide, settle). Every intermediate state
-//!   serialises to JSON, so a client that crashes mid-swap reloads the
-//!   session and continues — the *commitment* property of the protocol made
-//!   concrete at the client layer.
+//! * **executing the AC2T** — [`session::SwapSession`]: the AC3WN machine
+//!   of `ac3-core` ([`ac3_core::Ac3Machine`]) built for the signed graph,
+//!   persisted as JSON. The machine registers `SC_w`, deploys every contract
+//!   in parallel, obtains the decision and settles; between any two of its
+//!   polls the session can be written to disk, so a client that crashes
+//!   mid-swap reloads it and continues — the *commitment* property of the
+//!   protocol made concrete at the client layer.
 //!
 //! ```
 //! use ac3_client::{Negotiation, SwapSession, Wallet};
@@ -35,16 +36,22 @@
 //! negotiation.submit(bob.sign_proposal(negotiation.proposal())).unwrap();
 //! let signed = negotiation.finalize().unwrap();
 //!
-//! // On-chain: drive the AC3WN phases to completion.
+//! // On-chain: run the AC3WN machine, persisting it halfway.
 //! let mut session = SwapSession::new(
 //!     signed,
 //!     scenario.witness_chain,
 //!     ProtocolConfig::default(),
 //! ).unwrap();
 //! session
+//!     .run_until(&mut scenario.world, &mut scenario.participants, |machine, _| {
+//!         machine.authorize_txid().is_some()
+//!     })
+//!     .unwrap();
+//! let mut session = SwapSession::from_json(&session.to_json()).unwrap();
+//! let report = session
 //!     .run_to_completion(&mut scenario.world, &mut scenario.participants)
 //!     .unwrap();
-//! assert!(session.verdict(&scenario.world).is_atomic());
+//! assert!(report.is_atomic());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,5 +64,5 @@ pub mod wallet;
 
 pub use error::ClientError;
 pub use negotiation::{Negotiation, SignatureShare, SignedSwap, SwapProposal};
-pub use session::{SessionPhase, SwapSession};
+pub use session::SwapSession;
 pub use wallet::Wallet;

@@ -13,9 +13,9 @@
 //! [`Ac3Machine`] for a scheduler batch, [`Ac3wn::execute`] drives one to
 //! completion. The free functions below are the only place the *contents*
 //! of an AC3WN transaction are decided — the machine, the Section 6.3
-//! attack script, the client's persistent session and the adversarial
-//! tests all build their specs, calls and evidence here, so a change to
-//! what AC3WN puts on chain is made once.
+//! attack script and the adversarial tests all build their specs, calls
+//! and evidence here, so a change to what AC3WN puts on chain is made
+//! once.
 
 use crate::ac3::Ac3Machine;
 use crate::driver::drive;

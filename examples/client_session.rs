@@ -6,18 +6,18 @@
 //!
 //! 1. Alice and Bob each hold a [`Wallet`]; Alice proposes the swap graph
 //!    and both contribute signature shares until `ms(D)` is complete.
-//! 2. A [`SwapSession`] drives the AC3WN phases one step at a time,
-//!    persisting its state to a JSON file after every phase.
-//! 3. Right after the witness network records the commit decision, the
-//!    client process "crashes" (we drop the session object). The world keeps
-//!    mining blocks meanwhile.
+//! 2. A [`SwapSession`] runs the AC3WN machine until the witness network's
+//!    commit decision is buried `d` blocks deep — just before the poll that
+//!    would settle — and persists itself to a JSON file.
+//! 3. The client process "crashes" there (we drop the session object). The
+//!    world keeps mining blocks meanwhile.
 //! 4. A fresh process reloads the session from the JSON file and settles the
 //!    swap — possible precisely because AC3WN has no timelock racing against
 //!    the recovery (the paper's commitment property).
 //!
 //! Run with: `cargo run --example client_session`
 
-use ac3wn::client::{Negotiation, SessionPhase, SwapSession, Wallet};
+use ac3wn::client::{Negotiation, SwapSession, Wallet};
 use ac3wn::prelude::*;
 
 fn main() {
@@ -50,23 +50,27 @@ fn main() {
     println!("ms(D) complete: {} participants signed the graph", signed.graph.participants().len());
 
     // ---------------------------------------------------------------------
-    // 2. Drive the session phase by phase, persisting after each step.
+    // 2. Run the swap until the decision is buried, then persist it.
     // ---------------------------------------------------------------------
     let state_file = std::env::temp_dir().join("ac3wn-client-session.json");
-    let mut session =
-        SwapSession::new(signed, scenario.witness_chain, protocol_cfg).expect("session starts");
-    for _ in 0..3 {
-        let phase = session
-            .step(&mut scenario.world, &mut scenario.participants)
-            .expect("protocol step succeeds");
-        std::fs::write(&state_file, session.to_json()).expect("persist session state");
-        println!("phase: {phase}  (state persisted to {})", state_file.display());
-        if phase == SessionPhase::Decided {
-            break;
-        }
-    }
-    assert_eq!(session.phase(), SessionPhase::Decided);
-    println!("\nCommit decision recorded on the witness chain: {:?}", session.decision());
+    let (witness, d) = (scenario.witness_chain, protocol_cfg.witness_depth);
+    let mut session = SwapSession::new(signed, witness, protocol_cfg).expect("session starts");
+    let finished = session
+        .run_until(&mut scenario.world, &mut scenario.participants, |machine, world| {
+            machine.authorize_txid().is_some_and(|txid| {
+                world.chain(witness).unwrap().tx_depth(&txid).is_some_and(|depth| depth >= d)
+            })
+        })
+        .expect("protocol runs");
+    assert!(finished.is_none(), "the swap stops before it settles");
+    let scw = session.machine().witness_contract().expect("SC_w registered");
+    let (state, _) = scenario.world.contract_state(witness, scw).expect("SC_w on chain");
+    println!(
+        "\nSC_w is in state {state}, {d} blocks deep (phase {})",
+        session.machine().phase_name()
+    );
+    std::fs::write(&state_file, session.to_json()).expect("persist session state");
+    println!("session persisted to {}", state_file.display());
 
     // ---------------------------------------------------------------------
     // 3. The client crashes before settling. Time passes.
@@ -80,22 +84,18 @@ fn main() {
     // ---------------------------------------------------------------------
     let snapshot = std::fs::read_to_string(&state_file).expect("read persisted session");
     let mut recovered = SwapSession::from_json(&snapshot).expect("session state decodes");
-    println!(
-        "recovered session in phase {} with decision {:?}",
-        recovered.phase(),
-        recovered.decision()
-    );
-    recovered
+    println!("recovered session in phase {}", recovered.machine().phase_name());
+    let report = recovered
         .run_to_completion(&mut scenario.world, &mut scenario.participants)
         .expect("settlement completes");
-    println!("final phase: {}", recovered.phase());
-    println!("verdict:     {}", recovered.verdict(&scenario.world));
+    println!("decision:    {:?}", report.decision);
+    println!("verdict:     {}", report.verdict());
     println!(
         "Funding after the swap — alice: {} total, bob: {} total (fees paid: {})",
         alice.total_balance(&scenario.world),
         bob.total_balance(&scenario.world),
-        recovered.fees_paid()
+        report.fees_paid
     );
-    assert!(recovered.verdict(&scenario.world).is_atomic());
+    assert!(report.is_atomic());
     let _ = std::fs::remove_file(&state_file);
 }

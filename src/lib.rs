@@ -40,7 +40,7 @@ pub use ac3_sim as sim;
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use ac3_chain::{Address, Amount, BaseFeeSchedule, ChainId, ChainParams, ContractId, TxId};
-    pub use ac3_client::{Negotiation, SessionPhase, SignedSwap, SwapSession, Wallet};
+    pub use ac3_client::{Negotiation, SignedSwap, SwapSession, Wallet};
     pub use ac3_core::scenario::{
         concurrent_swaps_multi_witness, concurrent_swaps_scenario, MultiSwapScenario, SwapSpec,
     };
