@@ -91,7 +91,7 @@ mod tests {
             deploy_contract(&mut s.world, &mut s.participants, &alice, chain, &htlc_spec(bob), 50)
                 .unwrap()
                 .expect("alice is available");
-        s.world.wait_for_inclusion(chain, txid, 60_000).unwrap();
+        s.world.wait_for_depth(chain, txid, 0, 60_000).unwrap();
         assert_eq!(edge_disposition(&s.world, chain, Some(contract)), EdgeDisposition::Locked);
         assert_eq!(edge_disposition(&s.world, chain, None), EdgeDisposition::Unpublished);
     }

@@ -166,7 +166,7 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
     let redeem_txid =
         call_contract(&mut s.world, &mut s.participants, &bob, chain_a, sc1, &redeem_sc1)?
             .expect("bob is available");
-    s.world.wait_for_inclusion(chain_a, redeem_txid, wait_cap)?;
+    s.world.wait_for_depth(chain_a, redeem_txid, 0, wait_cap)?;
 
     // ---------------------------------------------------------------------
     // The attack: rewrite the witness chain below the commit decision.
@@ -234,7 +234,7 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
                     sc2,
                     &refund_sc2,
                 )? {
-                    let _ = s.world.wait_for_inclusion(chain_b, txid, wait_cap);
+                    let _ = s.world.wait_for_depth(chain_b, txid, 0, wait_cap);
                     refund_accepted = matches!(
                         s.world.contract_state(chain_b, sc2),
                         Some((tag, _)) if tag == "RF"
@@ -253,7 +253,7 @@ pub fn execute_fork_attack(cfg: &ForkAttackConfig) -> Result<ForkAttackReport, P
     if let Some(txid) =
         call_contract(&mut s.world, &mut s.participants, &alice, chain_b, sc2, &redeem_sc2)?
     {
-        let _ = s.world.wait_for_inclusion(chain_b, txid, wait_cap);
+        let _ = s.world.wait_for_depth(chain_b, txid, 0, wait_cap);
     }
 
     let outcomes: Vec<EdgeOutcome> = edges

@@ -701,7 +701,8 @@ impl World {
     }
 
     /// Wait until a transaction is buried under `depth` blocks on the
-    /// canonical chain (or time out after `max_ms`).
+    /// canonical chain (or time out after `max_ms`); depth 0 is inclusion in
+    /// any canonical block.
     pub fn wait_for_depth(
         &mut self,
         chain: ChainId,
@@ -712,27 +713,6 @@ impl World {
         self.advance_until(&format!("tx {txid} at depth {depth}"), max_ms, |w| {
             w.chain(chain).ok().and_then(|c| c.tx_depth(&txid)).is_some_and(|d| d >= depth)
         })
-    }
-
-    /// Wait until a transaction reaches the chain's configured stable depth.
-    pub fn wait_for_stable(
-        &mut self,
-        chain: ChainId,
-        txid: TxId,
-        max_ms: u64,
-    ) -> Result<u64, WorldError> {
-        let depth = self.chain(chain)?.params().stable_depth;
-        self.wait_for_depth(chain, txid, depth, max_ms)
-    }
-
-    /// Wait until a transaction is included in any canonical block.
-    pub fn wait_for_inclusion(
-        &mut self,
-        chain: ChainId,
-        txid: TxId,
-        max_ms: u64,
-    ) -> Result<u64, WorldError> {
-        self.wait_for_depth(chain, txid, 0, max_ms)
     }
 
     // ------------------------------------------------------------------
@@ -921,7 +901,7 @@ mod tests {
             world.chain(chain).unwrap().plan_payment(&alice, &bob, 10, 1).unwrap();
         let txid = world.submit(chain, kp.transfer(inputs, outputs, 1)).unwrap();
 
-        world.wait_for_stable(chain, txid, 60_000).unwrap();
+        world.wait_for_depth(chain, txid, 3, 60_000).unwrap();
         assert!(world.chain(chain).unwrap().tx_is_stable(&txid));
 
         let evidence = world.tx_evidence_since(chain, &anchor, txid).unwrap();

@@ -39,7 +39,7 @@ fn transfer(
     let tx =
         scenario.participants.get_mut(from).unwrap().builder(chain).transfer(inputs, outputs, fee);
     let txid = scenario.world.submit(chain, tx).map_err(|e| e.to_string())?;
-    scenario.world.wait_for_inclusion(chain, txid, 60_000).map_err(|e| e.to_string())?;
+    scenario.world.wait_for_depth(chain, txid, 0, 60_000).map_err(|e| e.to_string())?;
     Ok(txid)
 }
 
