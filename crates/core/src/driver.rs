@@ -188,12 +188,16 @@ pub fn poll_machine_audited<M: SwapMachine + ?Sized>(
     audit: bool,
     id: Option<u64>,
 ) -> Result<Step, ProtocolError> {
+    let (mut networked, mut direct);
+    let api: &mut dyn ChainApi = if world.network_attached() {
+        networked = NetworkedApi::new(world);
+        &mut networked
+    } else {
+        direct = DirectApi::new(world);
+        &mut direct
+    };
     if !audit {
-        return if world.network_attached() {
-            machine.poll(&mut NetworkedApi::new(world), participants)
-        } else {
-            machine.poll(&mut DirectApi::new(world), participants)
-        };
+        return machine.poll(api, participants);
     }
     let footprint = machine.footprint();
     let label = match id {
@@ -207,11 +211,7 @@ pub fn poll_machine_audited<M: SwapMachine + ?Sized>(
         &footprint.actors,
     );
     participants.begin_audit(scope.clone());
-    let result = if world.network_attached() {
-        machine.poll(&mut AuditApi::new(&mut NetworkedApi::new(world), &scope), participants)
-    } else {
-        machine.poll(&mut AuditApi::new(&mut DirectApi::new(world), &scope), participants)
-    };
+    let result = machine.poll(&mut AuditApi::new(api, &scope), participants);
     participants.end_audit();
     result
 }
