@@ -13,8 +13,8 @@
 //! The binary asserts, in-process:
 //!
 //! 1. **Equivalence** — the zero-latency / zero-loss profile produces
-//!    exactly the outcomes of the direct (no network) run: the
-//!    [`ac3_sim::NetworkedApi`] applies zero-delay sends inline, so the
+//!    exactly the outcomes of the direct (no network) run: `World`'s
+//!    [`ac3_sim::ChainApi`] impl applies zero-delay sends inline, so the
 //!    instruction streams are identical.
 //! 2. **Determinism** — the harshest cell replayed at 1, 2 and 4
 //!    scheduler workers produces bitwise-identical outcomes and delivery

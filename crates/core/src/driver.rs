@@ -21,9 +21,7 @@
 
 use crate::protocol::{ProtocolError, SwapReport};
 use ac3_chain::{Address, ChainId, Timestamp, TxId};
-use ac3_sim::{
-    AuditApi, AuditScope, ChainApi, DirectApi, NetworkedApi, ParticipantSet, World, WorldError,
-};
+use ac3_sim::{AuditScope, ChainApi, ParticipantSet, World, WorldError};
 use std::sync::OnceLock;
 
 /// The observable state of an in-flight swap after one [`SwapMachine::poll`].
@@ -82,8 +80,9 @@ pub trait SwapMachine: Send {
     ///
     /// Machines observe and mutate chains exclusively through the
     /// [`ChainApi`] seam — never `&mut World` — so the same machine runs
-    /// unchanged against the synchronous [`DirectApi`], the message-routed
-    /// [`NetworkedApi`], or (in tests, via coercion) a bare `&mut World`.
+    /// unchanged whether [`World`]'s impl applies its submissions at once
+    /// or routes them through network links, and under the footprint
+    /// audit.
     fn poll(
         &mut self,
         world: &mut dyn ChainApi,
@@ -156,13 +155,11 @@ pub fn footprint_audit_enabled() -> bool {
     })
 }
 
-/// Poll a machine against `world` through the appropriate [`ChainApi`]
-/// implementation: the message-routed [`NetworkedApi`] when a network
-/// profile is attached ([`World::attach_network`]), the synchronous
-/// [`DirectApi`] otherwise. Every driver loop — [`drive_until`] and the
-/// scheduler's poll pass — polls through here, so attaching a network
-/// reroutes an entire batch without touching machine code. Audits the poll
-/// when the `AC3_FOOTPRINT_AUDIT` environment variable is set.
+/// Poll a machine through [`World`]'s [`ChainApi`] impl, which routes its
+/// submissions through the links once a network is attached
+/// ([`World::attach_network`]). Every driver loop — [`drive_until`] and the
+/// scheduler's poll pass — polls through here. Audits the poll when the
+/// `AC3_FOOTPRINT_AUDIT` environment variable is set.
 pub fn poll_machine<M: SwapMachine + ?Sized>(
     machine: &mut M,
     world: &mut World,
@@ -173,14 +170,13 @@ pub fn poll_machine<M: SwapMachine + ?Sized>(
 
 /// [`poll_machine`] with the footprint-audit sanitizer made explicit.
 ///
-/// With `audit` set, the poll runs behind an [`AuditApi`] scoped to the
-/// machine's declared [`SwapMachine::footprint`], and the participant set
-/// audits actor lookups for the duration of the poll: touching any chain
-/// or actor outside the footprint panics with the machine's identity
+/// With `audit` set, the world and the participant set are both bracketed
+/// with an [`AuditScope`] built from the machine's declared
+/// [`SwapMachine::footprint`] for the duration of the poll: touching any
+/// chain or actor outside the footprint panics with the machine's identity
 /// (`id`, when the caller knows it), its current phase, and the offending
-/// chain or actor. The wrapper is stateless pass-through otherwise, so an
-/// audited poll that does not panic is bitwise identical to an unaudited
-/// one.
+/// chain or actor. A passing check changes nothing, so an audited poll
+/// that does not panic is bitwise identical to an unaudited one.
 pub fn poll_machine_audited<M: SwapMachine + ?Sized>(
     machine: &mut M,
     world: &mut World,
@@ -188,16 +184,8 @@ pub fn poll_machine_audited<M: SwapMachine + ?Sized>(
     audit: bool,
     id: Option<u64>,
 ) -> Result<Step, ProtocolError> {
-    let (mut networked, mut direct);
-    let api: &mut dyn ChainApi = if world.network_attached() {
-        networked = NetworkedApi::new(world);
-        &mut networked
-    } else {
-        direct = DirectApi::new(world);
-        &mut direct
-    };
     if !audit {
-        return machine.poll(api, participants);
+        return machine.poll(world, participants);
     }
     let footprint = machine.footprint();
     let label = match id {
@@ -210,8 +198,10 @@ pub fn poll_machine_audited<M: SwapMachine + ?Sized>(
         &footprint.chains,
         &footprint.actors,
     );
-    participants.begin_audit(scope.clone());
-    let result = machine.poll(&mut AuditApi::new(api, &scope), participants);
+    world.begin_audit(scope.clone());
+    participants.begin_audit(scope);
+    let result = machine.poll(world, participants);
+    world.end_audit();
     participants.end_audit();
     result
 }

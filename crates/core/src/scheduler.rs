@@ -64,12 +64,12 @@ pub struct Scheduler {
     /// Message-level network conditions attached to the world before the
     /// batch starts (see [`ac3_sim::World::attach_network`]): every machine
     /// submission routes through a per-chain link with seeded delivery
-    /// delay and loss. `None` (the default) polls machines through the
-    /// synchronous [`ac3_sim::DirectApi`]. Results remain bitwise
-    /// deterministic at any worker count either way.
+    /// delay and loss. `None` (the default) attaches no links, so machine
+    /// submissions apply at once. Results remain bitwise deterministic at
+    /// any worker count either way.
     pub network: Option<NetworkProfile>,
-    /// Run every machine poll behind the footprint-audit sanitizer
-    /// ([`ac3_sim::AuditApi`]): touching a chain or actor outside the
+    /// Hold an [`ac3_sim::AuditScope`] on the world and the participant
+    /// set during every poll: touching a chain or actor outside the
     /// machine's declared [`MachineFootprint`] panics with the machine id,
     /// phase and offending resource instead of silently aliasing state the
     /// serial path happens to have in reach. Defaults to the

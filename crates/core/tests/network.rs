@@ -2,12 +2,12 @@
 //!
 //! Two guarantees, both bitwise:
 //!
-//! 1. **Zero-profile equivalence** — a batch polled through the
-//!    [`ac3_sim::NetworkedApi`] under a zero-latency / zero-loss
-//!    [`ac3_sim::NetworkProfile`] produces exactly the fingerprint of the
-//!    same batch polled through the synchronous [`ac3_sim::DirectApi`]
-//!    (zero-delay sends are applied inline, so the instruction stream is
-//!    identical), at every worker count.
+//! 1. **Zero-profile equivalence** — a batch whose submissions `World`'s
+//!    [`ac3_sim::ChainApi`] impl routes through links under a zero-latency
+//!    / zero-loss [`ac3_sim::NetworkProfile`] produces exactly the
+//!    fingerprint of the same batch with no network attached (zero-delay
+//!    sends are applied inline, so the instruction stream is identical), at
+//!    every worker count.
 //! 2. **Seeded-loss determinism** — a batch under a lossy, high-latency
 //!    profile fingerprints identically at 1, 2 and 4 workers: link RNG
 //!    state moves with its chain slot when the world is sharded, so
@@ -154,11 +154,11 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// The API-redesign acceptance test, part 1: the `NetworkedApi` under a
-/// zero profile is not merely equivalent to the `DirectApi` — it is
-/// bitwise identical, timeline, ledger and chain state included, at every
-/// worker count. Zero-delay sends are applied inline at send time, so the
-/// two APIs execute the same instruction stream against the world.
+/// The API-redesign acceptance test, part 1: a batch routed through links
+/// under a zero profile is not merely equivalent to one with no network —
+/// it is bitwise identical, timeline, ledger and chain state included, at
+/// every worker count. Zero-delay sends are applied inline at send time, so
+/// both runs execute the same instruction stream against the world.
 #[test]
 fn zero_profile_networked_batch_matches_direct_bitwise() {
     // The fingerprint embeds the network delivery counters, which a direct

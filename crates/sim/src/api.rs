@@ -7,24 +7,21 @@
 //! adversary machines) inject faults — and nothing else. No clock
 //! advancement, no shard surgery, no direct ledger or mempool access.
 //!
-//! Three implementations share the surface:
+//! [`World`]'s impl is the one implementation that does any work:
 //!
-//! * [`World`] itself — so existing call sites (tests, the client crate,
-//!   benches) that hold a `&mut World` coerce to `&mut dyn ChainApi`
-//!   unchanged;
-//! * [`DirectApi`] — an explicit synchronous wrapper, the default path and
-//!   the serial reference semantics;
-//! * [`NetworkedApi`] — routes submissions and re-bids through the
-//!   per-chain `Link`s as in-flight messages with seeded
-//!   delivery delay and drop probability; replies are optimistic (the
-//!   transaction id is client-computable), so a machine can be mid-flight
-//!   on a submit when it next polls.
+//! * with a network profile attached ([`World::attach_network`]),
+//!   `submit` and `replace_tx` travel as messages on the chain's link and
+//!   may be mid-flight when the machine next polls
+//!   ([`ChainApi::tx_in_flight`]); a zero profile applies them inline;
+//! * between [`World::begin_audit`] and [`World::end_audit`], every
+//!   chain-addressed call panics if its chain lies outside the
+//!   [`AuditScope`](crate::audit::AuditScope).
 //!
-//! Reads (`chain`, `anchor`, `tx_evidence_since`, `contract_state`, …) stay
-//! synchronous under every implementation: they model a local light-client
-//! view the machine already holds. The *messages* of the network model are
-//! the mempool mutations — submit and replace — plus the congestion probe,
-//! which is counted per link.
+//! The inherent methods of the same names, for scenario setup, tests and
+//! attack scripts, are neither routed nor audited. Reads stay synchronous:
+//! they model a local light-client view the machine already holds.
+//! [`DirectApi`] and its alias [`NetworkedApi`] are the names the
+//! benchmark polls through; both forward to [`World`]'s impl.
 
 use crate::faults::OutageWindow;
 use crate::metrics::EventKind;
@@ -123,6 +120,51 @@ pub trait ChainApi {
     ) -> Result<Vec<BlockHash>, WorldError>;
 }
 
+impl World {
+    /// Route a machine's submit or replace: at once with no network, else
+    /// as a message on `chain`'s link, its delay and drop sampled now. A
+    /// zero-delay message is applied inline; a delayed one is delivered in
+    /// [`World::advance`] (a rejection there is a nack), a dropped one only
+    /// counted, and both return the id optimistically.
+    fn send(&mut self, chain: ChainId, payload: Payload) -> Result<TxId, WorldError> {
+        let Some(profile) = self.network_profile().copied() else {
+            return self.apply_now(chain, payload);
+        };
+        if self.chain(chain).is_err() {
+            return Err(WorldError::UnknownChain(chain));
+        }
+        if !self.is_reachable(chain) {
+            return Err(WorldError::ChainUnreachable(chain));
+        }
+        let now = self.now();
+        let attribution = self.fee_attribution();
+        let link = self.link_mut(chain).expect("an attached network links every chain");
+        let (delay, dropped) = link.sample(&profile);
+        let (Payload::Submit { tx } | Payload::Replace { tx, .. }) = &payload;
+        let txid = tx.id();
+        match &payload {
+            Payload::Submit { .. } => link.stats.submits += 1,
+            Payload::Replace { .. } => link.stats.replaces += 1,
+        }
+        if dropped {
+            link.stats.dropped += 1;
+            return Ok(txid);
+        }
+        if delay > 0 {
+            link.enqueue(now + delay, attribution, payload);
+            return Ok(txid);
+        }
+        // Inline, so a zero profile is bitwise identical to no network.
+        let result = self.apply_now(chain, payload);
+        let link = self.link_mut(chain).expect("an attached network links every chain");
+        match &result {
+            Ok(_) => link.stats.delivered += 1,
+            Err(_) => link.stats.nacked += 1,
+        }
+        result
+    }
+}
+
 impl ChainApi for World {
     fn now(&self) -> Timestamp {
         World::now(self)
@@ -137,14 +179,17 @@ impl ChainApi for World {
     }
 
     fn is_reachable(&self, chain: ChainId) -> bool {
+        self.check_audit(chain);
         World::is_reachable(self, chain)
     }
 
     fn chain(&self, chain: ChainId) -> Result<&Blockchain, WorldError> {
+        self.check_audit(chain);
         World::chain(self, chain)
     }
 
     fn anchor(&self, chain: ChainId) -> Result<ChainAnchor, WorldError> {
+        self.check_audit(chain);
         World::anchor(self, chain)
     }
 
@@ -154,10 +199,12 @@ impl ChainApi for World {
         anchor: &ChainAnchor,
         txid: TxId,
     ) -> Result<TxInclusionEvidence, WorldError> {
+        self.check_audit(chain);
         World::tx_evidence_since(self, chain, anchor, txid)
     }
 
     fn contract_state(&self, chain: ChainId, contract: ContractId) -> Option<(String, u64)> {
+        self.check_audit(chain);
         World::contract_state(self, chain, contract)
     }
 
@@ -165,274 +212,26 @@ impl ChainApi for World {
         self.fees.is_billed(txid)
     }
 
+    fn tx_in_flight(&self, chain: ChainId, txid: &TxId) -> bool {
+        self.check_audit(chain);
+        World::tx_in_flight(self, chain, txid)
+    }
+
     fn congestion(&mut self, chain: ChainId) -> Result<ChainCongestion, WorldError> {
+        self.check_audit(chain);
+        if let Some(link) = self.link_mut(chain) {
+            link.stats.probes += 1;
+        }
         World::congestion(self, chain)
     }
 
     fn marginal_fee(&mut self, chain: ChainId) -> Result<Option<Amount>, WorldError> {
+        self.check_audit(chain);
         World::marginal_fee(self, chain)
     }
 
     fn submit(&mut self, chain: ChainId, tx: Transaction) -> Result<TxId, WorldError> {
-        World::submit(self, chain, tx)
-    }
-
-    fn replace_tx(
-        &mut self,
-        chain: ChainId,
-        old: TxId,
-        tx: Transaction,
-    ) -> Result<TxId, WorldError> {
-        World::replace_tx(self, chain, old, tx)
-    }
-
-    fn record(&mut self, at: Timestamp, kind: EventKind) {
-        self.timeline.record(at, kind);
-    }
-
-    fn schedule_outage(&mut self, chain: ChainId, window: OutageWindow) -> Result<(), WorldError> {
-        World::schedule_outage(self, chain, window)
-    }
-
-    fn inject_fork(
-        &mut self,
-        chain: ChainId,
-        fork_depth: u64,
-        length: u64,
-    ) -> Result<Vec<BlockHash>, WorldError> {
-        World::inject_fork(self, chain, fork_depth, length)
-    }
-}
-
-/// The synchronous [`ChainApi`]: every call is applied to the [`World`]
-/// immediately, exactly as machines did when they held `&mut World`. The
-/// default path, and the reference semantics the networked path must match
-/// bitwise under a zero profile.
-pub struct DirectApi<'a> {
-    world: &'a mut World,
-}
-
-impl<'a> DirectApi<'a> {
-    /// Wrap a world for direct synchronous access.
-    pub fn new(world: &'a mut World) -> Self {
-        DirectApi { world }
-    }
-}
-
-impl ChainApi for DirectApi<'_> {
-    fn now(&self) -> Timestamp {
-        self.world.now()
-    }
-
-    fn delta_ms(&self) -> u64 {
-        self.world.delta_ms()
-    }
-
-    fn min_block_interval_ms(&self) -> u64 {
-        self.world.min_block_interval_ms()
-    }
-
-    fn is_reachable(&self, chain: ChainId) -> bool {
-        self.world.is_reachable(chain)
-    }
-
-    fn chain(&self, chain: ChainId) -> Result<&Blockchain, WorldError> {
-        self.world.chain(chain)
-    }
-
-    fn anchor(&self, chain: ChainId) -> Result<ChainAnchor, WorldError> {
-        self.world.anchor(chain)
-    }
-
-    fn tx_evidence_since(
-        &self,
-        chain: ChainId,
-        anchor: &ChainAnchor,
-        txid: TxId,
-    ) -> Result<TxInclusionEvidence, WorldError> {
-        self.world.tx_evidence_since(chain, anchor, txid)
-    }
-
-    fn contract_state(&self, chain: ChainId, contract: ContractId) -> Option<(String, u64)> {
-        self.world.contract_state(chain, contract)
-    }
-
-    fn is_billed(&self, txid: &TxId) -> bool {
-        self.world.fees.is_billed(txid)
-    }
-
-    fn congestion(&mut self, chain: ChainId) -> Result<ChainCongestion, WorldError> {
-        self.world.congestion(chain)
-    }
-
-    fn marginal_fee(&mut self, chain: ChainId) -> Result<Option<Amount>, WorldError> {
-        self.world.marginal_fee(chain)
-    }
-
-    fn submit(&mut self, chain: ChainId, tx: Transaction) -> Result<TxId, WorldError> {
-        self.world.submit(chain, tx)
-    }
-
-    fn replace_tx(
-        &mut self,
-        chain: ChainId,
-        old: TxId,
-        tx: Transaction,
-    ) -> Result<TxId, WorldError> {
-        self.world.replace_tx(chain, old, tx)
-    }
-
-    fn record(&mut self, at: Timestamp, kind: EventKind) {
-        self.world.timeline.record(at, kind);
-    }
-
-    fn schedule_outage(&mut self, chain: ChainId, window: OutageWindow) -> Result<(), WorldError> {
-        self.world.schedule_outage(chain, window)
-    }
-
-    fn inject_fork(
-        &mut self,
-        chain: ChainId,
-        fork_depth: u64,
-        length: u64,
-    ) -> Result<Vec<BlockHash>, WorldError> {
-        self.world.inject_fork(chain, fork_depth, length)
-    }
-}
-
-/// The message-routed [`ChainApi`]: submissions and re-bids become
-/// `Message`s on the target chain's link, with delivery
-/// delay and drop probability sampled at send time from the world's
-/// attached [`crate::network::NetworkProfile`].
-///
-/// * A **zero-delay, undropped** message is applied inline — bitwise
-///   identical to [`DirectApi`], including the admission result.
-/// * A **delayed** message returns `Ok(tx.id())` optimistically after the
-///   synchronous unknown-chain / reachability checks; admission happens at
-///   delivery inside `World::advance`, and a rejection there counts as a
-///   nack on the link (the bid book recovers through its eviction
-///   re-entry path).
-/// * A **dropped** message also returns optimistically — the client cannot
-///   know the network ate it; it is counted on the link and recovered the
-///   same way.
-///
-/// Requires [`World::attach_network`] to have been called; constructing a
-/// `NetworkedApi` over a world without links panics on first send.
-pub struct NetworkedApi<'a> {
-    world: &'a mut World,
-}
-
-impl<'a> NetworkedApi<'a> {
-    /// Wrap a world whose network is attached.
-    pub fn new(world: &'a mut World) -> Self {
-        NetworkedApi { world }
-    }
-
-    /// Common send path for submit / replace messages.
-    fn send(&mut self, chain: ChainId, payload: Payload) -> Result<TxId, WorldError> {
-        if self.world.chain(chain).is_err() {
-            return Err(WorldError::UnknownChain(chain));
-        }
-        if !self.world.is_reachable(chain) {
-            return Err(WorldError::ChainUnreachable(chain));
-        }
-        let profile =
-            *self.world.network_profile().expect("NetworkedApi requires World::attach_network");
-        let now = self.world.now();
-        let attribution = self.world.fee_attribution();
-        let link = self.world.link_mut(chain).expect("attached network creates every link");
-        let (delay, dropped) = link.sample(&profile);
-        match &payload {
-            Payload::Submit { .. } => link.stats.submits += 1,
-            Payload::Replace { .. } => link.stats.replaces += 1,
-        }
-        if dropped {
-            link.stats.dropped += 1;
-            let txid = match &payload {
-                Payload::Submit { tx } | Payload::Replace { tx, .. } => tx.id(),
-            };
-            return Ok(txid);
-        }
-        if delay == 0 {
-            // Apply inline: the zero-latency path must be bitwise identical
-            // to DirectApi, including synchronous admission errors.
-            let result = match payload {
-                Payload::Submit { tx } => self.world.submit(chain, tx),
-                Payload::Replace { old, tx } => self.world.replace_tx(chain, old, tx),
-            };
-            let link = self.world.link_mut(chain).expect("attached");
-            match &result {
-                Ok(_) => link.stats.delivered += 1,
-                Err(_) => link.stats.nacked += 1,
-            }
-            return result;
-        }
-        let txid = match &payload {
-            Payload::Submit { tx } | Payload::Replace { tx, .. } => tx.id(),
-        };
-        link.enqueue(now + delay, attribution, payload);
-        Ok(txid)
-    }
-}
-
-impl ChainApi for NetworkedApi<'_> {
-    fn now(&self) -> Timestamp {
-        self.world.now()
-    }
-
-    fn delta_ms(&self) -> u64 {
-        self.world.delta_ms()
-    }
-
-    fn min_block_interval_ms(&self) -> u64 {
-        self.world.min_block_interval_ms()
-    }
-
-    fn is_reachable(&self, chain: ChainId) -> bool {
-        self.world.is_reachable(chain)
-    }
-
-    fn chain(&self, chain: ChainId) -> Result<&Blockchain, WorldError> {
-        self.world.chain(chain)
-    }
-
-    fn anchor(&self, chain: ChainId) -> Result<ChainAnchor, WorldError> {
-        self.world.anchor(chain)
-    }
-
-    fn tx_evidence_since(
-        &self,
-        chain: ChainId,
-        anchor: &ChainAnchor,
-        txid: TxId,
-    ) -> Result<TxInclusionEvidence, WorldError> {
-        self.world.tx_evidence_since(chain, anchor, txid)
-    }
-
-    fn contract_state(&self, chain: ChainId, contract: ContractId) -> Option<(String, u64)> {
-        self.world.contract_state(chain, contract)
-    }
-
-    fn is_billed(&self, txid: &TxId) -> bool {
-        self.world.fees.is_billed(txid)
-    }
-
-    fn tx_in_flight(&self, chain: ChainId, txid: &TxId) -> bool {
-        self.world.tx_in_flight(chain, txid)
-    }
-
-    fn congestion(&mut self, chain: ChainId) -> Result<ChainCongestion, WorldError> {
-        if let Some(link) = self.world.link_mut(chain) {
-            link.stats.probes += 1;
-        }
-        self.world.congestion(chain)
-    }
-
-    fn marginal_fee(&mut self, chain: ChainId) -> Result<Option<Amount>, WorldError> {
-        self.world.marginal_fee(chain)
-    }
-
-    fn submit(&mut self, chain: ChainId, tx: Transaction) -> Result<TxId, WorldError> {
+        self.check_audit(chain);
         self.send(chain, Payload::Submit { tx })
     }
 
@@ -442,15 +241,17 @@ impl ChainApi for NetworkedApi<'_> {
         old: TxId,
         tx: Transaction,
     ) -> Result<TxId, WorldError> {
+        self.check_audit(chain);
         self.send(chain, Payload::Replace { old, tx })
     }
 
     fn record(&mut self, at: Timestamp, kind: EventKind) {
-        self.world.timeline.record(at, kind);
+        self.timeline.record(at, kind);
     }
 
     fn schedule_outage(&mut self, chain: ChainId, window: OutageWindow) -> Result<(), WorldError> {
-        self.world.schedule_outage(chain, window)
+        self.check_audit(chain);
+        World::schedule_outage(self, chain, window)
     }
 
     fn inject_fork(
@@ -459,6 +260,157 @@ impl ChainApi for NetworkedApi<'_> {
         fork_depth: u64,
         length: u64,
     ) -> Result<Vec<BlockHash>, WorldError> {
-        self.world.inject_fork(chain, fork_depth, length)
+        self.check_audit(chain);
+        World::inject_fork(self, chain, fork_depth, length)
+    }
+}
+
+/// The benchmark's (`crates/bench/perf`) name for [`World`]'s [`ChainApi`]
+/// impl: every call forwards to it unchanged, links and audit included.
+pub struct DirectApi<'a> {
+    world: &'a mut World,
+}
+
+/// The benchmark's name for a poll over a networked world: the same
+/// forwarder, since [`World`]'s impl routes whenever a profile is attached.
+pub type NetworkedApi<'a> = DirectApi<'a>;
+
+impl<'a> DirectApi<'a> {
+    /// Wrap a world.
+    pub fn new(world: &'a mut World) -> Self {
+        DirectApi { world }
+    }
+}
+
+impl ChainApi for DirectApi<'_> {
+    fn now(&self) -> Timestamp {
+        ChainApi::now(self.world)
+    }
+
+    fn delta_ms(&self) -> u64 {
+        ChainApi::delta_ms(self.world)
+    }
+
+    fn min_block_interval_ms(&self) -> u64 {
+        ChainApi::min_block_interval_ms(self.world)
+    }
+
+    fn is_reachable(&self, chain: ChainId) -> bool {
+        ChainApi::is_reachable(self.world, chain)
+    }
+
+    fn chain(&self, chain: ChainId) -> Result<&Blockchain, WorldError> {
+        ChainApi::chain(self.world, chain)
+    }
+
+    fn anchor(&self, chain: ChainId) -> Result<ChainAnchor, WorldError> {
+        ChainApi::anchor(self.world, chain)
+    }
+
+    fn tx_evidence_since(
+        &self,
+        chain: ChainId,
+        anchor: &ChainAnchor,
+        txid: TxId,
+    ) -> Result<TxInclusionEvidence, WorldError> {
+        ChainApi::tx_evidence_since(self.world, chain, anchor, txid)
+    }
+
+    fn contract_state(&self, chain: ChainId, contract: ContractId) -> Option<(String, u64)> {
+        ChainApi::contract_state(self.world, chain, contract)
+    }
+
+    fn is_billed(&self, txid: &TxId) -> bool {
+        ChainApi::is_billed(self.world, txid)
+    }
+
+    fn tx_in_flight(&self, chain: ChainId, txid: &TxId) -> bool {
+        ChainApi::tx_in_flight(self.world, chain, txid)
+    }
+
+    fn congestion(&mut self, chain: ChainId) -> Result<ChainCongestion, WorldError> {
+        ChainApi::congestion(self.world, chain)
+    }
+
+    fn marginal_fee(&mut self, chain: ChainId) -> Result<Option<Amount>, WorldError> {
+        ChainApi::marginal_fee(self.world, chain)
+    }
+
+    fn submit(&mut self, chain: ChainId, tx: Transaction) -> Result<TxId, WorldError> {
+        ChainApi::submit(self.world, chain, tx)
+    }
+
+    fn replace_tx(
+        &mut self,
+        chain: ChainId,
+        old: TxId,
+        tx: Transaction,
+    ) -> Result<TxId, WorldError> {
+        ChainApi::replace_tx(self.world, chain, old, tx)
+    }
+
+    fn record(&mut self, at: Timestamp, kind: EventKind) {
+        ChainApi::record(self.world, at, kind)
+    }
+
+    fn schedule_outage(&mut self, chain: ChainId, window: OutageWindow) -> Result<(), WorldError> {
+        ChainApi::schedule_outage(self.world, chain, window)
+    }
+
+    fn inject_fork(
+        &mut self,
+        chain: ChainId,
+        fork_depth: u64,
+        length: u64,
+    ) -> Result<Vec<BlockHash>, WorldError> {
+        ChainApi::inject_fork(self.world, chain, fork_depth, length)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::network::NetworkProfile;
+    use ac3_chain::{ChainParams, OutPoint, TxBuilder};
+    use ac3_crypto::{Hash256, KeyPair};
+
+    /// A transfer spending a synthetic input: the mempool checks
+    /// double-claims, not UTXO existence, so each tag admits on its own.
+    fn transfer(builder: &mut TxBuilder, tag: &[u8]) -> Transaction {
+        builder.transfer(vec![OutPoint::new(TxId(Hash256::digest(tag)), 0)], vec![], 1)
+    }
+
+    #[test]
+    fn trait_submit_routes_through_the_link_and_inherent_submit_does_not() {
+        let mut world = World::new();
+        let chain = world.add_chain(ChainParams::test("c"), &[]);
+        world.attach_network(NetworkProfile {
+            seed: 1,
+            latency_min_ms: 500,
+            latency_max_ms: 500,
+            drop_per_mille: 0,
+        });
+        let mut builder = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
+
+        let routed = transfer(&mut builder, b"routed");
+        let txid = routed.id();
+        let api: &mut dyn ChainApi = &mut world;
+        assert_eq!(api.submit(chain, routed), Ok(txid), "optimistic reply");
+        assert_eq!(world.network_stats().submits, 1);
+        assert!(!world.chain(chain).unwrap().mempool_contains(&txid));
+        world.advance(499);
+        assert!(ChainApi::tx_in_flight(&world, chain, &txid), "due at 500 ms");
+        world.advance(1);
+        assert!(!ChainApi::tx_in_flight(&world, chain, &txid));
+        assert!(world.chain(chain).unwrap().mempool_contains(&txid), "delivered");
+
+        let direct = world.submit(chain, transfer(&mut builder, b"direct")).unwrap();
+        assert!(world.chain(chain).unwrap().mempool_contains(&direct), "admitted at once");
+        assert_eq!(world.network_stats().submits, 1, "the inherent submit counts nothing");
+
+        // The benchmark's names forward to the routed impl.
+        let named = NetworkedApi::new(&mut world).submit(chain, transfer(&mut builder, b"named"));
+        assert!(ChainApi::tx_in_flight(&world, chain, &named.unwrap()));
+        assert_eq!(world.network_stats().submits, 2);
     }
 }

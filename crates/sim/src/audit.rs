@@ -1,7 +1,7 @@
-//! The footprint-audit sanitizer: a pass-through [`ChainApi`] wrapper that
-//! panics — loudly, with attribution — when a machine touches a chain or
-//! signs with an actor outside its declared
-//! [`MachineFootprint`](ChainApi)-equivalent scope.
+//! The footprint-audit sanitizer: an [`AuditScope`] that makes a poll
+//! panic — loudly, with attribution — when a machine touches a chain or
+//! signs with an actor outside its declared footprint (`MachineFootprint`
+//! in `ac3-core`).
 //!
 //! The parallel scheduler's entire correctness argument rests on declared
 //! footprints being *conservative*: a machine that reaches beyond its
@@ -9,29 +9,24 @@
 //! under-declared chain surfaces as a hard `UnknownChain` error, but the
 //! serial reference path (`workers: 1`) hands every machine the whole
 //! world, so the same bug passes silently — until someone bumps the worker
-//! count. [`AuditApi`] closes that gap: enabled via the
+//! count. The audit closes that gap: enabled via the
 //! `AC3_FOOTPRINT_AUDIT=1` environment variable (or
-//! `Scheduler::with_footprint_audit` in `ac3-core`), it interposes on every
-//! chain-addressed call and every [`ParticipantSet`] actor lookup and
-//! panics with the machine id, its current phase, and the out-of-scope
-//! chain or actor.
+//! `Scheduler::with_footprint_audit` in `ac3-core`), the driver brackets
+//! each poll with `begin_audit`/`end_audit` on the [`World`] and the
+//! [`ParticipantSet`], which then check every chain-addressed
+//! [`ChainApi`] call and every actor lookup and panic with the machine id,
+//! its current phase, and the out-of-scope chain or actor.
 //!
-//! **Determinism.** The wrapper holds no state of its own — no counters,
-//! no RNG, no clocks — and forwards every call verbatim, so an audited run
-//! that does not panic is bitwise identical to an unaudited one. The CI
-//! determinism matrix runs an `AC3_FOOTPRINT_AUDIT=1` leg to pin exactly
-//! that.
+//! **Determinism.** The scope holds no state that reaches the simulation —
+//! no counters, no RNG, no clocks — so an audited run that does not panic
+//! is bitwise identical to an unaudited one. The CI determinism matrix
+//! runs an `AC3_FOOTPRINT_AUDIT=1` leg to pin exactly that.
 //!
+//! [`ChainApi`]: crate::api::ChainApi
+//! [`World`]: crate::world::World
 //! [`ParticipantSet`]: crate::participant::ParticipantSet
 
-use crate::api::ChainApi;
-use crate::faults::OutageWindow;
-use crate::metrics::EventKind;
-use crate::world::{ChainCongestion, WorldError};
-use ac3_chain::{
-    Address, Amount, BlockHash, Blockchain, ChainId, ContractId, Timestamp, Transaction, TxId,
-};
-use ac3_contracts::{ChainAnchor, TxInclusionEvidence};
+use ac3_chain::{Address, ChainId};
 
 /// The declared scope one machine poll is audited against: identity for
 /// attribution, plus the chains and actors its footprint allows.
@@ -87,122 +82,10 @@ impl AuditScope {
     }
 }
 
-/// A [`ChainApi`] decorator enforcing an [`AuditScope`]: every
-/// chain-addressed call checks the chain against the declared footprint
-/// before forwarding; scope-free calls (clock reads, billing probes,
-/// timeline records) forward untouched.
-pub struct AuditApi<'a> {
-    inner: &'a mut dyn ChainApi,
-    scope: &'a AuditScope,
-}
-
-impl<'a> AuditApi<'a> {
-    /// Wrap `inner`, auditing every chain-addressed call against `scope`.
-    pub fn new(inner: &'a mut dyn ChainApi, scope: &'a AuditScope) -> Self {
-        AuditApi { inner, scope }
-    }
-}
-
-impl ChainApi for AuditApi<'_> {
-    fn now(&self) -> Timestamp {
-        self.inner.now()
-    }
-
-    fn delta_ms(&self) -> u64 {
-        self.inner.delta_ms()
-    }
-
-    fn min_block_interval_ms(&self) -> u64 {
-        self.inner.min_block_interval_ms()
-    }
-
-    fn is_reachable(&self, chain: ChainId) -> bool {
-        self.scope.check_chain(chain);
-        self.inner.is_reachable(chain)
-    }
-
-    fn chain(&self, chain: ChainId) -> Result<&Blockchain, WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.chain(chain)
-    }
-
-    fn anchor(&self, chain: ChainId) -> Result<ChainAnchor, WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.anchor(chain)
-    }
-
-    fn tx_evidence_since(
-        &self,
-        chain: ChainId,
-        anchor: &ChainAnchor,
-        txid: TxId,
-    ) -> Result<TxInclusionEvidence, WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.tx_evidence_since(chain, anchor, txid)
-    }
-
-    fn contract_state(&self, chain: ChainId, contract: ContractId) -> Option<(String, u64)> {
-        self.scope.check_chain(chain);
-        self.inner.contract_state(chain, contract)
-    }
-
-    fn is_billed(&self, txid: &TxId) -> bool {
-        self.inner.is_billed(txid)
-    }
-
-    fn tx_in_flight(&self, chain: ChainId, txid: &TxId) -> bool {
-        self.scope.check_chain(chain);
-        self.inner.tx_in_flight(chain, txid)
-    }
-
-    fn congestion(&mut self, chain: ChainId) -> Result<ChainCongestion, WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.congestion(chain)
-    }
-
-    fn marginal_fee(&mut self, chain: ChainId) -> Result<Option<Amount>, WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.marginal_fee(chain)
-    }
-
-    fn submit(&mut self, chain: ChainId, tx: Transaction) -> Result<TxId, WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.submit(chain, tx)
-    }
-
-    fn replace_tx(
-        &mut self,
-        chain: ChainId,
-        old: TxId,
-        tx: Transaction,
-    ) -> Result<TxId, WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.replace_tx(chain, old, tx)
-    }
-
-    fn record(&mut self, at: Timestamp, kind: EventKind) {
-        self.inner.record(at, kind);
-    }
-
-    fn schedule_outage(&mut self, chain: ChainId, window: OutageWindow) -> Result<(), WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.schedule_outage(chain, window)
-    }
-
-    fn inject_fork(
-        &mut self,
-        chain: ChainId,
-        fork_depth: u64,
-        length: u64,
-    ) -> Result<Vec<BlockHash>, WorldError> {
-        self.scope.check_chain(chain);
-        self.inner.inject_fork(chain, fork_depth, length)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ChainApi;
     use crate::world::World;
     use ac3_chain::ChainParams;
 
@@ -216,8 +99,8 @@ mod tests {
     #[test]
     fn in_scope_calls_pass_through() {
         let (mut world, a, _) = scoped_world();
-        let scope = AuditScope::new("machine 0".into(), "lock".into(), &[a], &[]);
-        let mut api = AuditApi::new(&mut world, &scope);
+        world.begin_audit(AuditScope::new("machine 0".into(), "lock".into(), &[a], &[]));
+        let api: &mut dyn ChainApi = &mut world;
         assert!(api.is_reachable(a));
         assert!(api.chain(a).is_ok());
         assert!(api.anchor(a).is_ok());
@@ -227,16 +110,25 @@ mod tests {
     #[test]
     fn out_of_scope_chain_panics_with_attribution() {
         let (mut world, a, b) = scoped_world();
-        let scope = AuditScope::new("machine 7".into(), "redeem".into(), &[a], &[]);
+        world.begin_audit(AuditScope::new("machine 7".into(), "redeem".into(), &[a], &[]));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let api = AuditApi::new(&mut world, &scope);
-            let _ = api.chain(b);
+            let _ = ChainApi::chain(&world, b);
         }))
         .expect_err("audit must panic");
         let msg = err.downcast_ref::<String>().expect("string panic payload");
         assert!(msg.contains("machine 7"), "message names the machine: {msg}");
         assert!(msg.contains("redeem"), "message names the phase: {msg}");
         assert!(msg.contains(&format!("{b}")), "message names the chain: {msg}");
+    }
+
+    #[test]
+    fn scope_ends_with_end_audit() {
+        let (mut world, a, b) = scoped_world();
+        world.begin_audit(AuditScope::new("machine 1".into(), "lock".into(), &[a], &[]));
+        world.end_audit();
+        let api: &mut dyn ChainApi = &mut world;
+        assert!(api.chain(b).is_ok(), "a scope must not outlive its poll");
+        assert!(api.congestion(b).is_ok());
     }
 
     #[test]

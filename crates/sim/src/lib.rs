@@ -8,8 +8,9 @@
 //!
 //! The protocol drivers in `ac3-core` are written against this crate: they
 //! create a [`world::World`], register [`participant::Participant`]s, apply a
-//! [`faults::FaultPlan`], then execute their phases by submitting
-//! transactions and advancing simulated time.
+//! [`faults::FaultPlan`], then poll their machines through [`World`]'s
+//! [`api::ChainApi`] impl — the only one that does any work — and advance
+//! simulated time between polls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +24,7 @@ pub mod participant;
 pub mod world;
 
 pub use api::{ChainApi, DirectApi, NetworkedApi};
-pub use audit::{AuditApi, AuditScope};
+pub use audit::AuditScope;
 pub use faults::{Fault, FaultPlan, OutageWindow};
 pub use metrics::{
     EventKind, FeeKind, FeeLedger, LatencyStats, SubTransactionRecord, SwapId, Timeline,

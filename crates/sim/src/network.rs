@@ -27,8 +27,8 @@ use serde::{Deserialize, Serialize};
 /// drop decision at `drop_per_mille` ‰.
 ///
 /// All-integer so profiles hash, compare, and serialize exactly; a
-/// [`NetworkProfile::zero`] profile (no latency, no loss) makes the
-/// networked API bitwise-identical to direct calls.
+/// [`NetworkProfile::zero`] profile (no latency, no loss) makes a routed
+/// run bitwise-identical to one with no network attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetworkProfile {
     /// Seed for the per-link RNGs (mixed with each chain id).
@@ -43,15 +43,10 @@ pub struct NetworkProfile {
 
 impl NetworkProfile {
     /// A profile with zero latency and zero loss: messages are applied
-    /// inline at send time, so a networked run under this profile is
-    /// bitwise identical to the direct (synchronous) API.
+    /// inline at send time, so a run under this profile is bitwise
+    /// identical to one with no network attached.
     pub fn zero(seed: u64) -> Self {
         NetworkProfile { seed, latency_min_ms: 0, latency_max_ms: 0, drop_per_mille: 0 }
-    }
-
-    /// Whether this profile can neither delay nor drop a message.
-    pub fn is_zero(&self) -> bool {
-        self.latency_max_ms == 0 && self.drop_per_mille == 0
     }
 }
 
@@ -228,8 +223,7 @@ impl Link {
     /// Whether a message carrying `txid` is still in flight.
     pub fn tx_in_flight(&self, txid: &TxId) -> bool {
         self.queue.iter().any(|m| match &m.payload {
-            Payload::Submit { tx } => tx.id() == *txid,
-            Payload::Replace { tx, .. } => tx.id() == *txid,
+            Payload::Submit { tx } | Payload::Replace { tx, .. } => tx.id() == *txid,
         })
     }
 }
@@ -264,7 +258,6 @@ mod tests {
     #[test]
     fn zero_profile_never_delays_or_drops() {
         let profile = NetworkProfile::zero(123);
-        assert!(profile.is_zero());
         let mut link = Link::new(&profile, ChainId(0));
         for _ in 0..100 {
             assert_eq!(link.sample(&profile), (0, false));

@@ -11,6 +11,7 @@
 //! `ac3_core::scheduler::Scheduler` for a concurrent batch (the batch's
 //! machines then contend for block space in the shared mempools).
 
+use crate::audit::AuditScope;
 use crate::faults::OutageWindow;
 use crate::metrics::{FeeKind, FeeLedger, SwapId, Timeline};
 use crate::network::{FeeEvent, Link, LinkStats, NetworkProfile, Payload};
@@ -161,8 +162,11 @@ pub struct World {
     min_interval_override: Option<u64>,
     /// The attached network profile, if any (see
     /// [`World::attach_network`]): every chain slot then carries a
-    /// [`Link`] and the networked API routes submissions through it.
+    /// [`Link`] that machine submissions route through.
     network: Option<NetworkProfile>,
+    /// Active footprint-audit scope (see [`World::begin_audit`]); not part
+    /// of the world's value, so shards split off start unaudited.
+    audit: Option<AuditScope>,
 }
 
 impl fmt::Debug for World {
@@ -194,6 +198,7 @@ impl World {
             delta_override: None,
             min_interval_override: None,
             network: None,
+            audit: None,
         }
     }
 
@@ -292,10 +297,10 @@ impl World {
     // ------------------------------------------------------------------
 
     /// Attach a network profile: every chain (existing and future) gets a
-    /// message `Link` seeded from the profile, and the networked API
-    /// (`NetworkedApi`) routes submissions and re-bids through those links
-    /// as delayed, droppable messages. Re-attaching replaces the links
-    /// (fresh RNG streams, empty queues).
+    /// message `Link` seeded from the profile, through which the
+    /// [`ChainApi`](crate::ChainApi) impl (not the inherent methods) routes
+    /// submissions and re-bids as delayed, droppable messages. Re-attaching
+    /// replaces the links (fresh RNG streams, empty queues).
     pub fn attach_network(&mut self, profile: NetworkProfile) {
         self.network = Some(profile);
         for (id, slot) in self.chains.iter_mut() {
@@ -325,7 +330,7 @@ impl World {
         stats
     }
 
-    /// Mutable access to a chain's link (send path of the networked API).
+    /// Mutable access to a chain's link (the routed send path).
     pub(crate) fn link_mut(&mut self, chain: ChainId) -> Option<&mut Link> {
         self.chains.get_mut(&chain).and_then(|s| s.link.as_mut())
     }
@@ -333,6 +338,30 @@ impl World {
     /// Whether a message carrying `txid` is still in flight to `chain`.
     pub fn tx_in_flight(&self, chain: ChainId, txid: &TxId) -> bool {
         self.chains.get(&chain).and_then(|s| s.link.as_ref()).is_some_and(|l| l.tx_in_flight(txid))
+    }
+
+    // ------------------------------------------------------------------
+    // Footprint audit
+    // ------------------------------------------------------------------
+
+    /// Start auditing against `scope` (see [`AuditScope`]): until
+    /// [`World::end_audit`], every chain-addressed
+    /// [`ChainApi`](crate::ChainApi) call on a chain outside the scope
+    /// panics. Inherent methods are never audited.
+    pub fn begin_audit(&mut self, scope: AuditScope) {
+        self.audit = Some(scope);
+    }
+
+    /// Stop auditing.
+    pub fn end_audit(&mut self) {
+        self.audit = None;
+    }
+
+    /// Panic if the audit scope is active and does not declare `chain`.
+    pub(crate) fn check_audit(&self, chain: ChainId) {
+        if let Some(scope) = &self.audit {
+            scope.check_chain(chain);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -460,45 +489,12 @@ impl World {
     fn deliver_one(slot: &mut ChainSlot, at: Timestamp) {
         let link = slot.link.as_mut().expect("deliver_one only runs with a link");
         let msg = link.pop_due(at).expect("caller checked a message is due");
-        match msg.payload {
-            Payload::Submit { tx } => {
-                let fee = tx.fee;
-                let kind = match &tx.kind {
-                    TxKind::Deploy { .. } => Some(FeeKind::Deploy),
-                    TxKind::Call { .. } => Some(FeeKind::Call),
-                    TxKind::Transfer { .. } => Some(FeeKind::Transfer),
-                    TxKind::Coinbase { .. } => None,
-                };
-                match slot.chain.submit_with_evictions(tx) {
-                    Ok((txid, evicted)) => {
-                        let link = slot.link.as_mut().expect("checked above");
-                        link.stats.delivered += 1;
-                        link.outbox.push(FeeEvent::Bill {
-                            txid,
-                            kind,
-                            fee,
-                            swap: msg.attribution,
-                            evicted: evicted.iter().map(|t| t.id()).collect(),
-                        });
-                    }
-                    Err(_) => {
-                        slot.link.as_mut().expect("checked above").stats.nacked += 1;
-                    }
-                }
+        match apply(&mut slot.chain, msg.payload, msg.attribution) {
+            Ok((_, event)) => {
+                link.stats.delivered += 1;
+                link.outbox.push(event);
             }
-            Payload::Replace { old, tx } => {
-                let fee = tx.fee;
-                match slot.chain.replace(&old, tx) {
-                    Ok((new, _replaced)) => {
-                        let link = slot.link.as_mut().expect("checked above");
-                        link.stats.delivered += 1;
-                        link.outbox.push(FeeEvent::Reprice { old, new, fee });
-                    }
-                    Err(_) => {
-                        slot.link.as_mut().expect("checked above").stats.nacked += 1;
-                    }
-                }
-            }
+            Err(_) => link.stats.nacked += 1,
         }
     }
 
@@ -519,18 +515,23 @@ impl World {
             }
         }
         for (chain, event) in events {
-            match event {
-                FeeEvent::Bill { txid, kind, fee, swap, evicted } => {
-                    for dropped in &evicted {
-                        self.fees.refund(dropped);
-                    }
-                    if let Some(kind) = kind {
-                        self.fees.bill(chain, txid, kind, fee, swap);
-                    }
+            self.book(chain, event);
+        }
+    }
+
+    /// Book one fee event in the world ledger.
+    fn book(&mut self, chain: ChainId, event: FeeEvent) {
+        match event {
+            FeeEvent::Bill { txid, kind, fee, swap, evicted } => {
+                for dropped in &evicted {
+                    self.fees.refund(dropped);
                 }
-                FeeEvent::Reprice { old, new, fee } => {
-                    self.fees.reprice(&old, new, fee);
+                if let Some(kind) = kind {
+                    self.fees.bill(chain, txid, kind, fee, swap);
                 }
+            }
+            FeeEvent::Reprice { old, new, fee } => {
+                self.fees.reprice(&old, new, fee);
             }
         }
     }
@@ -581,30 +582,7 @@ impl World {
     /// nothing, and a pending transaction priced out of a full mempool by a
     /// higher bid gets its fee refunded.
     pub fn submit(&mut self, chain: ChainId, tx: Transaction) -> Result<TxId, WorldError> {
-        // An unknown chain is a caller bug, not a network partition; only
-        // chains that exist can be unreachable.
-        if !self.chains.contains_key(&chain) {
-            return Err(WorldError::UnknownChain(chain));
-        }
-        if !self.is_reachable(chain) {
-            return Err(WorldError::ChainUnreachable(chain));
-        }
-        let fee = tx.fee;
-        let kind = match &tx.kind {
-            TxKind::Deploy { .. } => Some(FeeKind::Deploy),
-            TxKind::Call { .. } => Some(FeeKind::Call),
-            TxKind::Transfer { .. } => Some(FeeKind::Transfer),
-            TxKind::Coinbase { .. } => None,
-        };
-        let slot = self.chains.get_mut(&chain).expect("checked above");
-        let (txid, evicted) = slot.chain.submit_with_evictions(tx)?;
-        for dropped in &evicted {
-            self.fees.refund(&dropped.id());
-        }
-        if let Some(kind) = kind {
-            self.fees.bill(chain, txid, kind, fee, self.fee_attribution);
-        }
-        Ok(txid)
+        self.apply_now(chain, Payload::Submit { tx })
     }
 
     /// Replace-by-fee: swap a pending transaction for a strictly
@@ -618,16 +596,27 @@ impl World {
         old: TxId,
         tx: Transaction,
     ) -> Result<TxId, WorldError> {
+        self.apply_now(chain, Payload::Replace { old, tx })
+    }
+
+    /// Apply a mempool operation to `chain` at once and book its fee
+    /// event, respecting injected outages.
+    pub(crate) fn apply_now(
+        &mut self,
+        chain: ChainId,
+        payload: Payload,
+    ) -> Result<TxId, WorldError> {
+        // An unknown chain is a caller bug, not a network partition; only
+        // chains that exist can be unreachable.
         if !self.chains.contains_key(&chain) {
             return Err(WorldError::UnknownChain(chain));
         }
         if !self.is_reachable(chain) {
             return Err(WorldError::ChainUnreachable(chain));
         }
-        let fee = tx.fee;
         let slot = self.chains.get_mut(&chain).expect("checked above");
-        let (txid, _replaced) = slot.chain.replace(&old, tx)?;
-        self.fees.reprice(&old, txid, fee);
+        let (txid, event) = apply(&mut slot.chain, payload, self.fee_attribution)?;
+        self.book(chain, event);
         Ok(txid)
     }
 
@@ -832,6 +821,36 @@ impl World {
                 slot.chain.state() == &oracle,
                 "incremental state of {id} diverged from the replay oracle"
             );
+        }
+    }
+}
+
+/// Apply one mempool operation to `chain`, returning the admitted id and
+/// the fee-ledger event it owes. The one definition of billing: the
+/// inherent path books the event at once, link delivery queues it on the
+/// link's outbox. Coinbases are never billed.
+fn apply(
+    chain: &mut Blockchain,
+    payload: Payload,
+    swap: Option<SwapId>,
+) -> Result<(TxId, FeeEvent), ChainError> {
+    match payload {
+        Payload::Submit { tx } => {
+            let fee = tx.fee;
+            let kind = match &tx.kind {
+                TxKind::Deploy { .. } => Some(FeeKind::Deploy),
+                TxKind::Call { .. } => Some(FeeKind::Call),
+                TxKind::Transfer { .. } => Some(FeeKind::Transfer),
+                TxKind::Coinbase { .. } => None,
+            };
+            let (txid, evicted) = chain.submit_with_evictions(tx)?;
+            let evicted = evicted.iter().map(|t| t.id()).collect();
+            Ok((txid, FeeEvent::Bill { txid, kind, fee, swap, evicted }))
+        }
+        Payload::Replace { old, tx } => {
+            let fee = tx.fee;
+            let (new, _replaced) = chain.replace(&old, tx)?;
+            Ok((new, FeeEvent::Reprice { old, new, fee }))
         }
     }
 }
