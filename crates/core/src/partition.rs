@@ -10,8 +10,8 @@
 //! scheduler splits the world along these components
 //! ([`ac3_sim::World::split_shard`]) and runs each shard on a worker
 //! thread; within a shard, machines poll in submission order exactly as
-//! the serial scheduler would, so the parallel run is not merely
-//! *equivalent* to the serial one — per shard it is the *same
+//! the unsplit run would, so the parallel run is not merely
+//! *equivalent* to the unsplit one — per shard it is the *same
 //! computation*, which is what makes the scheduler's output bitwise
 //! reproducible at any worker count.
 //!

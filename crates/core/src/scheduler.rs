@@ -42,7 +42,7 @@
 //! ```
 
 use crate::driver::{MachineFootprint, Step, SwapMachine};
-use crate::partition::partition_batch;
+use crate::partition::{partition_batch, Shard as Component};
 use crate::protocol::{ProtocolError, SwapReport};
 use ac3_chain::{Amount, ChainId, Timestamp};
 use ac3_sim::{NetworkProfile, ParticipantSet, SwapId, World};
@@ -55,11 +55,12 @@ pub struct Scheduler {
     /// still unfinished when it is exhausted fail with a timeout error
     /// (protects callers from a livelocked machine).
     pub max_ms: u64,
-    /// Worker threads for [`Scheduler::run`]: 1 polls every machine on the
-    /// calling thread (the serial reference loop); above 1 the batch is
-    /// partitioned into data-disjoint shards (see [`crate::partition`])
-    /// polled concurrently, with results bitwise identical to the serial
-    /// loop at any worker count.
+    /// Worker threads for [`Scheduler::run`]: 1 runs the batch as one
+    /// unsplit shard over the whole world on the calling thread (the
+    /// reference run); above 1 the batch is partitioned into data-disjoint
+    /// shards (see [`crate::partition`]) polled concurrently by the same
+    /// tick loop, with results bitwise identical to the unsplit run at any
+    /// worker count. [`Scheduler::run_assigned`] always runs unsplit.
     pub workers: usize,
     /// Message-level network conditions attached to the world before the
     /// batch starts (see [`ac3_sim::World::attach_network`]): every machine
@@ -72,7 +73,7 @@ pub struct Scheduler {
     /// set during every poll: touching a chain or actor outside the
     /// machine's declared [`MachineFootprint`] panics with the machine id,
     /// phase and offending resource instead of silently aliasing state the
-    /// serial path happens to have in reach. Defaults to the
+    /// unsplit run happens to have in reach. Defaults to the
     /// `AC3_FOOTPRINT_AUDIT` environment variable
     /// ([`crate::driver::footprint_audit_enabled`]); audited runs that
     /// don't panic are bitwise identical to unaudited ones.
@@ -248,8 +249,7 @@ pub struct FeeMarketStats {
     pub mean_fee_per_tx: f64,
 }
 
-/// One swap of a batch, in either path: the serial loop holds every slot
-/// against the whole world, the parallel path hands each shard its own.
+/// One swap of a batch. Every slot belongs to exactly one [`Shard`].
 struct Slot {
     /// Index in the batch's submission order: names the deferred seed to
     /// launch from, and restores outcome order after shards complete out
@@ -293,48 +293,53 @@ impl Slot {
     }
 }
 
-/// The poll pass both paths share: every unfinished slot whose wake-up
-/// time has come is polled once, in submission order, with its fees
-/// attributed to its swap. A deferred slot is launched first — after the
-/// polls of the slots ahead of it, so `launch` sees what they just
-/// submitted.
-fn poll_due(
-    slots: &mut [Slot],
-    world: &mut World,
-    participants: &mut ParticipantSet,
-    audit: bool,
-    launch: &mut Launch,
-) {
-    let now = world.now();
-    for slot in slots.iter_mut().filter(|s| s.done.is_none() && now >= s.not_before) {
-        let machine = match &mut slot.machine {
-            Some(machine) => machine,
-            None => {
-                let (witness, machine) = launch(world, slot.index);
-                slot.witness = Some(witness);
-                slot.machine.insert(machine)
-            }
-        };
-        world.set_fee_attribution(Some(slot.id));
-        match crate::driver::poll_machine_audited(
-            machine.as_mut(),
-            world,
-            participants,
-            audit,
-            Some(slot.id.0),
-        ) {
-            Ok(Step::Done(report)) => slot.done = Some(Ok(*report)),
-            Ok(Step::Waiting { not_before }) => slot.not_before = not_before,
-            Err(e) => slot.done = Some(Err(e)),
-        }
-        world.set_fee_attribution(None);
-    }
+/// A set of slots plus the world and participants they poll against:
+/// either the caller's own, for a batch run as one unsplit shard, or a
+/// component moved out of them ([`World::split_shard`],
+/// [`ParticipantSet::split_off`]) that a worker owns outright. `Send`
+/// because every constituent is (`World` and `ParticipantSet` own their
+/// data; machines carry the `SwapMachine: Send` supertrait bound).
+struct Shard<'a> {
+    world: &'a mut World,
+    participants: &'a mut ParticipantSet,
+    slots: Vec<Slot>,
 }
 
-/// The earliest instant any unfinished slot asked to be polled again;
-/// `None` once the whole batch is done.
-fn next_wake<'a>(slots: impl Iterator<Item = &'a Slot>) -> Option<Timestamp> {
-    slots.filter(|s| s.done.is_none()).map(|s| s.not_before).min()
+impl Shard<'_> {
+    /// One tick of this shard: advance its clock by the batch-wide `dt`,
+    /// then poll every unfinished slot whose wake-up time has come, once,
+    /// in submission order, with its fees attributed to its swap. A
+    /// deferred slot is launched first — after the polls of the slots
+    /// ahead of it, so `launch` sees what they just submitted.
+    fn tick(&mut self, dt: u64, audit: bool, launch: &mut Launch) {
+        if dt > 0 {
+            self.world.advance(dt);
+        }
+        let now = self.world.now();
+        for slot in self.slots.iter_mut().filter(|s| s.done.is_none() && now >= s.not_before) {
+            let machine = match &mut slot.machine {
+                Some(machine) => machine,
+                None => {
+                    let (witness, machine) = launch(self.world, slot.index);
+                    slot.witness = Some(witness);
+                    slot.machine.insert(machine)
+                }
+            };
+            self.world.set_fee_attribution(Some(slot.id));
+            match crate::driver::poll_machine_audited(
+                machine.as_mut(),
+                self.world,
+                self.participants,
+                audit,
+                Some(slot.id.0),
+            ) {
+                Ok(Step::Done(report)) => slot.done = Some(Ok(*report)),
+                Ok(Step::Waiting { not_before }) => slot.not_before = not_before,
+                Err(e) => slot.done = Some(Err(e)),
+            }
+            self.world.set_fee_attribution(None);
+        }
+    }
 }
 
 impl Scheduler {
@@ -365,8 +370,7 @@ impl Scheduler {
     }
 
     /// Attach the configured network profile to the world, once, before
-    /// the first poll — so both batch entry points and the parallel path's
-    /// shard splitting all see the links in place.
+    /// the first poll — so a split shard carries its links with it.
     fn attach_network(&self, world: &mut World) {
         if let Some(profile) = self.network {
             if !world.network_attached() {
@@ -385,9 +389,15 @@ impl Scheduler {
     /// as it does for a single swap, so an N = 1 batch reproduces
     /// [`crate::driver::drive`] tick for tick.
     ///
-    /// With [`Scheduler::workers`] above 1 the batch runs through
-    /// [`Scheduler::run_parallel`] instead; swap outcomes, fee ledgers and
-    /// tick counts are identical either way.
+    /// With [`Scheduler::workers`] above 1 the batch is split into one
+    /// shard per data-disjoint component and the shards are polled across
+    /// the workers in lockstep. Within a shard machines poll in submission
+    /// order against state only they can reach, and across shards there is
+    /// no shared state, so swap outcomes, fee ledgers and tick counts are
+    /// bitwise identical at any worker count. The one permitted difference
+    /// from the unsplit run is the relative order of same-timestamp events
+    /// from unrelated shards in the world's global timeline: shards are
+    /// absorbed in first-machine order, not poll-interleaving order.
     pub fn run(
         &self,
         world: &mut World,
@@ -395,9 +405,6 @@ impl Scheduler {
         machines: Vec<(SwapId, Box<dyn SwapMachine>)>,
     ) -> BatchReport {
         self.attach_network(world);
-        if self.workers > 1 {
-            return self.run_parallel(world, participants, machines, self.workers);
-        }
         let slots = machines
             .into_iter()
             .enumerate()
@@ -416,9 +423,9 @@ impl Scheduler {
     /// self-balances across the k witness networks instead of splitting
     /// statically.
     ///
-    /// Always runs the serial loop: [`Scheduler::workers`] is ignored,
-    /// because a launch-time assignment needs the global view of every
-    /// witness mempool that sharding takes away.
+    /// Always runs as one unsplit shard on the calling thread, whatever
+    /// [`Scheduler::workers`] says: a launch-time assignment needs the
+    /// global view of every witness mempool that splitting takes away.
     pub fn run_assigned(
         &self,
         world: &mut World,
@@ -477,30 +484,79 @@ impl Scheduler {
         }
     }
 
-    /// The serial reference loop: the whole world, never split.
+    /// The batch's data-disjoint components ([`crate::partition`]), one
+    /// shard each, or `None` to run the batch as one unsplit shard over
+    /// the caller's world. The batch stays unsplit at one worker, while a
+    /// slot is still a deferred seed, and when a footprint names a chain
+    /// the world does not hold (the unsplit run then surfaces that error
+    /// per machine).
+    ///
+    /// One worker is never split: the unsplit run is the reference that
+    /// split runs are compared against, and the footprint audit relies on
+    /// it (a split shard holds only its own chains and actors, so an
+    /// under-declared footprint fails there for lack of state, not with
+    /// the audit's attribution).
+    fn components(&self, world: &World, slots: &[Slot]) -> Option<Vec<Component>> {
+        if self.workers <= 1 {
+            return None;
+        }
+        let footprints = slots
+            .iter()
+            .map(|slot| slot.machine.as_ref().map(|machine| machine.footprint()))
+            .collect::<Option<Vec<MachineFootprint>>>()?;
+        if footprints.iter().flat_map(|f| &f.chains).any(|c| world.chain(*c).is_err()) {
+            return None;
+        }
+        Some(partition_batch(&footprints))
+    }
+
+    /// Run `slots` as shards, then reassemble: absorb split shards in
+    /// component order and restore the submission order of outcomes.
     fn run_slots(
         &self,
         world: &mut World,
         participants: &mut ParticipantSet,
-        mut slots: Vec<Slot>,
+        slots: Vec<Slot>,
         launch: &mut Launch,
     ) -> BatchReport {
         let started_at = world.now();
-        let mut ticks = 0u64;
-
-        loop {
-            poll_due(&mut slots, world, participants, self.audit, launch);
-            let Some(next) = next_wake(slots.iter()) else { break };
-            if self.budget_exhausted(world, started_at) {
-                self.fail_unfinished(slots.iter_mut());
-                break;
+        let mut split: Vec<(World, ParticipantSet, Vec<Slot>)> = Vec::new();
+        let (residual, mut shards) = match self.components(world, &slots) {
+            None => {
+                (None, vec![Shard { world: &mut *world, participants: &mut *participants, slots }])
             }
-            // One tick: advance to the earliest instant any pending machine
-            // wants to be polled again.
-            world.advance(next.saturating_sub(world.now()).max(1));
-            ticks += 1;
+            Some(components) => {
+                let mut slots: Vec<Option<Slot>> = slots.into_iter().map(Some).collect();
+                split = components
+                    .iter()
+                    .map(|component| {
+                        let take = |&i: &usize| slots[i].take().expect("each slot joins one shard");
+                        let slots: Vec<Slot> = component.machines.iter().map(take).collect();
+                        let swaps: Vec<SwapId> = slots.iter().map(|slot| slot.id).collect();
+                        let shard_world = world
+                            .split_shard(&component.chains, &swaps)
+                            .expect("components checked every footprint chain");
+                        (shard_world, participants.split_off(&component.actors), slots)
+                    })
+                    .collect();
+                let shards = split
+                    .iter_mut()
+                    .map(|(world, participants, slots)| Shard {
+                        world,
+                        participants,
+                        slots: std::mem::take(slots),
+                    })
+                    .collect();
+                (Some(&mut *world), shards)
+            }
+        };
+        let ticks = self.tick_loop(residual, &mut shards, launch, started_at);
+        let mut slots: Vec<Slot> = shards.into_iter().flat_map(|shard| shard.slots).collect();
+        for (shard_world, shard_participants, _) in split {
+            world.absorb_shard(shard_world);
+            participants.absorb(shard_participants);
         }
-
+        slots.sort_by_key(|slot| slot.index);
         BatchReport {
             outcomes: slots.into_iter().map(Slot::into_outcome).collect(),
             started_at,
@@ -509,196 +565,74 @@ impl Scheduler {
         }
     }
 
-    fn budget_exhausted(&self, world: &World, started_at: Timestamp) -> bool {
-        world.now().saturating_sub(started_at) >= self.max_ms
-    }
-
-    /// The simulated-time budget ran out: every swap still in flight fails.
-    fn fail_unfinished<'a>(&self, slots: impl Iterator<Item = &'a mut Slot>) {
-        for slot in slots.filter(|s| s.done.is_none()) {
-            slot.done = Some(Err(ProtocolError::World(format!(
-                "scheduler budget of {} ms exhausted in phase {}",
-                self.max_ms,
-                slot.phase_name()
-            ))));
-        }
-    }
-
-    /// Run a batch across `workers` threads by splitting it into
-    /// data-disjoint shards.
+    /// The one tick loop, for one shard or many; returns the number of
+    /// ticks that advanced the clock. Each iteration:
     ///
-    /// Machines are grouped into connected components of footprint overlap
-    /// ([`crate::partition::partition_batch`]); each component's chains,
-    /// actors, and fee-ledger slices are *moved* out of the world
-    /// ([`World::split_shard`]) into a shard a worker owns outright. Every
-    /// tick has two phases in lockstep:
+    /// 1. **Parallel phase** — the shards are cut into contiguous stripes,
+    ///    one per worker. Every shard advances its clock by the batch-wide
+    ///    `dt` (mining, base-fee updates and mempool maintenance run
+    ///    concurrently across shards), then polls its due machines. The
+    ///    first stripe runs on the calling thread instead of parking at the
+    ///    join, together with the advance of `residual` — the machine-free
+    ///    chains a split leaves in the caller's world — and with `launch`,
+    ///    which only an unsplit shard calls.
+    /// 2. **Merge barrier** — the scope joins; the scheduler folds the
+    ///    slots' done flags and wake-up times, applies the simulated-time
+    ///    budget, and picks the next `dt`: the earliest instant any pending
+    ///    machine asked to be polled again.
     ///
-    /// 1. **Parallel phase** — each worker advances its shards' clocks by
-    ///    the batch-wide `dt` (mining, base-fee updates, and mempool
-    ///    maintenance run concurrently across shards, and chains that no
-    ///    machine touches mine on the scheduler thread), then polls its
-    ///    shards' due machines in submission order.
-    /// 2. **Merge barrier** — the scheduler thread joins the scope, folds
-    ///    the per-shard done flags and wake-up times, and picks the next
-    ///    batch-wide `dt` exactly as the serial loop does.
-    ///
-    /// **Determinism.** Within a shard, machines poll in submission order
-    /// against state only they can reach — the same instruction stream the
-    /// serial loop would execute for those machines. Across shards there
-    /// is no shared state at all, so thread interleaving has nothing to
-    /// observe. Swap reports, fee ledgers, tick counts, and outcome order
-    /// are therefore bitwise identical at *any* worker count, and identical
-    /// to [`Scheduler::run`]'s serial loop; the one permitted difference
-    /// from the serial loop is the relative order of *same-timestamp*
-    /// events from unrelated shards in the world's global timeline (shards
-    /// are absorbed in first-machine order, not poll-interleaving order).
-    ///
-    /// A footprint naming a chain the world does not hold falls back to
-    /// the serial loop, which surfaces the error per machine.
-    pub fn run_parallel(
+    /// The first iteration has `dt = 0`, so it only polls.
+    fn tick_loop(
         &self,
-        world: &mut World,
-        participants: &mut ParticipantSet,
-        machines: Vec<(SwapId, Box<dyn SwapMachine>)>,
-        workers: usize,
-    ) -> BatchReport {
-        let footprints: Vec<MachineFootprint> =
-            machines.iter().map(|(_, m)| m.footprint()).collect();
-        if footprints.iter().flat_map(|f| f.chains.iter()).any(|c| world.chain(*c).is_err()) {
-            let serial = Scheduler { workers: 1, ..self.clone() };
-            return serial.run(world, participants, machines);
-        }
-        let components = partition_batch(&footprints);
-
-        // Carve one shard task per component out of the world.
-        let mut machines: Vec<Option<(SwapId, Box<dyn SwapMachine>)>> =
-            machines.into_iter().map(Some).collect();
-        let started_at = world.now();
-        let mut tasks: Vec<ShardTask> = Vec::with_capacity(components.len());
-        for component in &components {
-            let swaps: Vec<SwapId> = component
-                .machines
-                .iter()
-                .map(|&i| machines[i].as_ref().expect("each machine joins one shard").0)
-                .collect();
-            let shard_world = world
-                .split_shard(&component.chains, &swaps)
-                .expect("footprint chains verified above");
-            let shard_participants = participants.split_off(&component.actors);
-            let slots = component
-                .machines
-                .iter()
-                .map(|&i| {
-                    let (id, machine) = machines[i].take().expect("each machine joins one shard");
-                    Slot::new(i, id, Some(machine), started_at)
-                })
-                .collect();
-            tasks.push(ShardTask {
-                world: shard_world,
-                participants: shard_participants,
-                slots,
-                audit: self.audit,
-            });
-        }
-
-        let mut ticks = 0u64;
-        let mut dt = 0u64;
+        mut residual: Option<&mut World>,
+        shards: &mut [Shard],
+        launch: &mut Launch,
+        started_at: Timestamp,
+    ) -> u64 {
+        let stripe = shards.len().div_ceil(self.workers.max(1).min(shards.len().max(1))).max(1);
+        let audit = self.audit;
+        let (mut now, mut dt, mut ticks) = (started_at, 0u64, 0u64);
         loop {
-            // Parallel phase: advance every shard by the batch-wide dt,
-            // then poll due machines — shard-local serial order inside,
-            // no shared state across.
-            let stripe = tasks.len().div_ceil(workers.max(1).min(tasks.len().max(1)));
             std::thread::scope(|scope| {
-                let mut chunks = tasks.chunks_mut(stripe.max(1));
-                // Run the first stripe on the scheduler thread (alongside
-                // the residual, machine-free chains) instead of parking it
-                // at the join barrier.
-                let local = chunks.next();
-                for chunk in chunks {
+                let mut stripes = shards.chunks_mut(stripe);
+                let local = stripes.next();
+                for stripe in stripes {
                     scope.spawn(move || {
-                        for task in chunk {
-                            task.step(dt);
+                        for shard in stripe {
+                            shard.tick(dt, audit, &mut |_, _| {
+                                unreachable!("only an unsplit shard holds deferred seeds")
+                            });
                         }
                     });
                 }
-                if dt > 0 {
+                if let Some(world) = residual.as_deref_mut().filter(|_| dt > 0) {
                     world.advance(dt);
                 }
-                if let Some(chunk) = local {
-                    for task in chunk {
-                        task.step(dt);
-                    }
+                for shard in local.into_iter().flatten() {
+                    shard.tick(dt, audit, launch);
                 }
             });
             if dt > 0 {
+                now += dt;
                 ticks += 1;
             }
 
-            // Merge barrier: fold shard summaries, decide the next dt —
-            // the same decisions, in the same order, as the serial loop.
-            let Some(next) = next_wake(tasks.iter().flat_map(|t| t.slots.iter())) else { break };
-            if self.budget_exhausted(world, started_at) {
-                self.fail_unfinished(tasks.iter_mut().flat_map(|t| t.slots.iter_mut()));
+            let pending = shards.iter().flat_map(|shard| &shard.slots).filter(|s| s.done.is_none());
+            let Some(next) = pending.map(|slot| slot.not_before).min() else { break };
+            if now.saturating_sub(started_at) >= self.max_ms {
+                let pending = shards.iter_mut().flat_map(|shard| &mut shard.slots);
+                for slot in pending.filter(|s| s.done.is_none()) {
+                    slot.done = Some(Err(ProtocolError::World(format!(
+                        "scheduler budget of {} ms exhausted in phase {}",
+                        self.max_ms,
+                        slot.phase_name()
+                    ))));
+                }
                 break;
             }
-            dt = next.saturating_sub(world.now()).max(1);
+            dt = next.saturating_sub(now).max(1);
         }
-
-        // Reassemble: absorb shards in deterministic component order and
-        // restore the original outcome order.
-        let finished_at = world.now();
-        let mut outcomes: Vec<Option<SwapOutcome>> = Vec::new();
-        outcomes.resize_with(machines.len(), || None);
-        for task in tasks {
-            world.absorb_shard(task.world);
-            participants.absorb(task.participants);
-            for slot in task.slots {
-                let index = slot.index;
-                outcomes[index] = Some(slot.into_outcome());
-            }
-        }
-        BatchReport {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every machine joined exactly one shard"))
-                .collect(),
-            started_at,
-            finished_at,
-            ticks,
-        }
-    }
-}
-
-/// One worker-owned shard: a split-off world, the participants its
-/// machines sign for, and the machines themselves. `Send` because every
-/// constituent is (`World` and `ParticipantSet` own their data; machines
-/// carry the `SwapMachine: Send` supertrait bound).
-struct ShardTask {
-    world: World,
-    participants: ParticipantSet,
-    slots: Vec<Slot>,
-    /// Whether polls run behind the footprint-audit sanitizer (see
-    /// [`Scheduler::audit`]).
-    audit: bool,
-}
-
-impl ShardTask {
-    /// One lockstep tick of this shard: advance the shard clock by the
-    /// batch-wide `dt`, then run the poll pass restricted to this shard.
-    /// Shards never hold deferred seeds — witness assignment is a global
-    /// decision only the serial launcher makes (see
-    /// [`Scheduler::run_assigned`]).
-    fn step(&mut self, dt: u64) {
-        if dt > 0 {
-            self.world.advance(dt);
-        }
-        poll_due(
-            &mut self.slots,
-            &mut self.world,
-            &mut self.participants,
-            self.audit,
-            &mut |_, _| unreachable!("shards hold launched machines only"),
-        );
+        ticks
     }
 }
 
@@ -939,28 +873,63 @@ mod tests {
         use ac3_chain::ChainParams;
         // With no pre-existing congestion the tie-breaks (fewest
         // assignments, then chain order) spread the batch evenly — least
-        // loaded degrades to a balanced split, never to a pile-up.
-        let asset_params =
-            (0..2).map(|i| ChainParams::fast(&format!("asset-{i}"), 1_000)).collect();
-        let witness_params =
-            (0..2).map(|i| ChainParams::fast(&format!("witness-{i}"), 1_000)).collect();
-        let mut s =
-            crate::scenario::concurrent_swaps_multi_witness(4, asset_params, witness_params, 1_000);
-        let driver = Ac3wn::new(protocol_cfg());
-        let seeds = s
-            .seeds_with(move |swap, witness| Box::new(driver.machine(swap.graph.clone(), witness)));
-        let witness_chains = s.witness_chains.clone();
-        let batch = Scheduler::default().run_assigned(
-            &mut s.world,
-            &mut s.participants,
-            &witness_chains,
-            WitnessAssignment::LeastLoaded,
-            seeds,
-        );
-        assert_eq!(batch.committed(), 4);
-        let counts = batch.witness_assignments();
+        // loaded degrades to a balanced split, never to a pile-up. Deferred
+        // seeds keep the batch one unsplit shard, so four workers must
+        // reproduce the one-worker run exactly.
+        let run = |workers: usize| {
+            let asset_params =
+                (0..2).map(|i| ChainParams::fast(&format!("asset-{i}"), 1_000)).collect();
+            let witness_params =
+                (0..2).map(|i| ChainParams::fast(&format!("witness-{i}"), 1_000)).collect();
+            let mut s = crate::scenario::concurrent_swaps_multi_witness(
+                4,
+                asset_params,
+                witness_params,
+                1_000,
+            );
+            let driver = Ac3wn::new(protocol_cfg());
+            let seeds = s.seeds_with(move |swap, witness| {
+                Box::new(driver.machine(swap.graph.clone(), witness))
+            });
+            let witness_chains = s.witness_chains.clone();
+            let batch = Scheduler::default().with_workers(workers).run_assigned(
+                &mut s.world,
+                &mut s.participants,
+                &witness_chains,
+                WitnessAssignment::LeastLoaded,
+                seeds,
+            );
+            assert_eq!(batch.committed(), 4);
+            let reports: Vec<String> = batch
+                .outcomes
+                .iter()
+                .map(|o| serde_json::to_string(o.result.as_ref().unwrap()).unwrap())
+                .collect();
+            (witness_chains, batch.witness_assignments(), batch.ticks, batch.finished_at, reports)
+        };
+        let serial = run(1);
+        let (witness_chains, counts, ..) = &serial;
         assert_eq!(counts.get(&witness_chains[0]), Some(&2));
         assert_eq!(counts.get(&witness_chains[1]), Some(&2));
+        assert_eq!(run(4), serial);
+    }
+
+    #[test]
+    fn empty_batch_takes_no_ticks() {
+        for workers in [1, 4] {
+            let mut s = concurrent_swaps_scenario(1, 2, &ScenarioConfig::default());
+            let before = s.world.now();
+            let batch = Scheduler::default().with_workers(workers).run(
+                &mut s.world,
+                &mut s.participants,
+                Vec::new(),
+            );
+            assert!(batch.outcomes.is_empty());
+            assert_eq!(batch.ticks, 0);
+            assert_eq!(batch.started_at, before);
+            assert_eq!(batch.finished_at, batch.started_at);
+            assert_eq!(s.world.now(), before, "{workers} workers moved the clock");
+        }
     }
 
     #[test]

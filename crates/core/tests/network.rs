@@ -138,7 +138,7 @@ fn counter(stats: &serde_json::Value, key: &str) -> u64 {
     stats.as_object().and_then(|o| o.get(key)).and_then(|v| v.as_u64()).expect("counter present")
 }
 
-/// Worker counts under test: 1 (the serial reference loop), 2 and 4, plus
+/// Worker counts under test: 1 (the unsplit reference run), 2 and 4, plus
 /// anything the CI matrix injects via `AC3_DETERMINISM_WORKERS`.
 fn worker_counts() -> Vec<usize> {
     let mut counts = vec![1, 2, 4];

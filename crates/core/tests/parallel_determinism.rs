@@ -114,7 +114,7 @@ fn fingerprint(workers: usize) -> (String, Vec<String>) {
     (serde_json::to_string(&fp).unwrap(), raw_timeline)
 }
 
-/// Worker counts under test: 1 (the serial reference loop), 2, 4, 8, plus
+/// Worker counts under test: 1 (the unsplit reference run), 2, 4, 8, plus
 /// anything the CI matrix injects via `AC3_DETERMINISM_WORKERS`.
 fn worker_counts() -> Vec<usize> {
     let mut counts = vec![1, 2, 4, 8];
@@ -188,7 +188,7 @@ fn worker_surplus_changes_nothing() {
 }
 
 /// The parallel path must enforce the simulated-time budget with the same
-/// error text and the same cutoff as the serial loop.
+/// error text and the same cutoff as the unsplit run.
 #[test]
 fn parallel_budget_exhaustion_matches_serial() {
     let run = |workers: usize| {
@@ -245,8 +245,9 @@ fn adversarial_campaign_is_bitwise_identical_at_every_worker_count() {
     }
 }
 
-/// A footprint naming a chain the world does not hold must fall back to
-/// the serial loop and surface per-machine errors rather than panicking.
+/// A footprint naming a chain the world does not hold must run the batch
+/// as one unsplit shard and surface per-machine errors rather than
+/// panicking.
 #[test]
 fn unknown_footprint_chain_falls_back_to_serial() {
     use ac3_chain::ChainId;

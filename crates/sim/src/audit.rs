@@ -7,7 +7,7 @@
 //! footprints being *conservative*: a machine that reaches beyond its
 //! footprint aliases state another shard owns. Under the sharded path an
 //! under-declared chain surfaces as a hard `UnknownChain` error, but the
-//! serial reference path (`workers: 1`) hands every machine the whole
+//! unsplit reference run (`workers: 1`) hands every machine the whole
 //! world, so the same bug passes silently — until someone bumps the worker
 //! count. The audit closes that gap: enabled via the
 //! `AC3_FOOTPRINT_AUDIT=1` environment variable (or
