@@ -26,6 +26,17 @@
 //! * **Observability** ([`Mempool::min_fee`], [`Mempool::fee_floor`],
 //!   [`Mempool::position`]) exposes queue depth and the going price of
 //!   block space, so rational submitters can decide when to outbid.
+//!
+//! Admission runs its checks cheapest first, as Bitcoin Core runs its
+//! policy `PreChecks` before any script check: the gates that need no
+//! hashing (coinbase, base fee, outbidding the eviction candidate of a full
+//! pool) come before the txid and duplicate check, the input conflicts and,
+//! last, the signature. A submission refused on price is therefore neither
+//! hashed nor verified — under a mempool flood most submissions are exactly
+//! such doomed bids. Every transaction is admitted or refused as it would
+//! be in any other order; only the reported reason of a transaction failing
+//! several checks depends on it (a badly signed bid below the base fee is
+//! `FeeTooLow`).
 
 use crate::transaction::Transaction;
 use crate::types::{Amount, OutPoint, TxId};
@@ -293,20 +304,12 @@ impl Mempool {
             .find(|(txid, _)| !self.is_protected(txid) && !exclude.contains(txid))
     }
 
-    /// Stateless admission checks shared by `submit` and `replace`.
-    /// `exempt` names inputs whose claims are being released by the same
-    /// operation (the replaced transaction's own inputs).
-    fn check_admissible(
-        &self,
-        tx: &Transaction,
-        exempt_inputs: &[OutPoint],
-    ) -> Result<TxId, MempoolError> {
+    /// The price gates of admission, which need no hashing: coinbase
+    /// transactions are refused, and so is a bid below the dynamic base
+    /// fee.
+    fn check_price(&self, tx: &Transaction) -> Result<(), MempoolError> {
         if tx.is_coinbase() {
             return Err(MempoolError::CoinbaseNotAllowed);
-        }
-        let txid = tx.id();
-        if !tx.signature_valid() {
-            return Err(MempoolError::InvalidSignature(txid));
         }
         if tx.fee < self.base_fee {
             // The dynamic base fee is the first gate of the admission
@@ -314,6 +317,20 @@ impl Mempool {
             // strand it.
             return Err(MempoolError::FeeTooLow { offered: tx.fee, floor: self.fee_floor() });
         }
+        Ok(())
+    }
+
+    /// The admission checks that hash, run only once the price gates have
+    /// passed: the txid and duplicate check, input conflicts, and last the
+    /// signature. `exempt_inputs` names inputs whose claims are being
+    /// released by the same operation (the replaced transaction's own
+    /// inputs).
+    fn check_identity(
+        &self,
+        tx: &Transaction,
+        exempt_inputs: &[OutPoint],
+    ) -> Result<TxId, MempoolError> {
+        let txid = tx.id();
         if self.txs.contains_key(&txid) {
             return Err(MempoolError::AlreadyPending(txid));
         }
@@ -321,6 +338,9 @@ impl Mempool {
             if self.claimed_inputs.contains(input) && !exempt_inputs.contains(input) {
                 return Err(MempoolError::ConflictingInput(*input));
             }
+        }
+        if !tx.signature_valid() {
+            return Err(MempoolError::InvalidSignature(txid));
         }
         Ok(txid)
     }
@@ -369,13 +389,17 @@ impl Mempool {
     /// Like [`Mempool::submit`], also returning the transactions evicted to
     /// make room (so callers can undo side effects of their admission,
     /// e.g. fee accounting).
+    ///
+    /// Checks run cheapest first (see the module docs): the coinbase gate,
+    /// the base-fee gate, and in a full pool the bid against the eviction
+    /// candidate; only then the txid and duplicate check, input conflicts
+    /// and the signature, right before the eviction or the insert.
     pub fn submit_with_evictions(
         &mut self,
         tx: Transaction,
     ) -> Result<(TxId, Vec<Transaction>), MempoolError> {
-        let txid = self.check_admissible(&tx, &[])?;
-        let mut evicted = Vec::new();
-        if self.txs.len() >= self.capacity {
+        self.check_price(&tx)?;
+        let victim = if self.txs.len() >= self.capacity {
             // The incoming transaction's own pending parents are off
             // limits: evicting one to admit its child would orphan the
             // child on arrival.
@@ -388,8 +412,13 @@ impl Mempool {
                     floor: victim_fee.saturating_add(1).max(self.base_fee),
                 });
             }
-            evicted.push(self.remove(&victim).expect("candidate is pending"));
-        }
+            Some(victim)
+        } else {
+            None
+        };
+        let txid = self.check_identity(&tx, &[])?;
+        let evicted =
+            victim.into_iter().map(|v| self.remove(&v).expect("candidate is pending")).collect();
         self.insert(txid, tx);
         Ok((txid, evicted))
     }
@@ -401,7 +430,9 @@ impl Mempool {
     /// Rejected when the original is not pending, when the replacement's
     /// fee is not *strictly* higher, or when pending transactions depend on
     /// the original (replacing a deployment would orphan the calls bound to
-    /// its contract id).
+    /// its contract id). Those gates run first; then the admission checks
+    /// of [`Mempool::submit_with_evictions`] in the same cheapest-first
+    /// order, the signature last, before the original is removed.
     pub fn replace(
         &mut self,
         old: &TxId,
@@ -422,8 +453,8 @@ impl Mempool {
         if self.is_protected(old) {
             return Err(MempoolError::ProtectedParent(*old));
         }
-        let exempt: Vec<OutPoint> = old_tx.consumed_inputs().to_vec();
-        let txid = self.check_admissible(&tx, &exempt)?;
+        self.check_price(&tx)?;
+        let txid = self.check_identity(&tx, old_tx.consumed_inputs())?;
         let replaced = self.remove(old).expect("checked pending above");
         self.insert(txid, tx);
         Ok((txid, replaced))
@@ -939,5 +970,73 @@ mod tests {
         let strong = alice.transfer(vec![outpoint(1)], vec![], 8);
         pool.replace(&original.id(), strong.clone()).unwrap();
         assert!(pool.contains(&strong.id()));
+    }
+
+    // ------------------------------------------------------------------
+    // Admission order: price gates first, signature last
+    // ------------------------------------------------------------------
+
+    /// A transfer whose signature does not match it: signed at another fee,
+    /// then re-priced to `fee` before anything observed it.
+    fn badly_signed(b: &mut TxBuilder, input: OutPoint, fee: Amount) -> Transaction {
+        let mut tx = b.transfer(vec![input], vec![], fee + 1);
+        tx.fee = fee;
+        tx
+    }
+
+    #[test]
+    fn a_bad_signature_is_refused_before_anything_is_displaced() {
+        // `invalid_signature_rejected` covers a pool with room; here the
+        // forgery passes every other gate on the two paths that displace
+        // a pending transaction.
+        let mut alice = builder(b"alice");
+
+        // A full pool the forgery outbids: nothing is evicted for it.
+        let mut pool = Mempool::with_capacity(1);
+        let pending = alice.transfer(vec![outpoint(2)], vec![], 2);
+        pool.submit(pending.clone()).unwrap();
+        let forged = badly_signed(&mut alice, outpoint(3), 9);
+        let id = forged.id();
+        assert_eq!(
+            pool.submit_with_evictions(forged).unwrap_err(),
+            MempoolError::InvalidSignature(id)
+        );
+        assert!(pool.contains(&pending.id()), "the eviction candidate is still pending");
+        assert_eq!(pool.len(), 1);
+
+        // Replace-by-fee: the original is not removed for it.
+        let mut pool = Mempool::new();
+        let original = alice.transfer(vec![outpoint(4)], vec![], 2);
+        pool.submit(original.clone()).unwrap();
+        let forged = badly_signed(&mut alice, outpoint(4), 5);
+        let id = forged.id();
+        assert_eq!(
+            pool.replace(&original.id(), forged).unwrap_err(),
+            MempoolError::InvalidSignature(id)
+        );
+        assert!(pool.contains(&original.id()), "the original is still pending");
+        assert_eq!(pool.len(), 1);
+    }
+
+    #[test]
+    fn a_badly_signed_bid_refused_on_price_reports_the_price() {
+        // Cheap policy checks run before the signature check, so a
+        // submission that fails both is refused for its fee.
+        let mut alice = builder(b"alice");
+        let mut pool = Mempool::with_capacity(1);
+        pool.set_base_fee(5);
+        assert_eq!(
+            pool.submit(badly_signed(&mut alice, outpoint(1), 4)).unwrap_err(),
+            MempoolError::FeeTooLow { offered: 4, floor: 5 }
+        );
+
+        // Full pool: failing to outbid the eviction candidate is a price
+        // refusal too.
+        pool.submit(alice.transfer(vec![outpoint(2)], vec![], 7)).unwrap();
+        assert_eq!(
+            pool.submit(badly_signed(&mut alice, outpoint(3), 6)).unwrap_err(),
+            MempoolError::FeeTooLow { offered: 6, floor: 8 }
+        );
+        assert_eq!(pool.len(), 1);
     }
 }

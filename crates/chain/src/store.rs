@@ -232,7 +232,9 @@ impl BlockStore {
         if !block.tx_root_valid() {
             return Err(StoreError::BadTxRoot(hash));
         }
-        if !block.header.meets_target() {
+        // The header hash is in hand: check the target against it rather
+        // than hashing the header again.
+        if !hash.0.meets_target(&block.header.target) {
             return Err(StoreError::InsufficientWork(hash));
         }
 

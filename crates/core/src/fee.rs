@@ -329,12 +329,13 @@ impl BidBook {
         let payload = spec.to_payload();
         let tx =
             participant.builder(chain).deploy(inputs.clone(), lock, change, payload.clone(), fee);
-        let txid = tx.id();
-        match world.submit(chain, tx) {
-            Ok(_) => {}
+        // The txid comes back from the submission: a bid the pool refuses
+        // on price is never hashed.
+        let txid = match world.submit(chain, tx) {
+            Ok(txid) => txid,
             Err(e) if is_soft_submit_error(&e) => return Ok(None),
             Err(e) => return Err(e.into()),
-        }
+        };
         self.bids.push(Bid {
             chain,
             actor: *owner,
@@ -388,12 +389,13 @@ impl BidBook {
         let base = world.chain(chain)?.params().call_fee;
         let fee = self.opening_fee(world, chain, base)?;
         let tx = participant.builder(chain).call(contract, payload.to_vec(), fee);
-        let txid = tx.id();
-        match world.submit(chain, tx) {
-            Ok(_) => {}
+        // The txid comes back from the submission: a bid the pool refuses
+        // on price is never hashed.
+        let txid = match world.submit(chain, tx) {
+            Ok(txid) => txid,
             Err(e) if is_soft_submit_error(&e) => return Ok(None),
             Err(e) => return Err(e.into()),
-        }
+        };
         self.bids.push(Bid {
             chain,
             actor: *caller,
