@@ -238,10 +238,13 @@ impl Mempool {
     /// The smallest fee that would currently buy a slot: the dynamic base
     /// fee while the pool has room, the larger of the base fee and one
     /// above the cheapest evictable transaction when it is full, and
-    /// `Amount::MAX` when full of protected transactions. A submission
-    /// bidding exactly this floor is always admitted (unless the floor is
-    /// `Amount::MAX`) — under-reporting it would make rational bidders
-    /// open with a bid the pool immediately rejects.
+    /// `Amount::MAX` when full of protected transactions. A user (not
+    /// coinbase) submission bidding below this floor is always refused, with
+    /// [`MempoolError::FeeTooLow`] or [`MempoolError::Full`]: bidders rely
+    /// on that to skip building a doomed bid. A submission bidding exactly
+    /// this floor clears the price gates (unless the floor is
+    /// `Amount::MAX`), save for the caveat below — under-reporting it would
+    /// make rational bidders open with a bid the pool immediately rejects.
     ///
     /// One caller-specific caveat the aggregate quote cannot see: a
     /// submission never evicts its *own* pending parents, so when the
@@ -951,6 +954,100 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn a_bid_below_the_reported_floor_is_always_refused() {
+        // The direction of the floor quote that bidders rely on to skip
+        // building a doomed bid. Random pools — with room, full, or full of
+        // transactions protected against the probe (its own parents), at
+        // several base fees — are probed with every transaction shape a
+        // bidder submits: a fresh transfer, a call to each deployment seen
+        // (pending ones may be the pool-wide eviction candidate), a child
+        // of each transaction seen, and a double-spend. Every bid under
+        // `fee_floor()` is refused on price and leaves the pool untouched.
+        let mut gen = proptest::Gen::deterministic("mempool::below_floor_refused");
+        let mut next_tag = 0u32;
+        let mut fresh = || {
+            next_tag += 1;
+            OutPoint::new(TxId(Hash256::digest(&next_tag.to_le_bytes())), 0)
+        };
+        for case in 0..48 {
+            let base_fee = [0, 3, 9][case % 3];
+            let mut pool = Mempool::with_capacity(1 + gen.below(4) as usize);
+            pool.set_base_fee(base_fee);
+            let mut alice = builder(b"alice");
+            let mut seen: Vec<Transaction> = Vec::new();
+            let mut vout = 1u32;
+            for _ in 0..gen.below(9) {
+                let fee = base_fee + gen.below(8);
+                let tx = match (gen.below(4), seen.len()) {
+                    (0, _) | (_, 0) => alice.transfer(vec![fresh()], vec![], fee),
+                    (1, _) => alice.deploy(vec![fresh()], 1, vec![], b"c".to_vec(), fee),
+                    (2, n) => {
+                        let target = ContractId(seen[gen.below(n as u64) as usize].id().0);
+                        alice.call(target, b"redeem".to_vec(), fee)
+                    }
+                    (_, n) => {
+                        vout += 1;
+                        let parent = seen[gen.below(n as u64) as usize].id();
+                        alice.transfer(vec![OutPoint::new(parent, vout)], vec![], fee)
+                    }
+                };
+                // A full pool refuses some of these; they are still
+                // potential parents of a probe.
+                let _ = pool.submit(tx.clone());
+                seen.push(tx);
+            }
+            let floor = pool.fee_floor();
+            let claimed = seen.iter().flat_map(|t| t.consumed_inputs().first().copied()).next();
+            for fee in (0..floor).take(24) {
+                let mut probes = vec![alice.transfer(vec![fresh()], vec![], fee)];
+                for parent in &seen {
+                    vout += 1;
+                    let input = OutPoint::new(parent.id(), vout);
+                    probes.push(alice.transfer(vec![input], vec![], fee));
+                    if matches!(parent.kind, crate::transaction::TxKind::Deploy { .. }) {
+                        let target = ContractId(parent.id().0);
+                        probes.push(alice.call(target, b"redeem".to_vec(), fee));
+                    }
+                }
+                probes.extend(claimed.map(|input| alice.transfer(vec![input], vec![], fee)));
+                for probe in probes {
+                    let (len, revision) = (pool.len(), pool.revision());
+                    let refusal = pool.submit(probe).expect_err("a bid below the floor");
+                    assert!(
+                        matches!(refusal, MempoolError::FeeTooLow { .. } | MempoolError::Full),
+                        "case {case}: fee {fee} < floor {floor} refused with {refusal:?}"
+                    );
+                    assert_eq!((pool.len(), pool.revision()), (len, revision), "case {case}");
+                }
+            }
+        }
+
+        // The pinned instance of the caveat: the cheapest pending
+        // transaction is the deployment the probe calls, so the quote is
+        // one above it, yet the call's own price is one above the next
+        // victim. Below the quote is refused; at it, still refused.
+        let mut alice = builder(b"alice");
+        let mut pool = Mempool::with_capacity(2);
+        let deploy = alice.deploy(vec![outpoint(1)], 1, vec![], b"c".to_vec(), 1);
+        pool.submit(deploy.clone()).unwrap();
+        pool.submit(alice.transfer(vec![outpoint(2)], vec![], 5)).unwrap();
+        assert_eq!(pool.fee_floor(), 2);
+        for fee in [1, 2] {
+            let call = alice.call(ContractId(deploy.id().0), b"redeem".to_vec(), fee);
+            assert_eq!(
+                pool.submit(call).unwrap_err(),
+                MempoolError::FeeTooLow { offered: fee, floor: 6 }
+            );
+        }
+
+        // A pool with no slot at all quotes `Amount::MAX` and is `Full`.
+        let mut pool = Mempool::with_capacity(0);
+        assert_eq!(pool.fee_floor(), Amount::MAX);
+        let tx = alice.transfer(vec![outpoint(3)], vec![], 1_000);
+        assert_eq!(pool.submit(tx).unwrap_err(), MempoolError::Full);
     }
 
     #[test]

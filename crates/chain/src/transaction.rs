@@ -316,6 +316,14 @@ impl TxBuilder {
         n
     }
 
+    /// Consume the nonce the next build would take, building and signing
+    /// nothing: a bidder that knows the pool refuses a transaction skips
+    /// it, and every later id stays where the refused build would have
+    /// left it.
+    pub fn skip(&mut self) {
+        self.next_nonce();
+    }
+
     fn finish(&mut self, kind: TxKind, fee: Amount) -> Transaction {
         let mut tx = Transaction {
             sender: Some(self.address()),

@@ -885,15 +885,19 @@ impl SwapMachine for Ac3Machine {
 mod tests {
     use super::*;
     use crate::audit::AtomicityVerdict;
+    use crate::campaign::{adversary_machines, honest_machines, CampaignConfig, CampaignSpace};
+    use crate::fee::FeePolicy;
     use crate::scenario::{
         figure7a_scenario, figure7b_scenario, ring_scenario, two_party_scenario, Scenario,
         ScenarioConfig,
     };
-    use crate::{Ac3tw, Ac3wn};
+    use crate::scheduler::Scheduler;
+    use crate::{build_campaign, Ac3tw, Ac3wn};
     use ac3_chain::{Amount, BlockHash, Blockchain, Transaction, TxKind};
     use ac3_contracts::TxInclusionEvidence;
-    use ac3_sim::{ChainCongestion, CrashWindow, OutageWindow, World, WorldError};
+    use ac3_sim::{ChainCongestion, CrashWindow, NetworkProfile, OutageWindow, SwapId, WorldError};
     use proptest::prelude::*;
+    use std::sync::{Arc, Mutex};
 
     type Execute = fn(&mut Scenario) -> Result<SwapReport, ProtocolError>;
 
@@ -1034,41 +1038,50 @@ mod tests {
         }
     }
 
+    /// One call sent to the witness chain: the phase its poll started in,
+    /// its payload, and the id the pool admitted it under (`None` when it
+    /// was refused or lost).
+    struct Sent {
+        phase: &'static str,
+        payload: Vec<u8>,
+        admitted: Option<TxId>,
+    }
+
     /// A witness chain whose partition the participants cannot see: every
     /// submission to it inside `lost` goes out and is lost on the way (the
     /// sender gets `ChainUnreachable`). Every call sent to the witness
-    /// chain is logged with the machine phase its poll started in.
+    /// chain is logged.
     struct LossyWitnessLink<'a> {
-        world: &'a mut World,
+        api: &'a mut dyn ChainApi,
         witness: ChainId,
         lost: OutageWindow,
         phase: &'static str,
-        sent: &'a mut Vec<(&'static str, Vec<u8>)>,
+        sent: &'a mut Vec<Sent>,
     }
 
     impl ChainApi for LossyWitnessLink<'_> {
         fn now(&self) -> Timestamp {
-            self.world.now()
+            self.api.now()
         }
 
         fn delta_ms(&self) -> u64 {
-            self.world.delta_ms()
+            self.api.delta_ms()
         }
 
         fn min_block_interval_ms(&self) -> u64 {
-            self.world.min_block_interval_ms()
+            self.api.min_block_interval_ms()
         }
 
         fn is_reachable(&self, chain: ChainId) -> bool {
-            self.world.is_reachable(chain)
+            self.api.is_reachable(chain)
         }
 
         fn chain(&self, chain: ChainId) -> Result<&Blockchain, WorldError> {
-            self.world.chain(chain)
+            self.api.chain(chain)
         }
 
         fn anchor(&self, chain: ChainId) -> Result<ChainAnchor, WorldError> {
-            self.world.anchor(chain)
+            self.api.anchor(chain)
         }
 
         fn tx_evidence_since(
@@ -1077,35 +1090,47 @@ mod tests {
             anchor: &ChainAnchor,
             txid: TxId,
         ) -> Result<TxInclusionEvidence, WorldError> {
-            self.world.tx_evidence_since(chain, anchor, txid)
+            self.api.tx_evidence_since(chain, anchor, txid)
         }
 
         fn contract_state(&self, chain: ChainId, contract: ContractId) -> Option<(String, u64)> {
-            self.world.contract_state(chain, contract)
+            self.api.contract_state(chain, contract)
         }
 
         fn is_billed(&self, txid: &TxId) -> bool {
-            self.world.fees.is_billed(txid)
+            self.api.is_billed(txid)
+        }
+
+        fn tx_in_flight(&self, chain: ChainId, txid: &TxId) -> bool {
+            self.api.tx_in_flight(chain, txid)
         }
 
         fn congestion(&mut self, chain: ChainId) -> Result<ChainCongestion, WorldError> {
-            self.world.congestion(chain)
+            self.api.congestion(chain)
         }
 
         fn marginal_fee(&mut self, chain: ChainId) -> Result<Option<Amount>, WorldError> {
-            self.world.marginal_fee(chain)
+            self.api.marginal_fee(chain)
         }
 
         fn submit(&mut self, chain: ChainId, tx: Transaction) -> Result<TxId, WorldError> {
-            if chain == self.witness {
-                if let TxKind::Call { payload, .. } = &tx.kind {
-                    self.sent.push((self.phase, payload.clone()));
-                }
-                if self.lost.covers(self.world.now()) {
-                    return Err(WorldError::ChainUnreachable(chain));
-                }
+            if chain != self.witness {
+                return self.api.submit(chain, tx);
             }
-            self.world.submit(chain, tx)
+            let payload = match &tx.kind {
+                TxKind::Call { payload, .. } => Some(payload.clone()),
+                _ => None,
+            };
+            let result = if self.lost.covers(self.api.now()) {
+                Err(WorldError::ChainUnreachable(chain))
+            } else {
+                self.api.submit(chain, tx)
+            };
+            if let Some(payload) = payload {
+                let admitted = result.as_ref().ok().copied();
+                self.sent.push(Sent { phase: self.phase, payload, admitted });
+            }
+            result
         }
 
         fn replace_tx(
@@ -1114,11 +1139,11 @@ mod tests {
             old: TxId,
             tx: Transaction,
         ) -> Result<TxId, WorldError> {
-            self.world.replace_tx(chain, old, tx)
+            self.api.replace_tx(chain, old, tx)
         }
 
         fn record(&mut self, at: Timestamp, kind: EventKind) {
-            self.world.timeline.record(at, kind);
+            self.api.record(at, kind);
         }
 
         fn schedule_outage(
@@ -1126,7 +1151,7 @@ mod tests {
             chain: ChainId,
             window: OutageWindow,
         ) -> Result<(), WorldError> {
-            self.world.schedule_outage(chain, window)
+            self.api.schedule_outage(chain, window)
         }
 
         fn inject_fork(
@@ -1135,7 +1160,7 @@ mod tests {
             fork_depth: u64,
             length: u64,
         ) -> Result<Vec<BlockHash>, WorldError> {
-            self.world.inject_fork(chain, fork_depth, length)
+            self.api.inject_fork(chain, fork_depth, length)
         }
     }
 
@@ -1154,7 +1179,7 @@ mod tests {
         let mut sent = Vec::new();
         let report = loop {
             let mut api = LossyWitnessLink {
-                world: &mut s.world,
+                api: &mut s.world,
                 witness,
                 lost,
                 phase: machine.phase_name(),
@@ -1172,12 +1197,177 @@ mod tests {
         assert!(report.finished_at >= lost.until, "{}", report.summary());
         let retries: Vec<&[u8]> = sent
             .iter()
-            .filter(|(phase, _)| *phase == "retry-authorize")
-            .map(|(_, payload)| payload.as_slice())
+            .filter(|sent| sent.phase == "retry-authorize")
+            .map(|sent| sent.payload.as_slice())
             .collect();
         assert!(retries.len() > 10, "only {} authorize submissions retried", retries.len());
         let differing = retries.iter().filter(|p| **p != retries[0]).count();
         assert_eq!(differing, 0, "{differing} of {} retries changed the payload", retries.len());
+    }
+
+    /// A machine polled through a [`LossyWitnessLink`] that loses nothing,
+    /// logging into a shared list that outlives the batch.
+    struct Tapped {
+        machine: Box<dyn SwapMachine>,
+        witness: ChainId,
+        sent: Arc<Mutex<Vec<Sent>>>,
+    }
+
+    impl SwapMachine for Tapped {
+        fn poll(
+            &mut self,
+            world: &mut dyn ChainApi,
+            participants: &mut ParticipantSet,
+        ) -> Result<Step, ProtocolError> {
+            let mut sent = self.sent.lock().expect("no poll panicked");
+            let mut api = LossyWitnessLink {
+                api: world,
+                witness: self.witness,
+                lost: OutageWindow { from: 0, until: 0 },
+                phase: self.machine.phase_name(),
+                sent: &mut sent,
+            };
+            self.machine.poll(&mut api, participants)
+        }
+
+        fn phase_name(&self) -> &'static str {
+            self.machine.phase_name()
+        }
+
+        fn footprint(&self) -> MachineFootprint {
+            self.machine.footprint()
+        }
+    }
+
+    /// The witness-chain calls sent from `retry-authorize` polls: the ids
+    /// admitted, and how many the pool refused.
+    fn retries(sent: &[Sent]) -> (Vec<TxId>, usize) {
+        let retries: Vec<&Sent> = sent.iter().filter(|s| s.phase == "retry-authorize").collect();
+        let admitted = retries.iter().filter_map(|s| s.admitted).collect();
+        (admitted, retries.iter().filter(|s| s.admitted.is_none()).count())
+    }
+
+    #[test]
+    fn a_priced_out_authorize_retry_builds_nothing_and_moves_no_id() {
+        // A fixed-fee AC3WN swap whose witness pool a flooder keeps full
+        // of higher bids from after registration until 30 s, so the
+        // authorize call retries until the flood ends. Under a zero-latency
+        // network (otherwise bitwise identical to none) the pool's quote
+        // does not bind, so every retry the pool refuses is built and sent.
+        // Skipping them must consume the same nonces: both runs admit the
+        // same authorize call under the same id, and end identically.
+        let run = |network: Option<NetworkProfile>| {
+            let cfg = ScenarioConfig::default();
+            let mut s = two_party_scenario(50, 80, &cfg);
+            let mut flooder = ac3_chain::TxBuilder::new(KeyPair::from_seed(b"flooder"), 0);
+            let flooder_addr = flooder.address();
+            let mut genesis: Vec<(Address, Amount)> =
+                s.participants.addresses().into_iter().map(|a| (a, cfg.funding)).collect();
+            let mut coins = (genesis.len() as u64..).map(|i| {
+                ac3_chain::OutPoint::new(ac3_chain::coinbase(flooder_addr, 100, i).id(), 0)
+            });
+            genesis.extend((0..200).map(|_| (flooder_addr, 100)));
+            let mut params = cfg.witness_chain_template.clone();
+            params.mempool_capacity = 4;
+            let witness = s.world.add_chain(params, &genesis);
+            if let Some(profile) = network {
+                s.world.attach_network(profile);
+            }
+
+            let cfg = ProtocolConfig { deployment_depth: 3, ..Default::default() };
+            let mut machine = Ac3wn::new(cfg).machine(s.graph.clone(), witness);
+            let mut sent = Vec::new();
+            let report = loop {
+                while (3_000..30_000).contains(&s.world.now())
+                    && s.world.congestion(witness).unwrap().depth < 4
+                {
+                    let change = vec![ac3_chain::TxOutput::new(flooder_addr, 68)];
+                    let flood = flooder.transfer(vec![coins.next().unwrap()], change, 32);
+                    s.world.submit(witness, flood).unwrap();
+                }
+                let mut api = LossyWitnessLink {
+                    api: &mut s.world,
+                    witness,
+                    lost: OutageWindow { from: 0, until: 0 },
+                    phase: machine.phase_name(),
+                    sent: &mut sent,
+                };
+                match machine.poll(&mut api, &mut s.participants).unwrap() {
+                    Step::Done(report) => break report,
+                    Step::Waiting { not_before } => {
+                        let dt = not_before.saturating_sub(s.world.now()).max(1);
+                        s.world.advance(dt);
+                    }
+                }
+            };
+            let tips: Vec<BlockHash> =
+                s.world.chain_ids().into_iter().map(|c| s.world.chain(c).unwrap().tip()).collect();
+            (format!("{report:?}"), tips, sent)
+        };
+        let (report, tips, sent) = run(None);
+        let (built_report, built_tips, built_sent) = run(Some(NetworkProfile::zero(1)));
+
+        let (admitted, refused) = retries(&sent);
+        let (built_admitted, built_refused) = retries(&built_sent);
+        assert!(built_refused > 10, "the flood must price the retries out: {built_refused}");
+        assert_eq!(refused, 0, "a priced-out retry submits nothing");
+        assert_eq!(admitted.len(), 1, "the retry after the flood gets in");
+        assert_eq!(admitted, built_admitted, "the admitted authorize call moved");
+        assert!(report.contains("decision: Some(true)"), "{report}");
+        assert_eq!(report, built_report);
+        assert_eq!(tips, built_tips);
+    }
+
+    #[test]
+    fn a_griefed_fixed_fee_lane_sends_no_authorize_call() {
+        // The griefing spike of `tests/fee_market.rs` (seed 23), with the
+        // AC3WN swaps tapped: its fixed-fee lane retries the authorize call
+        // behind a full witness pool until the wait cap, and never gets in.
+        // Against the pool's binding quote no retry is built at all, and
+        // the campaign ends exactly as under a zero-latency network, where
+        // every refused retry is sent.
+        let run = |network: Option<NetworkProfile>| {
+            let mut cfg = CampaignConfig::new(23);
+            cfg.swaps = 6;
+            cfg.space = CampaignSpace { floods: 1, spikes: 1, ..CampaignSpace::quiet() };
+            cfg.space.griefing_budget = 4_000;
+            cfg.protocol.fee_policy = FeePolicy::Fixed;
+            let mut campaign = build_campaign(&cfg).expect("campaign builds");
+            let sent = Arc::new(Mutex::new(Vec::new()));
+            // Swap `i` runs AC3WN when `i % 4 == 0`.
+            let mut machines: Vec<(SwapId, Box<dyn SwapMachine>)> =
+                honest_machines(&cfg, &campaign.scenario)
+                    .into_iter()
+                    .zip(&campaign.scenario.swaps)
+                    .enumerate()
+                    .map(|(i, ((id, machine), swap))| {
+                        if i % 4 != 0 {
+                            return (id, machine);
+                        }
+                        let sent = Arc::clone(&sent);
+                        let tapped = Tapped { machine, witness: swap.witness, sent };
+                        (id, Box::new(tapped) as Box<dyn SwapMachine>)
+                    })
+                    .collect();
+            machines.extend(adversary_machines(&campaign, cfg.stake));
+            let scheduler = Scheduler { max_ms: cfg.max_ms, network, ..Scheduler::default() };
+            let s = &mut campaign.scenario;
+            let batch = scheduler.run(&mut s.world, &mut s.participants, machines);
+            let outcomes: Vec<String> =
+                batch.outcomes.iter().map(|o| format!("{:?} {:?}", o.id, o.result)).collect();
+            let tips: Vec<BlockHash> =
+                s.world.chain_ids().into_iter().map(|c| s.world.chain(c).unwrap().tip()).collect();
+            let sent = std::mem::take(&mut *sent.lock().expect("batch done"));
+            (outcomes, tips, sent)
+        };
+        let (outcomes, tips, sent) = run(None);
+        let (built_outcomes, built_tips, built_sent) = run(Some(NetworkProfile::zero(1)));
+
+        let (_, built_refused) = retries(&built_sent);
+        assert!(built_refused > 10, "the spike must price the retries out: {built_refused}");
+        assert_eq!(retries(&sent), (Vec::new(), 0), "a priced-out retry submits nothing");
+        assert_eq!(outcomes, built_outcomes);
+        assert_eq!(tips, built_tips);
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! policies use it to skip re-bids the dynamic base fee would refuse, and
 //! [`FeePolicy::Adaptive`] uses it as the schedule itself — opening at the
 //! observed floor plus a margin and escalating to the observed marginal
-//! price of next-block inclusion instead of a blind doubling ladder.
+//! price of next-block inclusion instead of a blind doubling ladder. An
+//! opening bid or eviction re-entry below the floor of a binding snapshot
+//! ([`ChainCongestion::binding`]) is certain to be refused, so it is never
+//! built or signed; it only consumes the builder nonce it would have used,
+//! which keeps every later transaction id where it was.
 //!
 //! Machines apply the returned [`BidChange`]s to whatever copies of the
 //! transaction (and, for deployments, contract) ids they hold — a replaced
@@ -171,11 +175,15 @@ impl Bid {
     }
 
     /// Build the replacement transaction at `fee`. `None` when a deploy's
-    /// reserved inputs can no longer cover the raised fee.
+    /// reserved inputs can no longer cover the raised fee, or when the pool
+    /// is known to refuse the bid (`refused`): then nothing is built or
+    /// signed, but the builder nonce the transaction would have taken is
+    /// consumed, so every later id stays where it was.
     fn build(
         &self,
         participants: &mut ParticipantSet,
         fee: Amount,
+        refused: bool,
     ) -> Result<Option<ac3_chain::Transaction>, ProtocolError> {
         let Some(participant) = participants.by_address_mut(&self.actor) else {
             return Err(ProtocolError::UnknownParticipant(format!("{}", self.actor)));
@@ -186,12 +194,20 @@ impl Bid {
                 let Some(spendable) = input_total.checked_sub(locked_value + fee) else {
                     return Ok(None);
                 };
+                if refused {
+                    builder.skip();
+                    return Ok(None);
+                }
                 let change = if spendable > 0 {
                     vec![TxOutput::new(self.actor, spendable)]
                 } else {
                     Vec::new()
                 };
                 builder.deploy(inputs.clone(), *locked_value, change, payload.clone(), fee)
+            }
+            BidKind::Call { .. } if refused => {
+                builder.skip();
+                return Ok(None);
             }
             BidKind::Call { contract, payload } => builder.call(*contract, payload.clone(), fee),
         };
@@ -303,7 +319,8 @@ impl BidBook {
     /// Returns `Ok(None)` when the owner is crashed, the chain is
     /// unreachable, or the pool's floor is above what the policy will pay —
     /// the caller decides what a missing publication means for the
-    /// protocol.
+    /// protocol. A bid below the floor of a binding congestion snapshot
+    /// ([`ChainCongestion::binding`]) is neither encoded nor signed.
     pub fn submit_deploy(
         &mut self,
         world: &mut dyn ChainApi,
@@ -321,10 +338,14 @@ impl BidBook {
             return Ok(None);
         }
         let base = world.chain(chain)?.params().deploy_fee;
-        let fee = self.opening_fee(world, chain, base)?;
+        let (fee, refused) = self.opening_fee(world, chain, base)?;
         let Some((inputs, change)) = world.chain(chain)?.plan_deploy(owner, lock, fee) else {
             return Err(ProtocolError::InsufficientFunds { who: participant.name.clone(), chain });
         };
+        if refused {
+            participant.builder(chain).skip();
+            return Ok(None);
+        }
         let input_total = lock + fee + change.iter().map(|o| o.value).sum::<Amount>();
         let payload = spec.to_payload();
         let tx =
@@ -387,7 +408,11 @@ impl BidBook {
             return Ok(None);
         }
         let base = world.chain(chain)?.params().call_fee;
-        let fee = self.opening_fee(world, chain, base)?;
+        let (fee, refused) = self.opening_fee(world, chain, base)?;
+        if refused {
+            participant.builder(chain).skip();
+            return Ok(None);
+        }
         let tx = participant.builder(chain).call(contract, payload.to_vec(), fee);
         // The txid comes back from the submission: a bid the pool refuses
         // on price is never hashed.
@@ -479,20 +504,28 @@ impl BidBook {
     /// policy allows it. [`FeePolicy::Adaptive`] additionally pays its
     /// configured margin on top of a non-zero floor, buying next-block
     /// headroom up front instead of discovering the price by re-bidding.
+    ///
+    /// Also returns whether the pool is certain to refuse that bid: it is
+    /// below the floor of a binding snapshot
+    /// ([`ChainCongestion::binding`]), which a submission made now is
+    /// priced against. The caller then builds nothing, but consumes the
+    /// builder nonce the refused transaction would have taken.
     fn opening_fee(
         &self,
         world: &mut dyn ChainApi,
         chain: ChainId,
         base: Amount,
-    ) -> Result<Amount, ProtocolError> {
-        let floor = world.congestion(chain)?.fee_floor;
-        match self.policy {
+    ) -> Result<(Amount, bool), ProtocolError> {
+        let congestion = world.congestion(chain)?;
+        let floor = congestion.fee_floor;
+        let fee = match self.policy {
             FeePolicy::Adaptive { margin, .. } if floor > 0 => {
-                Ok(base.max(floor.saturating_add(margin)).min(self.policy.cap(base)))
+                base.max(floor.saturating_add(margin)).min(self.policy.cap(base))
             }
-            _ if floor > base && floor <= self.policy.cap(base) => Ok(floor),
-            _ => Ok(base),
-        }
+            _ if floor > base && floor <= self.policy.cap(base) => floor,
+            _ => base,
+        };
+        Ok((fee, congestion.binding && fee < floor))
     }
 
     /// Poll every live bid once: settle bids whose transaction reached the
@@ -557,7 +590,7 @@ impl BidBook {
                 let Some((attempt, next)) = self.next_escalation(bid, &congestion, marginal) else {
                     continue; // fixed policy, or the cap is reached
                 };
-                let Some(tx) = bid.build(participants, next)? else { continue };
+                let Some(tx) = bid.build(participants, next, false)? else { continue };
                 let new_txid = match world.replace_tx(chain, txid, tx) {
                     Ok(id) => id,
                     Err(WorldError::Chain(ChainError::Mempool(_)))
@@ -635,7 +668,10 @@ impl BidBook {
                         });
                     }
                 };
-                let Some(tx) = bid.build(participants, next)? else {
+                // Below a binding floor the pool is certain to refuse the
+                // re-entry: build nothing and hold, as a refusal would.
+                let refused = congestion.binding && next < floor;
+                let Some(tx) = bid.build(participants, next, refused)? else {
                     held(&mut self.bids, &mut changes);
                     continue;
                 };
@@ -1038,69 +1074,82 @@ mod tests {
         // (negative `fee_delta`, no rebid), then re-bill when the bid
         // re-enters later. Without this the SwapReport's fees diverge from
         // `FeeLedger::fees_for_swap`.
+        //
+        // The held re-entry is refused on price, so without a network the
+        // bidder builds nothing for it; under a zero-latency network the
+        // snapshot does not bind and every bid is sent. The skipped build
+        // still consumes its nonce, so the later re-entry gets the same id.
         use ac3_chain::{ChainParams, TxBuilder};
         use ac3_contracts::HtlcCall;
         use ac3_crypto::{Hash256, KeyPair};
+        use ac3_sim::NetworkProfile;
 
-        let mut world = World::new();
-        let mut params = ChainParams::fast("tight", 1_000);
-        params.mempool_capacity = 1;
-        let mut participants = ParticipantSet::new();
-        let alice = participants.add("alice");
-        let chain = world.add_chain(params, &[(alice, 100)]);
+        let reentry_id = |network: Option<NetworkProfile>| {
+            let mut world = World::new();
+            let mut params = ChainParams::fast("tight", 1_000);
+            params.mempool_capacity = 1;
+            let mut participants = ParticipantSet::new();
+            let alice = participants.add("alice");
+            let chain = world.add_chain(params, &[(alice, 100)]);
+            if let Some(profile) = network {
+                world.attach_network(profile);
+            }
 
-        // A Fixed-policy bid: opening fee = call_fee = 2, cap = 2.
-        let mut book = BidBook::new(FeePolicy::Fixed);
-        let phantom = ContractId(Hash256::digest(b"phantom-contract"));
-        let call = ContractCall::Htlc(HtlcCall::Refund);
-        let (txid, fee) = book
-            .submit_call(&mut world, &mut participants, &alice, chain, phantom, &call)
-            .unwrap()
-            .expect("pool has room");
-        assert_eq!(fee, 2);
-        assert_eq!(book.total_fees(), 2);
-        assert_eq!(world.fees.total_fees(), 2);
+            // A Fixed-policy bid: opening fee = call_fee = 2, cap = 2.
+            let mut book = BidBook::new(FeePolicy::Fixed);
+            let phantom = ContractId(Hash256::digest(b"phantom-contract"));
+            let call = ContractCall::Htlc(HtlcCall::Refund);
+            let (txid, fee) = book
+                .submit_call(&mut world, &mut participants, &alice, chain, phantom, &call)
+                .unwrap()
+                .expect("pool has room");
+            assert_eq!(fee, 2);
+            assert_eq!(book.total_fees(), 2);
+            assert_eq!(world.fees.total_fees(), 2);
 
-        // An unfunded-input junk tx out-bids the call; the single-slot pool
-        // evicts it and the ledger refunds its fee.
-        let mut junk = TxBuilder::new(KeyPair::from_seed(b"spammer"), 1 << 40);
-        let phantom_input =
-            vec![ac3_chain::OutPoint::new(ac3_chain::TxId(Hash256::digest(b"nowhere")), 0)];
-        world.submit(chain, junk.transfer(phantom_input, vec![], 9)).unwrap();
-        assert_eq!(world.fees.total_fees(), 9, "the evicted call's 2 was refunded");
+            // An unfunded-input junk tx out-bids the call; the single-slot pool
+            // evicts it and the ledger refunds its fee.
+            let mut junk = TxBuilder::new(KeyPair::from_seed(b"spammer"), 1 << 40);
+            let phantom_input =
+                vec![ac3_chain::OutPoint::new(ac3_chain::TxId(Hash256::digest(b"nowhere")), 0)];
+            world.submit(chain, junk.transfer(phantom_input, vec![], 9)).unwrap();
+            assert_eq!(world.fees.total_fees(), 9, "the evicted call's 2 was refunded");
 
-        // The junk never mines (invalid inputs), so the pool stays full and
-        // Fixed cannot afford the floor of 10: the bid is held and the
-        // owner's tally gives the refund back.
-        world.advance(1_000);
-        let changes = book.poll(&mut world, &mut participants).unwrap();
-        assert_eq!(changes.len(), 1);
-        let held = &changes[0];
-        assert_eq!(held.fee_delta, -2);
-        assert!(!held.rebid);
-        assert_eq!(held.old_txid, held.new_txid, "no new transaction was bid");
-        let (mut fees, mut rebids) = (2u64, 0u64);
-        held.apply_accounting(&mut fees, &mut rebids);
-        assert_eq!((fees, rebids), (0, 0));
-        assert_eq!(book.total_fees(), 0, "held bid is not billed");
+            // The junk never mines (invalid inputs), so the pool stays full and
+            // Fixed cannot afford the floor of 10: the bid is held and the
+            // owner's tally gives the refund back.
+            world.advance(1_000);
+            let changes = book.poll(&mut world, &mut participants).unwrap();
+            assert_eq!(changes.len(), 1);
+            let held = &changes[0];
+            assert_eq!(held.fee_delta, -2);
+            assert!(!held.rebid);
+            assert_eq!(held.old_txid, held.new_txid, "no new transaction was bid");
+            let (mut fees, mut rebids) = (2u64, 0u64);
+            held.apply_accounting(&mut fees, &mut rebids);
+            assert_eq!((fees, rebids), (0, 0));
+            assert_eq!(book.total_fees(), 0, "held bid is not billed");
 
-        // A *funded* high bid displaces the junk and gets mined, freeing
-        // the slot; the held bid re-enters at its fee and is re-billed.
-        let (inputs, outputs) =
-            world.chain(chain).unwrap().plan_payment(&alice, &alice, 1, 15).unwrap();
-        let mut kp = TxBuilder::new(KeyPair::from_seed(b"alice"), 1 << 50);
-        world.submit(chain, kp.transfer(inputs, outputs, 15)).unwrap();
-        world.advance(1_000);
+            // A *funded* high bid displaces the junk and gets mined, freeing
+            // the slot; the held bid re-enters at its fee and is re-billed.
+            let (inputs, outputs) =
+                world.chain(chain).unwrap().plan_payment(&alice, &alice, 1, 15).unwrap();
+            let mut kp = TxBuilder::new(KeyPair::from_seed(b"alice"), 1 << 50);
+            world.submit(chain, kp.transfer(inputs, outputs, 15)).unwrap();
+            world.advance(1_000);
 
-        let changes = book.poll(&mut world, &mut participants).unwrap();
-        assert_eq!(changes.len(), 1);
-        let reentry = &changes[0];
-        assert_eq!(reentry.fee_delta, 2);
-        assert!(reentry.rebid);
-        assert_ne!(reentry.new_txid, txid, "re-entry is a fresh transaction");
-        reentry.apply_accounting(&mut fees, &mut rebids);
-        assert_eq!((fees, rebids), (2, 1));
-        assert_eq!(book.total_fees(), 2);
-        assert!(world.chain(chain).unwrap().mempool_contains(&reentry.new_txid));
+            let changes = book.poll(&mut world, &mut participants).unwrap();
+            assert_eq!(changes.len(), 1);
+            let reentry = &changes[0];
+            assert_eq!(reentry.fee_delta, 2);
+            assert!(reentry.rebid);
+            assert_ne!(reentry.new_txid, txid, "re-entry is a fresh transaction");
+            reentry.apply_accounting(&mut fees, &mut rebids);
+            assert_eq!((fees, rebids), (2, 1));
+            assert_eq!(book.total_fees(), 2);
+            assert!(world.chain(chain).unwrap().mempool_contains(&reentry.new_txid));
+            reentry.new_txid
+        };
+        assert_eq!(reentry_id(None), reentry_id(Some(NetworkProfile::zero(1))));
     }
 }

@@ -121,8 +121,10 @@ pub struct ChainCongestion {
     pub min_fee: Option<Amount>,
     /// Smallest fee that would currently buy a mempool slot: the chain's
     /// dynamic base fee while there is room, otherwise the larger of the
-    /// base fee and the eviction floor. An opening bid at this price is
-    /// always admitted.
+    /// base fee and the eviction floor ([`ac3_chain::Mempool::fee_floor`]).
+    /// A bid below it is always refused (`FeeTooLow` or `Full`). A bid at
+    /// it is admitted unless the pool-wide eviction candidate is the
+    /// bidder's own pending parent, which a submission never evicts.
     pub fee_floor: Amount,
     /// The chain's dynamic per-block base fee
     /// ([`ac3_chain::BaseFeeSchedule`]): the admission price driven by
@@ -136,6 +138,11 @@ pub struct ChainCongestion {
     /// it costs an O(budget) mempool walk, so callers that need it probe
     /// [`ac3_chain::Blockchain::mempool_fee_at_rank`] explicitly.
     pub block_budget: usize,
+    /// Whether a submission made now is priced against this very snapshot:
+    /// true when no network is attached, so a bid below `fee_floor` is a
+    /// certain refusal. With a network attached admission happens at
+    /// delivery, against whatever the pool holds by then.
+    pub binding: bool,
 }
 
 /// The simulated multi-chain world.
@@ -300,9 +307,11 @@ impl World {
     /// message `Link` seeded from the profile, through which the
     /// [`ChainApi`](crate::ChainApi) impl (not the inherent methods) routes
     /// submissions and re-bids as delayed, droppable messages. Re-attaching
-    /// replaces the links (fresh RNG streams, empty queues).
+    /// replaces the links (fresh RNG streams, empty queues). Congestion
+    /// snapshots taken before stop being binding, so the memo is dropped.
     pub fn attach_network(&mut self, profile: NetworkProfile) {
         self.network = Some(profile);
+        self.congestion_cache.clear();
         for (id, slot) in self.chains.iter_mut() {
             slot.link = Some(Link::new(&profile, *id));
         }
@@ -634,6 +643,7 @@ impl World {
             fee_floor: c.mempool_fee_floor(),
             base_fee: c.base_fee(),
             block_budget: c.params().max_txs_per_block(),
+            binding: self.network.is_none(),
         })
     }
 
@@ -1225,6 +1235,19 @@ mod tests {
         let after_block = world.congestion(chain).unwrap();
         assert_eq!(after_block.depth, 0);
         assert_eq!(after_block, world.congestion_uncached(chain).unwrap());
+    }
+
+    #[test]
+    fn congestion_binds_only_without_a_network() {
+        // Without links a submission is priced against the snapshot just
+        // read; with a network it is priced at delivery, so the snapshot
+        // stops binding — including one memoised before the attach.
+        let mut world = World::new();
+        let chain = world.add_chain(fast_params("c"), &[]);
+        assert!(world.congestion(chain).unwrap().binding);
+        world.attach_network(NetworkProfile::zero(7));
+        assert!(!world.congestion(chain).unwrap().binding);
+        assert!(!crate::ChainApi::congestion(&mut world, chain).unwrap().binding);
     }
 
     #[test]
