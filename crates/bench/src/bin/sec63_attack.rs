@@ -106,9 +106,9 @@ fn main() {
         "\nPaper's analytical rule for this Va: d ≥ {paper_required_depth} (the attacker affords \
          {affordable_blocks} blocks). Expected shape: every depth whose required branch fits in \
          the budget is VIOLATED; the first depth whose required branch exceeds the budget — and \
-         every deeper one — stays atomic. One exception: a budget exactly one block short of \
-         winning the race ties the honest chain in height, the longest-chain rule keeps the \
-         smaller tip hash, and so block hashes decide that depth. The measured crossover sits at \
+         every deeper one — stays atomic. A budget exactly one block short of winning the race \
+         only ties the honest chain in height, and first-seen fork choice keeps the honest tip, \
+         so that depth stays atomic too: the threshold is exact. The measured crossover sits at \
          or below the analytical bound because the executed attack also has to out-mine the \
          blocks the honest network produced while the attacker was redeeming, so the paper's \
          inequality is conservative."

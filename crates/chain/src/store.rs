@@ -4,7 +4,10 @@
 //! and the depth parameter `d` both hinge on how forks are created and
 //! resolved. The store therefore keeps *every* block it has seen — not just
 //! the canonical chain — tracks all tips, and resolves forks with the
-//! longest-chain rule (ties broken by lowest hash, deterministically).
+//! longest-chain rule. Among tips of equal length the first one seen keeps
+//! the lead, as in Nakamoto consensus: a new block takes over only if its
+//! chain is strictly longer. Which branch wins thus depends on the order
+//! blocks arrive, never on the value of a block hash.
 //!
 //! Storage is split in two (DESIGN.md §11):
 //!
@@ -264,28 +267,19 @@ impl BlockStore {
         self.tips.insert(hash, ());
         self.meta.insert(hash, BlockMeta { header: block.header, chain_len });
         self.bodies.insert_body(hash, block).map_err(|e| StoreError::Io(e.to_string()))?;
-        self.update_best_tip();
+        self.update_best_tip(hash, chain_len);
         Ok(hash)
     }
 
-    /// Recompute the canonical tip: longest chain wins, ties broken by the
-    /// numerically smallest tip hash so every node converges on the same
-    /// choice. When the tip changes, the canonical indexes are repaired
-    /// incrementally: only the suffix past the fork point is reindexed.
-    fn update_best_tip(&mut self) {
-        let old_best = self.best_tip;
-        self.best_tip = self
-            .tips
-            .keys()
-            .max_by(|a, b| {
-                let la = self.meta[*a].chain_len;
-                let lb = self.meta[*b].chain_len;
-                // Longest first; on equal length prefer the smaller hash
-                // (max_by keeps the "greater", so invert the hash ordering).
-                la.cmp(&lb).then_with(|| b.cmp(a))
-            })
-            .copied();
-        if self.best_tip != old_best {
+    /// Fork choice on inserting `hash`: the new block becomes the canonical
+    /// tip only if its chain is strictly longer than the current tip's. The
+    /// best tip is therefore always the first-inserted block of greatest
+    /// chain length — an equal-length competitor never displaces it. When
+    /// the tip changes, the canonical indexes are repaired incrementally:
+    /// only the suffix past the fork point is reindexed.
+    fn update_best_tip(&mut self, hash: BlockHash, chain_len: u64) {
+        if self.best_tip.is_none_or(|best| chain_len > self.meta[&best].chain_len) {
+            self.best_tip = Some(hash);
             self.reindex_canonical();
         }
     }
@@ -521,7 +515,7 @@ mod tests {
         let f3 = make_block(Some(&f2), 101, vec![]);
         let f4 = make_block(Some(&f3), 102, vec![]);
         store.insert(f2.clone()).unwrap();
-        assert_eq!(store.best_tip(), Some(blocks[2].hash()), "tie keeps deterministic choice");
+        assert_eq!(store.best_tip(), Some(blocks[2].hash()), "a tie keeps the first-seen tip");
         store.insert(f3.clone()).unwrap();
         store.insert(f4.clone()).unwrap();
         assert_eq!(store.best_tip(), Some(f4.hash()));
@@ -533,14 +527,18 @@ mod tests {
 
     #[test]
     fn equal_length_fork_resolves_deterministically() {
-        let (mut store, blocks) = chain_of(2);
+        // Whichever sibling arrives first keeps the lead, in either order.
+        let (_, blocks) = chain_of(2);
         let a = make_block(Some(&blocks[1]), 7, vec![]);
         let b = make_block(Some(&blocks[1]), 8, vec![]);
-        store.insert(a.clone()).unwrap();
-        store.insert(b.clone()).unwrap();
-        let expected = if a.hash() < b.hash() { a.hash() } else { b.hash() };
-        assert_eq!(store.best_tip(), Some(expected));
-        assert_eq!(store.tips().len(), 2);
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            let (mut store, _) = chain_of(2);
+            store.insert(first.clone()).unwrap();
+            store.insert(second.clone()).unwrap();
+            assert_eq!(store.best_tip(), Some(first.hash()));
+            assert!(!store.is_canonical(&second.hash()));
+            assert_eq!(store.tips().len(), 2);
+        }
     }
 
     #[test]

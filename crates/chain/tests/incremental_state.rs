@@ -9,7 +9,9 @@
 //! two must be *equal in full*: UTXO set, contract records and collected
 //! fees.
 
-use ac3_chain::{Address, Amount, Blockchain, ChainId, ChainParams, ContractId, EchoVm, TxBuilder};
+use ac3_chain::{
+    Address, Amount, BlockHash, Blockchain, ChainId, ChainParams, ContractId, EchoVm, TxBuilder,
+};
 use ac3_crypto::KeyPair;
 use std::sync::Arc;
 
@@ -36,6 +38,16 @@ impl Rng {
     fn below(&mut self, bound: u64) -> u64 {
         self.next() % bound.max(1)
     }
+}
+
+/// The highest tip off the canonical chain, if the store holds a fork.
+fn longest_fork_tip(chain: &Blockchain) -> Option<BlockHash> {
+    let store = chain.store();
+    store
+        .tips()
+        .into_iter()
+        .filter(|t| *t != chain.tip())
+        .max_by_key(|t| store.header(t).expect("a tip is stored").height)
 }
 
 fn assert_matches_oracle(chain: &Blockchain, context: &str) {
@@ -87,20 +99,25 @@ fn random_interleaving_of_extends_and_reorgs_matches_oracle() {
             }
             chain.mine_block(miner, now).unwrap();
         } else {
-            // Mine on an ancestor or a competing fork tip: depth 1..=6 below
-            // the current tip, or an existing non-canonical tip.
+            // Mine on an ancestor (depth 1..=6 below the current tip), or
+            // grow the longest competing fork until it overtakes the
+            // canonical tip: a tie never reorgs under first-seen fork choice.
             let tip_before = chain.tip();
-            let parent = if roll == 9 {
-                chain.store().tips().into_iter().find(|t| *t != tip_before).unwrap_or(tip_before)
+            if roll == 9 {
+                let mut parent = longest_fork_tip(&chain).unwrap_or(tip_before);
+                loop {
+                    parent = chain.mine_block_on(parent, miner, now).unwrap().hash();
+                    if chain.tip() == parent {
+                        break;
+                    }
+                }
             } else {
                 let depth = 1 + rng.below(6);
                 let height = chain.height().saturating_sub(depth);
-                chain.store().canonical_block_at_height(height).unwrap()
-            };
-            chain.mine_block_on(parent, miner, now).unwrap();
-            if chain.tip() != tip_before && chain.store().get(&tip_before).is_some() {
-                reorgs_seen += u32::from(!chain.store().is_canonical(&tip_before));
+                let parent = chain.store().canonical_block_at_height(height).unwrap();
+                chain.mine_block_on(parent, miner, now).unwrap();
             }
+            reorgs_seen += u32::from(!chain.store().is_canonical(&tip_before));
         }
         assert_matches_oracle(&chain, &format!("step {step}"));
     }

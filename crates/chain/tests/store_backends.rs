@@ -12,8 +12,8 @@
 //! exercised.
 
 use ac3_chain::{
-    Address, Amount, Blockchain, ChainId, ChainParams, EchoVm, PolicyKind, StoreConfig, TxBuilder,
-    TxId,
+    Address, Amount, BlockHash, Blockchain, ChainId, ChainParams, EchoVm, PolicyKind, StoreConfig,
+    TxBuilder, TxId,
 };
 use ac3_crypto::KeyPair;
 use proptest::Gen;
@@ -41,6 +41,16 @@ fn twin_chains(policy: PolicyKind, allocs: &[(Address, Amount)]) -> (Blockchain,
         StoreConfig::Paged { pool_pages: 4, page_size: 512, policy },
     );
     (memory, paged)
+}
+
+/// The highest tip off the canonical chain, if the store holds a fork.
+fn longest_fork_tip(chain: &Blockchain) -> Option<BlockHash> {
+    let store = chain.store();
+    store
+        .tips()
+        .into_iter()
+        .filter(|t| *t != chain.tip())
+        .max_by_key(|t| store.header(t).expect("a tip is stored").height)
 }
 
 /// Everything observable must match: fork choice, canonical chain, headers,
@@ -93,30 +103,30 @@ fn random_fork_histories_are_identical_across_backends() {
                 let block = a.mine_block(miner, now).unwrap();
                 b.accept_block(block).unwrap();
             } else {
-                // Mine on an ancestor or a competing fork tip.
+                // Mine on an ancestor, or grow the longest competing fork
+                // until it overtakes the canonical tip: a tie never reorgs
+                // under first-seen fork choice.
                 let tip_before = memory.tip();
-                let parent = if roll == 9 {
-                    memory
-                        .store()
-                        .tips()
-                        .into_iter()
-                        .find(|t| *t != tip_before)
-                        .unwrap_or(tip_before)
+                let (mut parent, overtake) = if roll == 9 {
+                    (longest_fork_tip(&memory).unwrap_or(tip_before), true)
                 } else {
                     let depth = 1 + gen.below(5);
                     let height = memory.height().saturating_sub(depth);
-                    memory.store().canonical_block_at_height(height).unwrap()
+                    (memory.store().canonical_block_at_height(height).unwrap(), false)
                 };
                 let (a, b) = if step % 2 == 0 {
                     (&mut memory, &mut paged)
                 } else {
                     (&mut paged, &mut memory)
                 };
-                let block = a.mine_block_on(parent, miner, now).unwrap();
-                b.accept_block(block).unwrap();
-                reorgs_seen += u32::from(
-                    memory.tip() != tip_before && !memory.store().is_canonical(&tip_before),
-                );
+                loop {
+                    let block = a.mine_block_on(parent, miner, now).unwrap();
+                    parent = b.accept_block(block).unwrap();
+                    if !overtake || a.tip() == parent {
+                        break;
+                    }
+                }
+                reorgs_seen += u32::from(!memory.store().is_canonical(&tip_before));
             }
             assert_backends_agree(&memory, &paged, &format!("{} step {step}", policy.name()));
         }

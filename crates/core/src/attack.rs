@@ -82,8 +82,9 @@ pub struct ForkAttackReport {
     pub attacker_budget_blocks: u64,
     /// Blocks the attacker would have needed to both win the longest-chain
     /// race outright and bury the refund authorization under `d` blocks.
-    /// When the race is the binding constraint, one block fewer ties the
-    /// honest chain in height and the smaller tip hash wins the tie.
+    /// The threshold is exact: fork choice is first-seen, so a branch one
+    /// block short only ties the honest chain in height, and the honest
+    /// tip, seen first, keeps the lead.
     pub required_branch_blocks: u64,
     /// Whether the commit decision was reached honestly before the attack.
     pub commit_decided: bool,
@@ -306,6 +307,20 @@ mod tests {
         assert!(report.refund_accepted, "refund evidence should be deep enough");
         assert!(report.attack_succeeded());
         assert!(!report.verdict.is_atomic(), "verdict: {}", report.verdict);
+    }
+
+    #[test]
+    fn one_block_short_of_the_requirement_is_not_enough() {
+        // The threshold is exact: a branch one block short at best ties the
+        // honest chain, and the first-seen honest tip keeps the lead.
+        let probe = execute_fork_attack(&ForkAttackConfig::default()).unwrap();
+        let report = execute_fork_attack(&ForkAttackConfig {
+            attacker_budget_blocks: probe.required_branch_blocks - 1,
+            ..Default::default()
+        })
+        .unwrap();
+        assert!(!report.attack_succeeded());
+        assert!(report.verdict.is_atomic(), "verdict: {}", report.verdict);
     }
 
     #[test]

@@ -600,13 +600,15 @@ fn fork_attack_depth_sweep_of_sec63_attack() {
                 "eb8b6a20dd56953c27b98ec919a6fc3f156bb38b9b9e81a6cc1d3908660ac165"
             ],
             // d = 3: the attacker affords exactly the fork depth (5 blocks,
-            // one short of `required_branch_blocks`), so its branch ties
-            // the honest chain in height and the smaller tip hash wins.
-            // This entry is decided by block hashes, so it is not id-blind:
-            // base64 byte strings flipped the tie to the attacker.
+            // one short of `required_branch_blocks`), so its branch only
+            // ties the honest chain in height. Under first-seen fork choice
+            // the honest tip, seen first, keeps the lead and the swap stays
+            // atomic under any encoding. (With the old smaller-tip-hash
+            // tie-break this row was decided by block hashes, and base64
+            // byte strings had flipped it to the attacker.)
             [
-                "d9dee11a2d593215db5c2db18609768575cfb0b28392457022e0532416b373cd",
-                "8ab7704982c0d9bfbc14a6797371c11f0056c468fb737bdc47e4399b0f3f4ed2"
+                "ee36e446c485da1fabd192b6cb6e94acb302dedec1d372c4754d0e023b1c4f9f",
+                "1fd91b382e736426d87c8987694af014eb42f1904931f8a744b4074d2eca6bcd"
             ],
             [
                 "82589a281fc5ee1a211b39d36941dbcec745379cff66f918a86be727d266aa7e",
