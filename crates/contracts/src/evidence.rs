@@ -467,8 +467,16 @@ mod tests {
     #[test]
     fn tampered_tx_rejected() {
         let (anchor, mut ev) = fabricate_evidence(sample_transfer(), 6);
-        ev.tx.fee += 1; // breaks both the Merkle proof and the signature
-        assert!(ev.verify(&anchor, 0).is_err());
+        // Tamper a cold copy: building the evidence observed `ev.tx`, and a
+        // transaction mutated after that keeps its memoized identity. The
+        // copy's leaf no longer matches the proof, which must catch it.
+        let mut tx = ev.tx.clone();
+        tx.fee += 1;
+        ev.tx = tx;
+        assert_eq!(
+            ev.verify(&anchor, 0),
+            Err(VmError::RequirementFailed("inclusion proof invalid".to_string()))
+        );
     }
 
     #[test]
