@@ -7,7 +7,7 @@
 //! (which may lock assets, `msg.value`) and contract function calls.
 
 use crate::types::{Address, Amount, OutPoint, TxId};
-use ac3_crypto::{merkle, Hash256, KeyPair, Sha256, Signature};
+use ac3_crypto::{merkle, Hash256, KeyPair, Signature};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
@@ -70,19 +70,20 @@ pub enum TxKind {
     },
 }
 
-/// Lazily computed identity of a transaction: its canonical encoding, the
-/// hash of that encoding (the id), its Merkle leaf hash and the verdict of
-/// its signature check. All four are derived purely from the transaction's
-/// other fields, so the cache is invisible to equality, ordering and
-/// serialization, and it is deliberately *not* carried across `clone()` —
-/// a clone may be mutated before use (tests do this to model tampering), and
-/// a stale cached id or verdict would silently mask the mutation.
+/// Lazily computed identity of a transaction: the digest of its body (the
+/// one pass over the full encoding), the id and Merkle leaf hash of its
+/// short canonical bytes, and the verdict of its signature check. All four
+/// are derived purely from the transaction's other fields, so the cache is
+/// invisible to equality, ordering and serialization, and it is
+/// deliberately *not* carried across `clone()` — a clone may be mutated
+/// before use (tests do this to model tampering), and a stale cached digest,
+/// id or verdict would silently mask the mutation.
 ///
 /// Treat a transaction as immutable once any of these has been observed:
 /// mutating fields afterwards yields stale cached values.
 #[derive(Debug, Default)]
 pub struct TxIdentityCache {
-    bytes: OnceLock<Vec<u8>>,
+    digest: OnceLock<Hash256>,
     id: OnceLock<TxId>,
     leaf: OnceLock<Hash256>,
     signature_valid: OnceLock<bool>,
@@ -114,18 +115,18 @@ pub struct Transaction {
     pub fee: Amount,
     /// A nonce so that otherwise-identical transactions get distinct ids.
     pub nonce: u64,
-    /// The sender's signature over the canonical encoding; `None` only for
-    /// coinbase transactions.
+    /// The sender's signature over the body digest
+    /// ([`Transaction::digest`]); `None` only for coinbase transactions.
     pub signature: Option<Signature>,
-    /// Memoized canonical bytes, id, leaf hash and signature verdict (see
+    /// Memoized body digest, id, leaf hash and signature verdict (see
     /// [`TxIdentityCache`]).
     #[serde(skip)]
     pub cache: TxIdentityCache,
 }
 
 impl Transaction {
-    /// Canonical encoding of everything except the signature — the message
-    /// that gets signed.
+    /// Canonical encoding of everything except the signature: the body,
+    /// hashed once into [`Transaction::digest`].
     pub fn signing_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
         out.extend_from_slice(b"ac3wn/tx/v1");
@@ -181,57 +182,56 @@ impl Transaction {
         out
     }
 
-    /// Full canonical encoding including the signature; hashed to obtain the
-    /// transaction id and used as the Merkle leaf.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        self.canonical_bytes_cached().to_vec()
+    /// SHA-256 of [`Transaction::signing_bytes`], computed once per
+    /// transaction instance. It is the message the sender signs and the
+    /// prefix of the canonical bytes, so a transaction's body, however large
+    /// its payload, is hashed once per instance and every other identity
+    /// value hashes at most 49 bytes.
+    pub fn digest(&self) -> Hash256 {
+        *self.cache.digest.get_or_init(|| Hash256::digest(&self.signing_bytes()))
     }
 
-    /// Borrowed canonical encoding, computed once per transaction instance.
-    /// Merkle-root construction and id hashing go through this so a block of
-    /// `n` transactions encodes each transaction once, not once per use.
-    pub fn canonical_bytes_cached(&self) -> &[u8] {
-        self.cache.bytes.get_or_init(|| {
-            let mut out = self.signing_bytes();
-            match &self.signature {
-                Some(sig) => {
-                    out.push(1);
-                    out.extend_from_slice(&sig.to_bytes());
-                }
-                None => out.push(0),
+    /// Canonical encoding: the body digest, then a signature flag and the
+    /// signature (49 bytes signed, 33 unsigned). Hashed to obtain the
+    /// transaction id and used as the Merkle leaf.
+    pub fn canonical_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(49);
+        out.extend_from_slice(self.digest().as_bytes());
+        match &self.signature {
+            Some(sig) => {
+                out.push(1);
+                out.extend_from_slice(&sig.to_bytes());
             }
-            out
-        })
+            None => out.push(0),
+        }
+        out
     }
 
     /// The transaction id, computed once per transaction instance. UTXO
     /// validation, mempool admission, Merkle-root construction and inclusion
-    /// proofs all ask for the id repeatedly; re-serializing and re-hashing on
-    /// every call was a measurable hot spot.
+    /// proofs all ask for the id repeatedly.
     pub fn id(&self) -> TxId {
-        *self.cache.id.get_or_init(|| {
-            let mut h = Sha256::new();
-            h.update(self.canonical_bytes_cached());
-            TxId(Hash256::from(h.finalize()))
-        })
+        *self.cache.id.get_or_init(|| TxId(Hash256::digest(&self.canonical_bytes())))
     }
 
     /// The Merkle leaf hash of the canonical encoding, computed once per
     /// transaction instance. Block roots, root validation and inclusion
     /// proofs all build from it.
     pub fn leaf_hash(&self) -> Hash256 {
-        *self.cache.leaf.get_or_init(|| merkle::leaf_hash(self.canonical_bytes_cached()))
+        *self.cache.leaf.get_or_init(|| merkle::leaf_hash(&self.canonical_bytes()))
     }
 
-    /// Whether the embedded signature is valid for the sender over the
-    /// signing bytes. Coinbase transactions are vacuously authorised. The
-    /// verdict is computed once per transaction instance: mempool admission
+    /// Whether the embedded signature is valid for the sender over the body
+    /// digest. Coinbase transactions are vacuously authorised. The verdict
+    /// is computed once per transaction instance: mempool admission
     /// verifies the pool's instance, and mining that instance reuses the
     /// verdict (a per-instance signature cache).
     pub fn signature_valid(&self) -> bool {
         *self.cache.signature_valid.get_or_init(|| match (&self.sender, &self.signature) {
             (None, None) => matches!(self.kind, TxKind::Coinbase { .. }),
-            (Some(sender), Some(sig)) => sender.public_key().verifies(&self.signing_bytes(), sig),
+            (Some(sender), Some(sig)) => {
+                sender.public_key().verifies(self.digest().as_bytes(), sig)
+            }
             _ => false,
         })
     }
@@ -243,7 +243,7 @@ impl Transaction {
         let cache = &self.cache;
         Transaction {
             cache: TxIdentityCache {
-                bytes: cache.bytes.clone(),
+                digest: cache.digest.clone(),
                 id: cache.id.clone(),
                 leaf: cache.leaf.clone(),
                 signature_valid: cache.signature_valid.clone(),
@@ -333,8 +333,10 @@ impl TxBuilder {
             signature: None,
             cache: TxIdentityCache::default(),
         };
-        let sig = self.keypair.sign(&tx.signing_bytes());
-        tx.signature = Some(sig);
+        // Sign the digest without memoizing it: callers may still mutate a
+        // freshly built transaction (tests model tampering that way).
+        let digest = Hash256::digest(&tx.signing_bytes());
+        tx.signature = Some(self.keypair.sign(digest.as_bytes()));
         tx
     }
 
@@ -492,12 +494,28 @@ mod tests {
     fn id_is_memoized_and_stable() {
         let mut alice = builder(b"alice");
         let tx = alice.transfer(vec![dummy_outpoint(1)], vec![], 1);
+        assert!(tx.cache.digest.get().is_none(), "the builder does not memoize its digest");
         let first = tx.id();
-        // Repeated calls return the cached id and the cached bytes pointer.
+        assert_eq!(tx.cache.digest.get(), Some(&Hash256::digest(&tx.signing_bytes())));
         assert_eq!(tx.id(), first);
-        let p1 = tx.canonical_bytes_cached().as_ptr();
-        let p2 = tx.canonical_bytes_cached().as_ptr();
-        assert_eq!(p1, p2, "canonical bytes recomputed instead of cached");
+        assert_eq!(first, TxId(Hash256::digest(&tx.canonical_bytes())));
+    }
+
+    #[test]
+    fn canonical_bytes_are_the_digest_and_the_signature() {
+        let mut alice = builder(b"alice");
+        let tx = alice.deploy(vec![dummy_outpoint(2)], 75, vec![], vec![7; 4096], 2);
+        let bytes = tx.canonical_bytes();
+        assert_eq!(bytes.len(), 49);
+        assert_eq!(&bytes[..32], tx.digest().as_bytes());
+        assert_eq!(bytes[32], 1);
+        assert_eq!(bytes[33..], tx.signature.unwrap().to_bytes());
+        // The signature is over the digest, not over the body.
+        assert!(alice
+            .address()
+            .public_key()
+            .verifies(tx.digest().as_bytes(), &tx.signature.unwrap()));
+        assert_eq!(coinbase(alice.address(), 1, 0).canonical_bytes().len(), 33);
     }
 
     #[test]
@@ -536,11 +554,13 @@ mod tests {
 
         let warm = tx.clone_warm();
         assert_eq!(warm, tx);
+        assert_eq!(warm.cache.digest.get(), Some(&tx.digest()));
         assert_eq!(warm.cache.id.get(), Some(&id));
         assert_eq!(warm.cache.leaf.get(), Some(&leaf));
         assert_eq!(warm.cache.signature_valid.get(), Some(&true));
 
         let cold = tx.clone();
+        assert!(cold.cache.digest.get().is_none());
         assert!(cold.cache.id.get().is_none());
         assert!(cold.cache.leaf.get().is_none());
         assert!(cold.cache.signature_valid.get().is_none());

@@ -8,12 +8,18 @@
 //! the mempool re-validates on a fresh chain; and a tampered copy of a
 //! pending transaction is refused even though the pending original was
 //! verified at admission.
+//!
+//! A transaction's identity is one digest of its body: the signature is
+//! over it, and the id and leaf hash the 49-byte `digest ‖ signature`.
+//! A decoded (cold) copy must reach the same digest, id, leaf and verdict
+//! as the warm original, and changing any one field of a cold copy must
+//! change its identity and, for a signed transaction, break its signature.
 
 use ac3_chain::{
     coinbase, Address, Amount, Block, BlockHeader, Blockchain, ChainError, ChainId, ChainParams,
     ContractId, EchoVm, OutPoint, Transaction, TxBuilder, TxId, TxKind, TxOutput, UtxoError,
 };
-use ac3_crypto::{Hash256, KeyPair, MerkleTree};
+use ac3_crypto::{Hash256, KeyPair, MerkleTree, Signature};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -87,6 +93,134 @@ proptest! {
         for (i, leaf) in leaves.iter().enumerate() {
             let proof = tree.prove(i).expect("index in range");
             prop_assert!(proof.verify(&block.header.tx_root, leaf), "leaf {} of {}", i, leaves.len());
+        }
+    }
+}
+
+/// One transaction of kind `kind % 4` — transfer, deploy, call or coinbase —
+/// whose deploy or call payload is `len` bytes.
+fn tx_of_kind(builder: &mut TxBuilder, kind: u8, len: usize, seed: u64) -> Transaction {
+    let outpoint = OutPoint::new(TxId(Hash256::digest(&seed.to_be_bytes())), (seed % 3) as u32);
+    let output = TxOutput::new(addr(&seed.to_le_bytes()), seed % 1_000);
+    let payload: Vec<u8> = (0..len).map(|i| (seed as usize).wrapping_add(i * 31) as u8).collect();
+    match kind % 4 {
+        0 => builder.transfer(vec![outpoint], vec![output], seed % 7),
+        1 => builder.deploy(vec![outpoint], seed % 50, vec![output], payload, 2),
+        2 => builder.call(ContractId(outpoint.txid.0), payload, 1),
+        _ => coinbase(output.owner, output.value, seed),
+    }
+}
+
+/// Cold copies of `tx`, each with exactly one body field changed.
+fn body_mutations(tx: &Transaction) -> Vec<(&'static str, Transaction)> {
+    let mut out = Vec::new();
+    let mut mutate = |name, change: &dyn Fn(&mut Transaction)| {
+        let mut copy = tx.clone();
+        change(&mut copy);
+        out.push((name, copy));
+    };
+    mutate("sender", &|t| t.sender = Some(addr(b"mallory")));
+    mutate("fee", &|t| t.fee += 1);
+    mutate("nonce", &|t| t.nonce ^= 1);
+    let flip = |payload: &mut Vec<u8>| match payload.first_mut() {
+        Some(byte) => *byte ^= 1,
+        None => payload.push(0),
+    };
+    match &tx.kind {
+        TxKind::Transfer { .. } => {
+            mutate("transfer input", &|t| {
+                if let TxKind::Transfer { inputs, .. } = &mut t.kind {
+                    inputs[0].index += 1;
+                }
+            });
+            mutate("transfer output", &|t| {
+                if let TxKind::Transfer { outputs, .. } = &mut t.kind {
+                    outputs[0].value += 1;
+                }
+            });
+        }
+        TxKind::Deploy { .. } => {
+            mutate("deploy input", &|t| {
+                if let TxKind::Deploy { inputs, .. } = &mut t.kind {
+                    inputs[0].index += 1;
+                }
+            });
+            mutate("locked value", &|t| {
+                if let TxKind::Deploy { locked_value, .. } = &mut t.kind {
+                    *locked_value += 1;
+                }
+            });
+            mutate("deploy change", &|t| {
+                if let TxKind::Deploy { change, .. } = &mut t.kind {
+                    change[0].owner = addr(b"mallory");
+                }
+            });
+            mutate("deploy payload", &|t| {
+                if let TxKind::Deploy { payload, .. } = &mut t.kind {
+                    flip(payload);
+                }
+            });
+        }
+        TxKind::Call { .. } => {
+            mutate("call contract", &|t| {
+                if let TxKind::Call { contract, .. } = &mut t.kind {
+                    *contract = ContractId(Hash256::digest(b"another contract"));
+                }
+            });
+            mutate("call payload", &|t| {
+                if let TxKind::Call { payload, .. } = &mut t.kind {
+                    flip(payload);
+                }
+            });
+        }
+        TxKind::Coinbase { .. } => {
+            mutate("coinbase output", &|t| {
+                if let TxKind::Coinbase { outputs } = &mut t.kind {
+                    outputs[0].value += 1;
+                }
+            });
+        }
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn identity_is_one_body_digest(
+        kinds in proptest::collection::vec(any::<u8>(), 1..5),
+        len in 0usize..16_385,
+        seed in any::<u64>(),
+    ) {
+        let mut builder = TxBuilder::new(KeyPair::from_seed(b"prop-signer"), seed);
+        for (i, kind) in kinds.iter().enumerate() {
+            let tx = tx_of_kind(&mut builder, *kind, len, seed.wrapping_add(i as u64));
+            let (digest, id, leaf) = (tx.digest(), tx.id(), tx.leaf_hash());
+            prop_assert!(tx.signature_valid(), "a built or coinbase transaction verifies");
+            prop_assert_eq!(digest, Hash256::digest(&tx.signing_bytes()));
+            prop_assert!(tx.canonical_bytes().len() <= 49, "{} bytes", tx.canonical_bytes().len());
+
+            // A decoded copy starts cold and reaches the same identity.
+            let cold: Transaction = serde_json::from_str(&serde_json::to_string(&tx).unwrap()).unwrap();
+            prop_assert_eq!((cold.digest(), cold.id(), cold.leaf_hash()), (digest, id, leaf));
+            prop_assert!(cold.signature_valid());
+
+            for (field, forged) in body_mutations(&tx) {
+                prop_assert_ne!(forged.digest(), digest, "{} left the digest", field);
+                prop_assert_ne!(forged.id(), id, "{} left the id", field);
+                prop_assert_ne!(forged.leaf_hash(), leaf, "{} left the leaf", field);
+                if tx.signature.is_some() {
+                    prop_assert!(!forged.signature_valid(), "{} kept the signature valid", field);
+                }
+            }
+            // The signature is not part of the body: changing it keeps the
+            // digest, moves the id and fails verification.
+            if let Some(sig) = tx.signature {
+                let mut forged = tx.clone();
+                forged.signature = Some(Signature { s: sig.s ^ 1, ..sig });
+                prop_assert_eq!(forged.digest(), digest);
+                prop_assert_ne!(forged.id(), id);
+                prop_assert!(!forged.signature_valid());
+            }
         }
     }
 }

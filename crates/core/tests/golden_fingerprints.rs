@@ -103,7 +103,7 @@ fn nolan_two_party() {
     assert_eq!(
         digests(&report, &s),
         [
-            "c5d62f19ddc60e3728a6a16086111196c0f5446eca709e891fb2d9207fe15d86",
+            "2eb19846ddb474e80c6cd10b3fb0f26e562cbc55019d5254acfaa2970d5f9bbe",
             "9edf9063b6fb313fee5261793d153039384563bf567cc42933a7d8fdab36285a",
         ]
     );
@@ -117,7 +117,7 @@ fn herlihy_ring_of_four() {
     assert_eq!(
         digests(&report, &s),
         [
-            "ce966bcb7598c87d1b060137330a04e304786a42ad268e142f33e10073dd4231",
+            "d04b74fce5db8b6c63bcff84e4203be695a25acbe00981a9a112ea00c0b67eeb",
             "0f4588b62cb2e9f096914f34e320cd16640cdcc50176088e78930886c1a08ef0",
         ]
     );
@@ -135,7 +135,7 @@ fn herlihy_explicit_leader() {
     assert_eq!(
         digests(&report, &s),
         [
-            "8cf25d69d222b43a0adec62d19334de1a515f7b148c893c55f59a4aed37115ea",
+            "318544570fa8501a25eca324b638ae67cd2f3c85e0c0e8c8f9b277c2bab2ac32",
             "5df439d7fbd55f7602cdda318a4c21cf01e1909eb347be6a6ad1599113b697e0",
         ]
     );
@@ -156,7 +156,7 @@ fn herlihy_crash_past_timelock_violation() {
     assert_eq!(
         digests(&report, &s),
         [
-            "87212175e8057bb7bbc623450e022df0b97465cc14541ca8269634784c7dafbe",
+            "035dde832baa640d25592416d2bb967fbf263933d819ef15642c4acc3d628f1a",
             "3801409f2336ade34742de2d3f9a99f97a8b5398114e17eeb70d95b9eb199a48",
         ]
     );
@@ -173,7 +173,7 @@ fn herlihy_declined_deployment_refunds() {
     assert_eq!(
         digests(&report, &s),
         [
-            "cf9271d07ca50e832c7820b6e99df754a1e2d500e9751ca39d60f15d641166c1",
+            "5134aa5aed9863fcaccf8f37436f8c62ca7fbcaed81c2dc018b55f379c233c7c",
             "43f431034490d97b9ed113f167fb8d08f5462c53cb6d6f020b4f8ca3f443a5ac",
         ]
     );
@@ -187,7 +187,7 @@ fn herlihy_multi_figure7a() {
     assert_eq!(
         digests(&report, &s),
         [
-            "f52f2b437bb280570c8c084938d128d6936b14bab7ad8e8e2537a88f7e24e730",
+            "5c753f05198c02c35e2e1a9dbfed17aa42d3d6501b36f8a34ee053cc06f363e0",
             "610add1be69e574060d9c47c9601e4c57cee51a0e1f2e14caaffb35d322112d9",
         ]
     );
@@ -206,7 +206,7 @@ fn herlihy_multi_two_leaders_bridged_double_cycle() {
     assert_eq!(
         digests(&report, &s),
         [
-            "c5db53827c13b8abf07efc4014e95c738c1c8940d294a6bdb2501e06a8e5787a",
+            "8016f91b9455cec3ccb259b0e45756dcaa44ea3456080a2af83a177ff2c16bc4",
             "04071488b667145cf0e2c08652bd09b3a2c6fa8d0e78876c9cc3edce0130489f",
         ]
     );
@@ -229,7 +229,7 @@ fn herlihy_multi_crashed_leader_fails_the_exchange() {
     assert_eq!(
         digests(&report, &s),
         [
-            "bba010d4a6dcba8273aca2e8b4a87654b421f923391e070bbb191c1e68368d11",
+            "f45680c52134c148ec1b09d93826c160c900ed1e98fef49e23ec23293a2ccaf9",
             "455cb020682c287b271ec2f5539ce09e3dd72d1d63e6396e88560a006d348ae9",
         ]
     );
@@ -286,7 +286,7 @@ fn mixed_four_protocol_batch_at_one_worker() {
     assert_eq!(
         [Hash256::digest(lines.join("\n").as_bytes()).to_hex(), id_blind_digest(&blind.join("\n"))],
         [
-            "8ee4c849269f74008c100359bce355ff52496d20520117128b0c496af792d3a7",
+            "a608d103452ce257f31299b5962927e75137fc9332097566ac511df1ddcbca38",
             "977003ce2ddf521bce00f4221920184525f7b7716f44d217087a467b8da3b6d0",
         ]
     );
@@ -398,7 +398,7 @@ fn ac3wn_single_runs() {
             scenario: two_party,
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "7844584b1ebfa1ba92b1fa0cfb251c40586c4e8fabf3764ab36e261ae5bbdedd",
+            digest: "ca41c699b07bde0d9eb3745b22d6ac7ff5b80d531ff58528a7f4be65d89dc1d0",
             id_blind: "f7772ed995ad68cd64474ba423b4df50ccb8fdd044ae7589b08e24b9a6a78967",
         },
         Ac3Case {
@@ -406,7 +406,7 @@ fn ac3wn_single_runs() {
             scenario: || figure7a_scenario(&ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "725feab9b1b4c990d974e90726191e141f0d20787f11fad21d4a4996b0a33d16",
+            digest: "3925cabe316c39ff94942c32110bc98241277ac116284975a29c0bf30f0102d5",
             id_blind: "b212ee726d93271a4572080895e201b0b6d634b0a0a83d4738300e5a0f0f2317",
         },
         Ac3Case {
@@ -414,7 +414,7 @@ fn ac3wn_single_runs() {
             scenario: || figure7b_scenario(&ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "dbd311c166fab3eb39d2f1f2da4c046b5460b01ceddaf1c674c5a43861a4ab79",
+            digest: "d7637b68c4be2bf6f97d411182de1bfce3106eb78f8215d618bb9079b485c50f",
             id_blind: "252e93b4f730cfbee4f620f55dbee8a583ebbab0a23d3cabd0755c7abc203131",
         },
         Ac3Case {
@@ -422,7 +422,7 @@ fn ac3wn_single_runs() {
             scenario: || ring_scenario(4, 10, &ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "9aba54d72282574747ee96fbc857b1851b26c9cbbe2d3066803f4a87e0092941",
+            digest: "720848b64938252899ed3092830804ba4061519121ecfb61d47a79b6a652ff34",
             id_blind: "c0393cc9866edd883e9de5997dd2f36fa7455a422c45d24bcba2a073e32b6f24",
         },
         Ac3Case {
@@ -430,7 +430,7 @@ fn ac3wn_single_runs() {
             scenario: bob_declines,
             decision: Some(false),
             verdict: all_refunded,
-            digest: "d8e848b26314b65514feebeddac1e088d87d03fce662e49f6114b8fe071dd64a",
+            digest: "1bed27ed644587468eb90890569fc5cb0c0c169ec9e3fe2f1d413998bd4bf04b",
             id_blind: "3bb46b494e5cab6668d64a289116b4b312d472560f7491d76dd26f7c53129ffb",
         },
         Ac3Case {
@@ -438,7 +438,7 @@ fn ac3wn_single_runs() {
             scenario: || bob_crashed(10_000, 40_000),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "c1737b0d52e343acb41fdbe89dcda32c1b0b3ade72334a461e3a47ac36b3cf88",
+            digest: "ed71922fae55366d247ee50466b59aad826d78fb96cb82f689af169e9c544d1b",
             id_blind: "5c2caed9f237f1d9617e83480141f95ceae018b20b2ed3253d5c7dab1de985b8",
         },
         Ac3Case {
@@ -450,7 +450,7 @@ fn ac3wn_single_runs() {
             },
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "0da536adb9ee0c7f4dd8df3cdaa8835a99055590819a2492fd86f77b8ae09e01",
+            digest: "1e5281dd95c62c3eca9b271a7b211cb550fddca913056b868ba91c2d0d5182aa",
             id_blind: "a16c15862518869fae7ccfca76f31964d438ad71156d67a4052a0a2f996321b4",
         },
     ];
@@ -470,7 +470,7 @@ fn ac3tw_single_runs() {
             scenario: two_party,
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "b4c2b741bdc277a4dacf13319952ead7c27a9c13b4adf0d7c9a8fcd09d2533d8",
+            digest: "555ab8b51756fd48e80f3d3f2b61571ff698c3da4cc9cf05e095b70337bc3d90",
             id_blind: "fac028889c26be79528ce277fb9515188b93e96d1ecb69b2dd4da6f32ad3fa40",
         },
         Ac3Case {
@@ -478,7 +478,7 @@ fn ac3tw_single_runs() {
             scenario: || figure7a_scenario(&ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "8273c13b2216614c458c17b057510905447be2b66c2bf72cdb400155298f1d76",
+            digest: "8ca00c5c6c96c7fe6efb634bc7c92bb9ea5cfcb9657f8ff9ed155750f0768092",
             id_blind: "7de5c96f3b65b2000ce521a1b16dbd4fd45d282fe98e0d6b989835718cad5019",
         },
         Ac3Case {
@@ -486,7 +486,7 @@ fn ac3tw_single_runs() {
             scenario: || figure7b_scenario(&ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "61e8e7280b7b8fe76dd1211eb1972842380b2b4bf517fa50f3f4ae764f532722",
+            digest: "4f0bc9e35d947f6fcf16cadd6576c0aaf1babef7c8db5204c9746f1f8c75209a",
             id_blind: "3df897c8a2acae3892e0abc40182522b5ebeecf27e6d56fe15986dcba4947250",
         },
         Ac3Case {
@@ -494,7 +494,7 @@ fn ac3tw_single_runs() {
             scenario: || ring_scenario(4, 10, &ScenarioConfig::default()),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "807f7e9cd55046f41487fdaf07407fdc916954475849a64d90ad2680fc2b98ce",
+            digest: "a13b7fa98470b4fe1a1f7446c2233d790cae8c5ffdb92a4653b7e3dfbb138537",
             id_blind: "8e7b078412ff68ce1584ca08140d2ad6607eae63d0c7c3fc63007218c82e9b48",
         },
         Ac3Case {
@@ -502,7 +502,7 @@ fn ac3tw_single_runs() {
             scenario: bob_declines,
             decision: Some(false),
             verdict: all_refunded,
-            digest: "3f07e837bd049961d56af3dafad7deac5ca2f9caacb19088c40ecf7965ad1918",
+            digest: "64e5793166678fc31db1426c01dcaa495252f410a44915e14b6a841f1771e8a8",
             id_blind: "b2edfd8d8b4e1f96e2fd78767d84ffd3eeccab6661ed5afd992c128f1148feb5",
         },
         Ac3Case {
@@ -510,7 +510,7 @@ fn ac3tw_single_runs() {
             scenario: || bob_crashed(3_000, 30_000),
             decision: Some(true),
             verdict: all_redeemed,
-            digest: "d07d1fb7425c98ad7055c58155c5c5cc71753907ac950af0684b1e5bd081c0b0",
+            digest: "a9237c19720d33d11ee92eef82d15fd7029010b82ba4ed7809628cfc7b1da45a",
             id_blind: "75ffd23b2363ece68a4686fd0b965f50312c33cca5b40b9dcdfda19eb3b53f4c",
         },
         Ac3Case {
@@ -518,7 +518,7 @@ fn ac3tw_single_runs() {
             scenario: two_party,
             decision: None,
             verdict: incomplete,
-            digest: "e778d83cd5fe7beb2929f1c692738b7ea163a0d91924ff8007103836b9fc230d",
+            digest: "cba97bbeb93dcec2b6e4be6d99f9053fbc6902e7d45db52cfb2a246fe091d131",
             id_blind: "d6925ad3416b6302453250f9ba173e1237b6f1ec1e196dd8a5a43cf791427aa4",
         },
     ];
@@ -551,15 +551,15 @@ fn fork_attack_reports_at_depth_three() {
         got,
         [
             [
-                "59d628c01920fd936fcfb8c9aa46fd724b2ade1f8bcdabb4c42c2c8e0140ce26",
+                "1f71e498463e8e1c249cdc187888c1ad16f8ef59d6826b9ba833f2f219abd349",
                 "63822ca499f71091671944e5be7f76840deb3d8073fc89b0e6a88ef619b10703"
             ],
             [
-                "0e8a5fc625f64d24c9272cd6dc7bd623fdca17ab3c72fdb9389cc477b98cadba",
+                "89d5f31786c025497d375f56763e7d80ff59ea999d39d3e103f01d81336f0546",
                 "0048b2a07fbfa56c0586904e9b7a34cdc4db096ed6278a28670af66b9c8cdc6a"
             ],
             [
-                "767c8c508a42b0d1c75cfca9953461fea9e71d0cf6b5205d9a1207c92bb476d8",
+                "02179d2d72f82888b9225ab66efdfa8c3a3560ad1cb643d51326f2608e6305c3",
                 "f77c69b0f7d97e323e96e70aaf56980cd5e122034168a3b6d4dd4695afe23b9a"
             ],
         ]
@@ -592,42 +592,40 @@ fn fork_attack_depth_sweep_of_sec63_attack() {
         got,
         [
             [
-                "ac92548c42d83a063b0560821427de81b3ebbbea9faf80f7cc43f7fd0b5d0225",
+                "b4feceea2946f2ddd375ce871d99530a4cb4cf80399870a49b335ad0c369c202",
                 "ee0bf64f4e060a06cb9830f99c47a1dc277a6eecf66493108331f14ff55cf0f6"
             ],
             [
-                "21a9682c00cbce998467005b1821e6d0684dc5f88a74f0c78f5e4f8c9c7dd019",
+                "9f7f6da5eb4d9ff220b2b3b19443d281f45a4af0a6e174707c63fc0107b515d1",
                 "eb8b6a20dd56953c27b98ec919a6fc3f156bb38b9b9e81a6cc1d3908660ac165"
             ],
             // d = 3: the attacker affords exactly the fork depth (5 blocks,
             // one short of `required_branch_blocks`), so its branch only
             // ties the honest chain in height. Under first-seen fork choice
-            // the honest tip, seen first, keeps the lead and the swap stays
-            // atomic under any encoding. (With the old smaller-tip-hash
-            // tie-break this row was decided by block hashes, and base64
-            // byte strings had flipped it to the attacker.)
+            // the honest tip, seen first, keeps the lead, so the swap stays
+            // atomic whatever the block hashes are.
             [
-                "ee36e446c485da1fabd192b6cb6e94acb302dedec1d372c4754d0e023b1c4f9f",
+                "f89fc520694753d1af557e88d089eb9810845b73a7d9fc6e81cd0e1c2e9a1b55",
                 "1fd91b382e736426d87c8987694af014eb42f1904931f8a744b4074d2eca6bcd"
             ],
             [
-                "82589a281fc5ee1a211b39d36941dbcec745379cff66f918a86be727d266aa7e",
+                "7a74625dfc2d187b9b2b9aec2c47fdfb0a8044bb46311e5d6ae91fe41f6f1350",
                 "d82264cf472559a0bd2e8efdf11526eebcce049c8cb07fb860600b29578b8705"
             ],
             [
-                "266a114fe281f998d9ea5fdd77f8e78db20a077040e40ba861cb4469d0576b39",
+                "d45eee0fb6a518777f863d48d5014c6381c7c2fc8658cca792e6a34d2dd0a61a",
                 "67b19227f7160cc0b5394f8460d68237b3e32266a89333cb3644d40797f04e5d"
             ],
             [
-                "b04be0acbd508029631c2163c154ad5fad93e702cf4064ebed0a2469e0cb34f0",
+                "358bb52cdb82f2b6e8d9866d105aa177a041af7364eeb92eec2dc70997cca414",
                 "931a3f1b79ab2da8706f05f245ef232dbbbb73ce040bad9d1299f04a8fa8ee25"
             ],
             [
-                "74ea524e09fa8026170ccb8f099e9f51242ff0764c21d2f8dae1d3b6d7692818",
+                "b520d030418d57ea347608d5bd71ff998548cbe48934f9dcca813b890e748539",
                 "93117a7df02ca4f55c231b2cb394519b4225648b9afcfc1277adfc6fb2ee5591"
             ],
             [
-                "684245d7bd9a33c3ba4261d137e198d99b3e4edf772a4305e9dfd849b594f263",
+                "a0458b9a639ab25ade99bf3e95f53899d4865e6c67d0f20c0a3e37c2c0eeece1",
                 "f03aa377cebae0c336bf287769e842a47056d0337a7c9432e237a3d9747fda72"
             ],
         ]

@@ -4,11 +4,13 @@
 //! Every transaction id, Merkle root, paged-store page count and committed
 //! fingerprint in the repository is a function of these bytes, so a codec
 //! change that moves one of them is a consensus change. The expected files
-//! under `tests/golden/` were re-captured once, by the change that made byte
-//! strings base64 (codec version 2), against the id-blind digests of
-//! `crates/core/tests/golden_fingerprints.rs`; before that they had held the
-//! tree-based codec's bytes unchanged through the streaming rewrite. They
-//! are not regenerated otherwise.
+//! under `tests/golden/` held the tree-based codec's bytes unchanged through
+//! the streaming rewrite, and have been re-captured twice since, each time
+//! against the id-blind digests of `crates/core/tests/golden_fingerprints.rs`
+//! (which did not move): once when byte strings became base64 (codec
+//! version 2), and once when a transaction's identity became one digest of
+//! its body, which re-signed every transaction and so moved every embedded
+//! id and signature. They are not regenerated otherwise.
 //!
 //! The values come out of one committed two-party AC3WN swap, so they are
 //! the real thing: an authorize call carrying header-range evidence for both
