@@ -288,8 +288,13 @@ impl Blockchain {
             snapshots: SnapshotCache::default(),
         };
         let sealed = chain.seal(genesis).expect("genesis seals");
+        // Execute the genesis block in hand rather than replaying it from
+        // the store: the paged backend would decode a cold copy and hash
+        // every coinbase again.
+        let genesis_run =
+            Self::execute_block(&chain.vm, id, &chain.params, &mut chain.state, &sealed);
+        debug_assert!(genesis_run.is_ok(), "genesis execution failed: {genesis_run:?}");
         let hash = chain.store.insert(sealed).expect("genesis inserts");
-        chain.state = chain.replay_state_from_genesis();
         chain.mempool.set_base_fee(chain.state.base_fee);
         chain.snapshots.insert(hash, chain.state.clone());
         chain
