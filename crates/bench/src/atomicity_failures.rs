@@ -13,23 +13,15 @@
 //! Expected shape: the hashlock/timelock baselines (Nolan, Herlihy) lose
 //! atomicity in the `crash-before-redeem` scenario — the crashed participant
 //! ends up worse off — while AC3TW and AC3WN stay atomic in every scenario.
+//! Asserted exactly: `crash-before-redeem` is VIOLATED for Nolan, Herlihy
+//! and Herlihy-multi, and every other cell is atomic.
 
-use ac3_bench::{print_json_rows, print_table};
+use crate::{print_table, Record};
 use ac3_core::scenario::{two_party_scenario, ScenarioConfig};
 use ac3_core::{
     Ac3tw, Ac3wn, Herlihy, HerlihyMulti, Nolan, ProtocolConfig, ProtocolKind, SwapReport,
 };
 use ac3_sim::CrashWindow;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct FaultRow {
-    protocol: String,
-    scenario: String,
-    atomic: bool,
-    committed: bool,
-    verdict: String,
-}
 
 #[derive(Clone, Copy, PartialEq)]
 enum FaultScenario {
@@ -61,7 +53,7 @@ impl FaultScenario {
     }
 }
 
-fn run(protocol: ProtocolKind, scenario_kind: FaultScenario) -> SwapReport {
+fn execute(protocol: ProtocolKind, scenario_kind: FaultScenario) -> SwapReport {
     let cfg = ScenarioConfig::default();
     let protocol_cfg =
         ProtocolConfig { witness_depth: 3, deployment_depth: 3, ..Default::default() };
@@ -99,7 +91,8 @@ fn run(protocol: ProtocolKind, scenario_kind: FaultScenario) -> SwapReport {
     }
 }
 
-fn main() {
+/// Run every protocol under every fault and assert which ones break.
+pub fn run() -> Vec<Record> {
     let protocols = [
         ProtocolKind::Nolan,
         ProtocolKind::Herlihy,
@@ -113,33 +106,28 @@ fn main() {
         FaultScenario::CrashBeforeRedeem,
     ];
 
-    let mut rows = Vec::new();
+    let mut table = Vec::new();
     for protocol in protocols {
         for scenario in scenarios {
-            let report = run(protocol, scenario);
+            let report = execute(protocol, scenario);
             let verdict = report.verdict();
-            rows.push(FaultRow {
-                protocol: protocol.to_string(),
-                scenario: scenario.name().to_string(),
-                atomic: verdict.is_atomic(),
-                committed: verdict.is_committed(),
-                verdict: verdict.to_string(),
-            });
+            let timelocked = !matches!(protocol, ProtocolKind::Ac3Tw | ProtocolKind::Ac3Wn);
+            assert_eq!(
+                verdict.is_atomic(),
+                !(timelocked && scenario == FaultScenario::CrashBeforeRedeem),
+                "{protocol} under {}: {verdict}",
+                scenario.name()
+            );
+            table.push(vec![
+                protocol.to_string(),
+                scenario.name().to_string(),
+                if verdict.is_atomic() { "yes" } else { "VIOLATED" }.to_string(),
+                verdict.is_committed().to_string(),
+                verdict.to_string(),
+            ]);
         }
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.protocol.clone(),
-                r.scenario.clone(),
-                if r.atomic { "yes".to_string() } else { "VIOLATED".to_string() },
-                r.committed.to_string(),
-                r.verdict.clone(),
-            ]
-        })
-        .collect();
     print_table(
         "E6: atomicity of a two-party swap under crash failures",
         &["protocol", "scenario", "atomic", "committed", "verdict"],
@@ -149,5 +137,5 @@ fn main() {
         "\nExpected shape (paper, Section 1 + Lemma 5.1): Nolan and Herlihy violate all-or-nothing \
          when the redeemer crashes past its timelock; AC3TW and AC3WN never do."
     );
-    print_json_rows("atomicity_failures", &rows);
+    Vec::new()
 }

@@ -2,8 +2,11 @@
 //! transaction-graph diameter grows — Herlihy's single-leader protocol vs
 //! AC3WN, both as the paper's analytical model and as measured against the
 //! chain simulator.
+//!
+//! The measured columns must equal the model exactly: Herlihy takes
+//! 2Δ·Diam and AC3WN 4Δ at every diameter from 2 to [`MAX_DIAMETER`].
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_core::analysis::{latency, LatencyRow};
 use ac3_core::scenario::{ring_scenario, ScenarioConfig};
 use ac3_core::{Ac3wn, Herlihy, ProtocolConfig};
@@ -25,12 +28,20 @@ fn measure(diameter: usize) -> (f64, f64) {
     (herlihy_report.latency_in_deltas(), ac3wn_report.latency_in_deltas())
 }
 
-fn main() {
-    let max_diameter: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(8);
+/// The largest graph diameter swept.
+pub const MAX_DIAMETER: usize = 8;
 
+/// Run the sweep and assert the measured latencies equal the model.
+pub fn run() -> Vec<Record> {
     let mut rows = Vec::new();
-    for diameter in 2..=max_diameter {
+    for diameter in 2..=MAX_DIAMETER {
         let (herlihy_measured, ac3wn_measured) = measure(diameter);
+        assert_eq!(
+            herlihy_measured,
+            2.0 * diameter as f64,
+            "Herlihy takes 2Δ·Diam at D={diameter}"
+        );
+        assert_eq!(ac3wn_measured, 4.0, "AC3WN takes a constant 4Δ at D={diameter}");
         rows.push(LatencyRow {
             diameter: diameter as u64,
             herlihy_model: latency::herlihy_deltas(diameter as u64),
@@ -61,5 +72,5 @@ fn main() {
         "\nShape check: Herlihy grows linearly (2·Δ·Diam), AC3WN stays constant (~4·Δ); \
          they tie at Diam(D) = 2 and AC3WN wins beyond that."
     );
-    print_json_rows("fig10_latency", &rows);
+    Vec::new()
 }

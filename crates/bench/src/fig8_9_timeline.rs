@@ -2,19 +2,18 @@
 //! protocol (sequential deploy then sequential redeem — Figure 8) and under
 //! AC3WN (four constant-length phases — Figure 9). Event times are printed
 //! in Δ units relative to the start of the swap.
+//!
+//! The totals are asserted exactly: for the [`PARTICIPANTS`]-contract ring
+//! (diameter 5) Herlihy's sequential waves take 2Δ·Diam = 10Δ and AC3WN's
+//! four phases take 4Δ.
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_core::scenario::{ring_scenario, ScenarioConfig};
 use ac3_core::{Ac3wn, Herlihy, ProtocolConfig, SwapReport};
 use ac3_sim::EventKind;
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct TimelineRow {
-    protocol: String,
-    event: String,
-    at_delta: f64,
-}
+/// Contracts (and participants) in the ring.
+pub const PARTICIPANTS: usize = 5;
 
 fn describe(kind: &EventKind) -> String {
     match kind {
@@ -34,39 +33,36 @@ fn describe(kind: &EventKind) -> String {
     }
 }
 
-fn rows_for(report: &SwapReport, label: &str) -> Vec<TimelineRow> {
+/// One table row per timeline event: protocol, time in Δ, event.
+fn rows_for(report: &SwapReport, label: &str) -> Vec<Vec<String>> {
     report
         .timeline
         .events()
         .iter()
-        .map(|e| TimelineRow {
-            protocol: label.to_string(),
-            event: describe(&e.kind),
-            at_delta: (e.at.saturating_sub(report.started_at)) as f64 / report.delta_ms as f64,
+        .map(|e| {
+            let at_delta = (e.at.saturating_sub(report.started_at)) as f64 / report.delta_ms as f64;
+            vec![label.to_string(), f2(at_delta), describe(&e.kind)]
         })
         .collect()
 }
 
-fn main() {
-    let participants: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(5);
+/// Run both protocols on one ring and assert their total latencies.
+pub fn run() -> Vec<Record> {
     let cfg = ScenarioConfig::default();
     let protocol_cfg =
         ProtocolConfig { witness_depth: 3, deployment_depth: 3, ..Default::default() };
 
-    let mut herlihy_scenario = ring_scenario(participants, 10, &cfg);
+    let mut herlihy_scenario = ring_scenario(PARTICIPANTS, 10, &cfg);
     let herlihy =
         Herlihy::new(protocol_cfg.clone()).execute(&mut herlihy_scenario).expect("herlihy");
 
-    let mut ac3wn_scenario = ring_scenario(participants, 10, &cfg);
+    let mut ac3wn_scenario = ring_scenario(PARTICIPANTS, 10, &cfg);
     let ac3wn = Ac3wn::new(protocol_cfg).execute(&mut ac3wn_scenario).expect("ac3wn");
 
-    let mut rows = rows_for(&herlihy, "Herlihy (Figure 8)");
-    rows.extend(rows_for(&ac3wn, "AC3WN (Figure 9)"));
-
-    let table: Vec<Vec<String>> =
-        rows.iter().map(|r| vec![r.protocol.clone(), f2(r.at_delta), r.event.clone()]).collect();
+    let mut table = rows_for(&herlihy, "Herlihy (Figure 8)");
+    table.extend(rows_for(&ac3wn, "AC3WN (Figure 9)"));
     print_table(
-        &format!("Figures 8 & 9: phase timeline for a {participants}-contract AC2T (times in Δ)"),
+        &format!("Figures 8 & 9: phase timeline for a {PARTICIPANTS}-contract AC2T (times in Δ)"),
         &["protocol", "t (Δ)", "event"],
         &table,
     );
@@ -75,5 +71,7 @@ fn main() {
         herlihy.latency_in_deltas(),
         ac3wn.latency_in_deltas()
     );
-    print_json_rows("fig8_9_timeline", &rows);
+    assert_eq!(herlihy.latency_in_deltas(), 10.0, "Herlihy takes 2Δ·Diam = 10Δ on the 5-ring");
+    assert_eq!(ac3wn.latency_in_deltas(), 4.0, "AC3WN takes 4Δ");
+    Vec::new()
 }

@@ -10,7 +10,7 @@
 //! deployments, and fees rise as machines re-bid transactions the network
 //! lost — while atomicity holds in every cell.
 //!
-//! The binary asserts, in-process:
+//! The experiment asserts, in-process:
 //!
 //! 1. **Equivalence** — the zero-latency / zero-loss profile produces
 //!    exactly the outcomes of the direct (no network) run: `World`'s
@@ -23,48 +23,27 @@
 //! 3. **Atomicity** — no profile, however harsh, makes a swap fail the
 //!    atomicity audit; loss delays or aborts swaps, it never splits them.
 //!
-//! The sweep is written to `BENCH_network.json`; its `ratchet` object
-//! carries only deterministic counters (message delivery/drop totals per
-//! profile and the determinism agreement count), so CI compares it at
-//! zero drift (`_count` keys are exact-match in
-//! `scripts/compare_bench.py`).
-//!
-//! Usage: `network_sweep [clusters] [swaps_per_cluster] [seed]`
-//! (defaults: 4 clusters × 4 swaps, seed [`SEED`] — CI runs `3 4`).
+//! The sweep is recorded in `BENCH_network.json` ([`CLUSTERS`] clusters ×
+//! [`SWAPS_PER_CLUSTER`] swaps, seed [`SEED`]); its `ratchet` object sums
+//! the delivery/drop counters per profile and counts the determinism
+//! agreements.
 
-use ac3_bench::{f2, print_json_rows, print_table};
-use ac3_core::scenario::{clustered_swaps_scenario, MultiSwapScenario, ScenarioConfig};
-use ac3_core::{Ac3tw, Ac3wn, Herlihy, HerlihyMulti, ProtocolConfig, Scheduler, SwapMachine};
-use ac3_sim::{NetworkProfile, SwapId};
+use crate::{f2, mixed_machines, print_table, Record};
+use ac3_core::scenario::{clustered_swaps_scenario, ScenarioConfig};
+use ac3_core::{ProtocolConfig, Scheduler};
+use ac3_sim::NetworkProfile;
 use serde::Serialize;
 
 /// Sweep seed: fixed so the committed `BENCH_network.json` is reproducible
 /// on any machine (the network layer is pure seeded simulation).
-const SEED: u64 = 0xAC3_0006;
+pub const SEED: u64 = 0xAC3_0006;
+/// Disjoint swap clusters in the batch.
+pub const CLUSTERS: usize = 4;
+/// Two-party swaps per cluster.
+pub const SWAPS_PER_CLUSTER: usize = 4;
 
 fn protocol_cfg() -> ProtocolConfig {
     ProtocolConfig { witness_depth: 3, deployment_depth: 3, ..Default::default() }
-}
-
-/// The mixed-protocol machine mix: swap `i` runs under protocol `i mod 4`.
-fn mixed_machines(s: &MultiSwapScenario) -> Vec<(SwapId, Box<dyn SwapMachine>)> {
-    let ac3wn = Ac3wn::new(protocol_cfg());
-    let ac3tw = Ac3tw::new(protocol_cfg());
-    let herlihy = Herlihy::new(protocol_cfg());
-    let herlihy_multi = HerlihyMulti::new(protocol_cfg());
-    s.swaps
-        .iter()
-        .enumerate()
-        .map(|(i, swap)| {
-            let machine: Box<dyn SwapMachine> = match i % 4 {
-                0 => Box::new(ac3wn.machine(swap.graph.clone(), swap.witness)),
-                1 => Box::new(ac3tw.machine(swap.graph.clone())),
-                2 => Box::new(herlihy.machine(swap.graph.clone()).expect("two-party has a leader")),
-                _ => Box::new(herlihy_multi.machine(swap.graph.clone()).expect("valid graph")),
-            };
-            (swap.id, machine)
-        })
-        .collect()
 }
 
 /// One cell of the sweep: a named network profile (`None` = direct API).
@@ -101,14 +80,14 @@ struct RunResult {
     stats: ac3_sim::LinkStats,
 }
 
-fn run(
+fn run_batch(
     clusters: usize,
     per_cluster: usize,
     profile: Option<NetworkProfile>,
     workers: usize,
 ) -> RunResult {
     let mut s = clustered_swaps_scenario(clusters, per_cluster, 2, &ScenarioConfig::default());
-    let machines = mixed_machines(&s);
+    let machines = mixed_machines(&s, protocol_cfg());
     let mut scheduler = Scheduler::default().with_workers(workers);
     if let Some(profile) = profile {
         scheduler = scheduler.with_network(profile);
@@ -162,11 +141,9 @@ struct NetworkRecord {
     ratchet: Vec<(String, f64)>,
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let clusters: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let per_cluster: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(SEED);
+/// Run the sweep and its equivalence, determinism and atomicity asserts.
+pub fn run() -> Vec<Record> {
+    let (clusters, per_cluster, seed) = (CLUSTERS, SWAPS_PER_CLUSTER, SEED);
 
     let swaps = clusters * per_cluster;
     println!(
@@ -177,7 +154,7 @@ fn main() {
     let mut rows: Vec<CellRow> = Vec::new();
     let mut direct_outcomes = String::new();
     for cell in &cells(seed) {
-        let r = run(clusters, per_cluster, cell.profile, 1);
+        let r = run_batch(clusters, per_cluster, cell.profile, 1);
         match cell.name {
             // Bench assert 1: zero profile ≡ direct, outcome for outcome.
             "direct" => direct_outcomes = r.outcomes.clone(),
@@ -213,9 +190,9 @@ fn main() {
     // worker count, delivery counters included.
     let determinism_workers = vec![1usize, 2, 4];
     let harsh = cells(seed).pop().expect("cells non-empty");
-    let reference = run(clusters, per_cluster, harsh.profile, determinism_workers[0]);
+    let reference = run_batch(clusters, per_cluster, harsh.profile, determinism_workers[0]);
     for &workers in &determinism_workers[1..] {
-        let replay = run(clusters, per_cluster, harsh.profile, workers);
+        let replay = run_batch(clusters, per_cluster, harsh.profile, workers);
         assert_eq!(
             replay.outcomes, reference.outcomes,
             "lossy outcomes diverged at {workers} workers"
@@ -262,8 +239,7 @@ fn main() {
     );
 
     // Ratchet: deterministic counters only — the whole sweep is seeded
-    // simulation, so delivery totals are machine-independent. `_count`
-    // keys are compared exactly by `scripts/compare_bench.py`.
+    // simulation, so delivery totals are machine-independent.
     let total = |f: &dyn Fn(&CellRow) -> u64| rows.iter().map(f).sum::<u64>() as f64;
     let mut ratchet: Vec<(String, f64)> = vec![
         ("atomicity_rate".to_string(), 1.0),
@@ -288,11 +264,6 @@ fn main() {
         determinism_workers,
         ratchet,
     };
-    let json = serde_json::to_string(&record).expect("record serializes");
-    std::fs::write("BENCH_network.json", format!("{json}\n"))
-        .expect("BENCH_network.json is writable");
-    println!("\nNetwork sweep recorded in BENCH_network.json");
-    print_json_rows("network_sweep", &record.cells);
     let harsh_row = record.cells.last().expect("cells non-empty");
     println!(
         "harsh profile: {} of {} swaps committed, {} messages dropped, makespan {} ms ({}× direct)",
@@ -302,4 +273,5 @@ fn main() {
         harsh_row.makespan_ms,
         f2(harsh_row.makespan_ms as f64 / record.cells[0].makespan_ms.max(1) as f64),
     );
+    vec![Record::new("BENCH_network.json", &record)]
 }

@@ -12,22 +12,17 @@
 //! queue in the single witness mempool, so coordination serialises and
 //! per-swap latency inflates; as k grows toward B the per-witness load
 //! drops to a handful of transactions and latency returns to the constant
-//! ~4Δ the paper reports. Unlike the earlier version of this binary —
-//! which approximated sharing by throttling a private witness chain's
-//! block interval — the serialisation penalty here is *measured* from
+//! ~4Δ the paper reports. The serialisation penalty is *measured* from
 //! actual block-space contention between concurrently scheduled machines,
 //! not modelled.
 //!
-//! Usage: `sec52_scalability [swaps]` (default: 8).
+//! The batch is [`SWAPS`] swaps.
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_chain::ChainParams;
 use ac3_core::scenario::concurrent_swaps_multi_witness;
 use ac3_core::{Ac3wn, ProtocolConfig, Scheduler, SwapMachine};
 use ac3_sim::SwapId;
-use serde::Serialize;
-
-#[derive(Serialize)]
 struct ScalabilityRow {
     swaps: usize,
     witness_networks: usize,
@@ -84,8 +79,12 @@ fn run_batch(swaps: usize, witnesses: usize) -> ScalabilityRow {
     }
 }
 
-fn main() {
-    let swaps: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(8);
+/// Concurrent swaps in the batch.
+pub const SWAPS: usize = 8;
+
+/// Sweep k and assert that one shared witness network is the slowest.
+pub fn run() -> Vec<Record> {
+    let swaps = SWAPS;
     let mut rows = Vec::new();
     for witnesses in [1usize, 2, 4, swaps] {
         let witnesses = witnesses.min(swaps);
@@ -143,5 +142,5 @@ fn main() {
          the witness layer is never the bottleneck. The contention is measured by the swap \
          scheduler over real shared chains, not modelled by throttling."
     );
-    print_json_rows("sec52_scalability", &rows);
+    Vec::new()
 }

@@ -11,7 +11,7 @@
 //! starved witness mempools, so contention is measured, not modelled.
 //!
 //! The batch is scheduled at several worker counts over the same seeded
-//! world. The binary asserts, in-process:
+//! world. The experiment asserts, in-process:
 //!
 //! 1. **Determinism** — committed count, tick count, makespan and total
 //!    fees are identical at every worker count (the sharded scheduler's
@@ -26,24 +26,17 @@
 //!    witness-free Herlihy baselines.
 //!
 //! The run summary (per-worker wall-clock throughput of the scheduler loop
-//! plus per-protocol latency distributions) is printed as JSON. A run at
-//! the default size also writes it to `BENCH_parallel_scale.json`, the
-//! committed record; any other size leaves that file alone, so CI's
-//! tiny-budget run cannot overwrite it. The raw serial-vs-parallel speedup
-//! gate (≥ 2× at 4 workers on a 200-chain/1k-swap batch) lives in the
-//! `parallel_scale` criterion bench.
-//!
-//! Usage: `sec52_scale [clusters] [swaps_per_cluster] [max_workers]`
-//! (defaults: 250 40 4 — 10,000 swaps over 250 witness + 500 asset
-//! chains; CI runs `8 4 4`).
+//! plus per-protocol latency distributions) is the record
+//! `BENCH_parallel_scale.json`. [`run`] sweeps the paper size,
+//! [`PAPER_SIZE`]: 10,000 swaps over 250 witness + 500 asset chains at up
+//! to 4 workers. [`sweep`] takes any size, for tests. The wall-clock
+//! columns are informational: only the simulated outcome is checked.
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, mixed_machines, print_table, Record};
 use ac3_chain::ChainParams;
 use ac3_core::scenario::{clustered_swaps_scenario, MultiSwapScenario, ScenarioConfig};
-use ac3_core::{
-    Ac3tw, Ac3wn, Herlihy, HerlihyMulti, ProtocolConfig, ProtocolKind, Scheduler, SwapMachine,
-};
-use ac3_sim::{LatencyStats, SwapId};
+use ac3_core::{ProtocolConfig, ProtocolKind, Scheduler};
+use ac3_sim::LatencyStats;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -51,10 +44,8 @@ use std::time::Instant;
 /// delay, not failure, even with dozens of clustermates.
 const WAIT_CAP_DELTAS: u64 = 64;
 
-/// `(clusters, swaps_per_cluster, max_workers)` when no argument is given.
-/// Only a run at this size writes `BENCH_parallel_scale.json`.
-const DEFAULT_SIZE: (usize, usize, usize) = (250, 40, 4);
-const RECORD_FILE: &str = "BENCH_parallel_scale.json";
+/// `(clusters, swaps_per_cluster, max_workers)` of the recorded sweep.
+pub const PAPER_SIZE: (usize, usize, usize) = (250, 40, 4);
 
 fn protocol_cfg() -> ProtocolConfig {
     ProtocolConfig {
@@ -74,28 +65,6 @@ fn build_scenario(clusters: usize, swaps_per_cluster: usize) -> MultiSwapScenari
         funding: 1_000,
     };
     clustered_swaps_scenario(clusters, swaps_per_cluster, 2, &cfg)
-}
-
-/// The scale workload's protocol mix: swap `i` runs under protocol
-/// `i mod 4` (AC3WN, AC3TW, Herlihy, Herlihy-multi).
-fn mixed_machines(s: &MultiSwapScenario) -> Vec<(SwapId, Box<dyn SwapMachine>)> {
-    let ac3wn = Ac3wn::new(protocol_cfg());
-    let ac3tw = Ac3tw::new(protocol_cfg());
-    let herlihy = Herlihy::new(protocol_cfg());
-    let herlihy_multi = HerlihyMulti::new(protocol_cfg());
-    s.swaps
-        .iter()
-        .enumerate()
-        .map(|(i, swap)| {
-            let machine: Box<dyn SwapMachine> = match i % 4 {
-                0 => Box::new(ac3wn.machine(swap.graph.clone(), swap.witness)),
-                1 => Box::new(ac3tw.machine(swap.graph.clone())),
-                2 => Box::new(herlihy.machine(swap.graph.clone()).expect("two-party has a leader")),
-                _ => Box::new(herlihy_multi.machine(swap.graph.clone()).expect("valid graph")),
-            };
-            (swap.id, machine)
-        })
-        .collect()
 }
 
 #[derive(Serialize)]
@@ -134,7 +103,7 @@ fn run_once(
 ) -> (WorkerRow, Vec<ProtocolRow>) {
     let swaps = clusters * swaps_per_cluster;
     let mut s = build_scenario(clusters, swaps_per_cluster);
-    let machines = mixed_machines(&s);
+    let machines = mixed_machines(&s, protocol_cfg());
 
     let t0 = Instant::now();
     let batch =
@@ -204,11 +173,16 @@ struct ScaleRecord {
     protocols: Vec<ProtocolRow>,
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut next_or = |default| args.next().and_then(|a| a.parse().ok()).unwrap_or(default);
-    let size = (next_or(DEFAULT_SIZE.0), next_or(DEFAULT_SIZE.1), next_or(DEFAULT_SIZE.2));
-    let (clusters, swaps_per_cluster, max_workers) = size;
+/// The sweep at [`PAPER_SIZE`].
+pub fn run() -> Vec<Record> {
+    let (clusters, swaps_per_cluster, max_workers) = PAPER_SIZE;
+    vec![sweep(clusters, swaps_per_cluster, max_workers)]
+}
+
+/// Schedule `clusters × swaps_per_cluster` swaps at 1, 2, 4 and
+/// `max_workers` workers (those up to `max_workers`), assert the four
+/// claims above and return the record.
+pub fn sweep(clusters: usize, swaps_per_cluster: usize, max_workers: usize) -> Record {
     let swaps = clusters * swaps_per_cluster;
 
     let mut worker_counts = vec![1usize, 2, 4, max_workers];
@@ -316,12 +290,5 @@ fn main() {
         runs,
         protocols,
     };
-    let json = serde_json::to_string(&record).expect("record serializes");
-    if size == DEFAULT_SIZE {
-        std::fs::write(RECORD_FILE, format!("{json}\n")).expect("record file is writable");
-        println!("\nScale sweep recorded in {RECORD_FILE}");
-    } else {
-        println!("\nNot the default size {DEFAULT_SIZE:?}: {RECORD_FILE} left untouched\n{json}");
-    }
-    print_json_rows("sec52_scale", &record.runs);
+    Record::new("BENCH_parallel_scale.json", &record)
 }

@@ -3,14 +3,19 @@
 //! model (N vs N+1 contracts, each costing fd + ffc) and the fees actually
 //! charged by the simulated chains are reported, plus the paper's dollar
 //! estimate of the overhead at two ETH/USD rates.
+//!
+//! The measured fees must equal the model exactly: AC3WN pays Herlihy's fee
+//! plus one contract deployment and one call, `fd + ffc` (6 units on the
+//! default chains), at every N from 2 to [`MAX_CONTRACTS`].
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_core::analysis::cost;
 use ac3_core::scenario::{ring_scenario, ScenarioConfig};
 use ac3_core::{Ac3wn, Herlihy, ProtocolConfig};
-use serde::Serialize;
 
-#[derive(Serialize)]
+/// The largest number of contracts swept.
+pub const MAX_CONTRACTS: usize = 8;
+
 struct CostRow {
     contracts: u64,
     herlihy_model_fee: u64,
@@ -20,8 +25,8 @@ struct CostRow {
     overhead_ratio: f64,
 }
 
-fn main() {
-    let max_n: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(8);
+/// Run the sweep and assert the measured fees equal the model.
+pub fn run() -> Vec<Record> {
     let cfg = ScenarioConfig::default();
     let deploy_fee = cfg.asset_chain_template.deploy_fee;
     let call_fee = cfg.asset_chain_template.call_fee;
@@ -29,7 +34,7 @@ fn main() {
         ProtocolConfig { witness_depth: 3, deployment_depth: 3, ..Default::default() };
 
     let mut rows = Vec::new();
-    for n in 2..=max_n {
+    for n in 2..=MAX_CONTRACTS {
         let mut herlihy_scenario = ring_scenario(n, 10, &cfg);
         let herlihy =
             Herlihy::new(protocol_cfg.clone()).execute(&mut herlihy_scenario).expect("herlihy");
@@ -44,6 +49,16 @@ fn main() {
             ac3wn_measured_fee: ac3wn.fees_paid,
             overhead_ratio: cost::overhead_ratio(n as u64),
         });
+    }
+    for r in &rows {
+        let n = r.contracts;
+        assert_eq!(r.herlihy_measured_fee, r.herlihy_model_fee, "Herlihy fee at N={n}");
+        assert_eq!(r.ac3wn_measured_fee, r.ac3wn_model_fee, "AC3WN fee at N={n}");
+        assert_eq!(
+            r.ac3wn_measured_fee,
+            r.herlihy_measured_fee + deploy_fee + call_fee,
+            "AC3WN pays for exactly one extra contract and call at N={n}"
+        );
     }
 
     let table: Vec<Vec<String>> = rows
@@ -80,5 +95,5 @@ fn main() {
         f2(cost::overhead_usd(300.0)),
         f2(cost::overhead_usd(140.0))
     );
-    print_json_rows("sec62_cost", &rows);
+    Vec::new()
 }

@@ -1,7 +1,7 @@
 //! Section 6.3, executed: a 51% fork attack against the witness chain.
 //!
-//! The companion binary `sec63_witness_choice` reproduces the paper's
-//! *analytical* inequality `d > Va · dh / Ch`. This binary runs the attack
+//! The companion experiment `sec63_witness_choice` reproduces the paper's
+//! *analytical* inequality `d > Va · dh / Ch`. This one runs the attack
 //! itself on the simulator for a sweep of confirmation depths `d`:
 //!
 //! * the attack is attempted with a budget derived from the value at risk
@@ -13,32 +13,34 @@
 //!   atomicity is actually violated;
 //! * the expected shape: the attack succeeds for every `d` below the
 //!   paper's required depth and fails at and above it.
+//!
+//! The threshold is asserted exactly: a depth is VIOLATED if and only if
+//! the branch it requires fits in the attacker's budget, which at
+//! [`VALUE_AT_RISK`] is exactly d = 1 and d = 2.
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_core::analysis::witness_choice;
 use ac3_core::attack::{execute_fork_attack, ForkAttackConfig};
 use ac3_core::scenario::ScenarioConfig;
 use ac3_core::ProtocolConfig;
-use serde::Serialize;
 
-#[derive(Serialize)]
+/// The value at risk, in dollars, that prices the attacker's budget.
+pub const VALUE_AT_RISK: f64 = 250_000.0;
+
 struct AttackRow {
     witness_depth: u64,
     affordable_blocks: u64,
     required_blocks: u64,
     attack_cost_usd: f64,
-    reorg_won: bool,
-    refund_accepted: bool,
     atomicity_violated: bool,
-    verdict: String,
 }
 
-fn main() {
+/// Run the attack at every depth and assert where atomicity breaks.
+pub fn run() -> Vec<Record> {
     // The paper's Bitcoin witness figures and worked example.
     let hourly_cost = 300_000.0;
     let blocks_per_hour = 6.0;
-    let value_at_risk =
-        std::env::args().nth(1).and_then(|v| v.parse::<f64>().ok()).unwrap_or(250_000.0);
+    let value_at_risk = VALUE_AT_RISK;
 
     // How many blocks the attacker can afford to mine before the attack
     // stops being profitable.
@@ -69,10 +71,7 @@ fn main() {
                 hourly_cost,
                 blocks_per_hour,
             ),
-            reorg_won: report.reorg_won,
-            refund_accepted: report.refund_accepted,
             atomicity_violated: !report.verdict.is_atomic(),
-            verdict: report.verdict.to_string(),
         });
     }
 
@@ -113,5 +112,16 @@ fn main() {
          blocks the honest network produced while the attacker was redeeming, so the paper's \
          inequality is conservative."
     );
-    print_json_rows("sec63_attack", &rows);
+    for r in &rows {
+        assert_eq!(
+            r.atomicity_violated,
+            r.required_blocks <= r.affordable_blocks,
+            "d={}: the attack succeeds exactly when its branch fits the budget",
+            r.witness_depth
+        );
+    }
+    let violated: Vec<u64> =
+        rows.iter().filter(|r| r.atomicity_violated).map(|r| r.witness_depth).collect();
+    assert_eq!(violated, [1, 2], "atomicity breaks at exactly d = 1, 2 for Va = $250K");
+    Vec::new()
 }

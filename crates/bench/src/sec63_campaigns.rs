@@ -10,7 +10,7 @@
 //! and base-fee spikes. The defenses vary the honest posture (fee policy ×
 //! witness depth); the budgets vary the griefing spend.
 //!
-//! The binary asserts, in-process:
+//! The experiment asserts, in-process:
 //!
 //! 1. **Economics** — for every defense × budget cell and every protocol
 //!    lane, the measured cost-to-steal strictly exceeds the measured
@@ -29,15 +29,11 @@
 //!    workers produces a bitwise-identical campaign fingerprint (outcomes,
 //!    fee ledger, per-chain tips, global timeline, slash count).
 //!
-//! The sweep is written to `BENCH_attack_campaigns.json`; its `ratchet`
-//! object carries only deterministic counters and ratios (no wall-clock),
-//! so CI compares it at zero drift.
-//!
-//! Usage: `sec63_campaigns [swaps] [budgets_csv] [seed]`
-//! (defaults: 6 swaps, budgets 2000,8000, seed [`SEED`] — CI runs
-//! `4 2000`).
+//! The sweep ([`SWAPS`] swaps per cell, budgets [`BUDGETS`], seed
+//! [`SEED`]) is recorded in `BENCH_attack_campaigns.json`; its `ratchet`
+//! object carries deterministic counters and ratios only.
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_chain::Amount;
 use ac3_core::scenario::ScenarioConfig;
 use ac3_core::{
@@ -51,7 +47,11 @@ use serde::Serialize;
 /// so the plan's griefing bursts overlap the honest witness traffic: the
 /// fee-policy defense is then measurable (nonzero honest overhead under
 /// `Adaptive`, refunds instead of commits under `Fixed`), not vacuous.
-const SEED: u64 = 3;
+pub const SEED: u64 = 3;
+/// Mixed-protocol swaps per cell.
+pub const SWAPS: usize = 6;
+/// The adversary's griefing budgets, in fee units.
+pub const BUDGETS: [Amount; 2] = [2_000, 8_000];
 
 /// Fee units an attacker pays to mine one private-branch block at 51% of
 /// the witness chain's hashrate — the Section 6.3 cost model's unit price
@@ -198,15 +198,9 @@ struct CampaignRecord {
     ratchet: Vec<(String, f64)>,
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let swaps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(6);
-    let budgets: Vec<Amount> = args
-        .next()
-        .map(|csv| csv.split(',').filter_map(|b| b.trim().parse().ok()).collect())
-        .filter(|v: &Vec<Amount>| !v.is_empty())
-        .unwrap_or_else(|| vec![2_000, 8_000]);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(SEED);
+/// Run the sweep and its economics, slashing and determinism asserts.
+pub fn run() -> Vec<Record> {
+    let (swaps, budgets, seed) = (SWAPS, BUDGETS.to_vec(), SEED);
 
     println!(
         "Adversarial campaigns: {swaps} mixed-protocol swaps per cell, defenses \
@@ -366,9 +360,7 @@ fn main() {
     );
 
     // Ratchet: deterministic counters and ratios only — the campaign is
-    // pure simulation, so these are machine-independent. `_count` keys are
-    // compared exactly by `scripts/compare_bench.py`; the rates and the
-    // ratio use the normal directional tolerance.
+    // pure simulation, so these are machine-independent.
     let total_equivocations: usize = cells.iter().map(|c| c.equivocations).sum();
     let total_slashes: usize = cells.iter().map(|c| c.slashes_accepted).sum();
     let total_dup_rejected: usize = cells.iter().map(|c| c.duplicate_slash_reports_rejected).sum();
@@ -399,9 +391,5 @@ fn main() {
         determinism_fingerprint,
         ratchet,
     };
-    let json = serde_json::to_string(&record).expect("record serializes");
-    std::fs::write("BENCH_attack_campaigns.json", format!("{json}\n"))
-        .expect("BENCH_attack_campaigns.json is writable");
-    println!("\nCampaign sweep recorded in BENCH_attack_campaigns.json");
-    print_json_rows("sec63_campaigns", &record.cells);
+    vec![Record::new("BENCH_attack_campaigns.json", &record)]
 }

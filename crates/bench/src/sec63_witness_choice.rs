@@ -3,22 +3,13 @@
 //! the witness network uneconomical (`d > Va · dh / Ch`), using the paper's
 //! constants for Bitcoin (Ch ≈ $300K/hour, dh = 6 blocks/hour), and
 //! additionally demonstrate on the simulator that a fork shorter than `d`
-//! cannot flip an already-accepted decision.
+//! cannot flip an already-accepted decision. The paper's worked example
+//! (Va = $1M ⇒ d = 21) is asserted.
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_core::analysis::witness_choice;
 use ac3_core::scenario::{two_party_scenario, ScenarioConfig};
 use ac3_core::{Ac3wn, ProtocolConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct DepthRow {
-    asset_value_usd: f64,
-    hourly_attack_cost_usd: f64,
-    blocks_per_hour: f64,
-    required_depth: u64,
-    attack_cost_at_depth_usd: f64,
-}
 
 fn fork_resilience_demo() {
     // Run a swap to completion, then inject a fork on the witness chain
@@ -41,38 +32,19 @@ fn fork_resilience_demo() {
     );
 }
 
-fn main() {
+/// Tabulate the required depth and run the fork-resilience demo.
+pub fn run() -> Vec<Record> {
     let hourly_cost = 300_000.0; // the paper's Bitcoin figure
     let blocks_per_hour = 6.0;
     let asset_values =
         [10_000.0, 50_000.0, 100_000.0, 500_000.0, 1_000_000.0, 5_000_000.0, 10_000_000.0];
 
-    let rows: Vec<DepthRow> = asset_values
+    let table: Vec<Vec<String>> = asset_values
         .iter()
         .map(|va| {
             let d = witness_choice::required_depth(*va, hourly_cost, blocks_per_hour);
-            DepthRow {
-                asset_value_usd: *va,
-                hourly_attack_cost_usd: hourly_cost,
-                blocks_per_hour,
-                required_depth: d,
-                attack_cost_at_depth_usd: witness_choice::attack_cost(
-                    d,
-                    hourly_cost,
-                    blocks_per_hour,
-                ),
-            }
-        })
-        .collect();
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("${}", r.asset_value_usd),
-                r.required_depth.to_string(),
-                format!("${}", f2(r.attack_cost_at_depth_usd)),
-            ]
+            let cost = witness_choice::attack_cost(d, hourly_cost, blocks_per_hour);
+            vec![format!("${va}"), d.to_string(), format!("${}", f2(cost))]
         })
         .collect();
     print_table(
@@ -80,11 +52,12 @@ fn main() {
         &["asset value Va", "required depth d", "attack cost at d"],
         &table,
     );
+    let worked = witness_choice::required_depth(1_000_000.0, hourly_cost, blocks_per_hour);
     println!(
-        "\nPaper's worked example: Va = $1M ⇒ d > (1M·6)/300K = 20, i.e. d = {} — matches the row above.",
-        witness_choice::required_depth(1_000_000.0, hourly_cost, blocks_per_hour)
+        "\nPaper's worked example: Va = $1M ⇒ d > (1M·6)/300K = 20, i.e. d = {worked} — matches the row above."
     );
+    assert_eq!(worked, 21, "the paper's worked example: d > 20");
 
     fork_resilience_demo();
-    print_json_rows("sec63_witness_choice", &rows);
+    Vec::new()
 }

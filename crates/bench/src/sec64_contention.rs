@@ -3,12 +3,12 @@
 //! The paper's throughput claim (Table 1 / Section 6.4) is that the
 //! aggregate throughput of AC2Ts spanning a fixed set of chains — witnessed
 //! by a fixed chain — is bounded by `min(tps)` over every involved chain,
-//! *including the witness*. The `table1_throughput` binary cross-checks the
-//! per-chain tps caps with a transfer backlog; this binary checks the claim
+//! *including the witness*. The `table1_throughput` experiment cross-checks
+//! the per-chain tps caps with a transfer backlog; this one checks the claim
 //! where it actually bites: many AC2Ts in flight at once, scheduled
 //! concurrently over shared mempools by the swap scheduler.
 //!
-//! Two experiments:
+//! Four experiments:
 //!
 //! 1. **Concurrency acceptance** — N swaps over `chains` shared asset
 //!    chains plus one shared witness chain, all with generous throughput:
@@ -18,14 +18,10 @@
 //!    every other chain stays generous. Each committed AC2T puts exactly
 //!    two transactions on the witness chain (the `SC_w` registration and
 //!    the authorize call), so aggregate commitment throughput is bounded by
-//!    `witness_tps / 2` swaps per second. The binary asserts the bound
+//!    `witness_tps / 2` swaps per second. The experiment asserts the bound
 //!    holds for every sweep point (making it a CI-runnable regression check)
 //!    and shows throughput rising with the bottleneck's tps until protocol
 //!    latency, not block space, dominates.
-//!
-//! Four experiments:
-//! (numbering below: the third is the fee market, the fourth the dynamic
-//! base fee.)
 //!
 //! 3. **Fee market under contention** — B swaps × k witness chains × fee
 //!    policy, with every witness chain tps-starved. Under the escalating
@@ -47,9 +43,10 @@
 //!    equal-or-better mean commit latency (asserted). Recorded in
 //!    `BENCH_base_fee.json`.
 //!
-//! Usage: `sec64_contention [swaps] [asset_chains]` (defaults: 64, 4).
+//! Experiments 1–3 run [`SWAPS`] swaps over [`ASSET_CHAINS`] asset chains
+//! (the sweeps clamp the batch to 32 and 16 swaps).
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_chain::{coinbase, BaseFeeSchedule, ChainParams, OutPoint, TxBuilder, TxOutput};
 use ac3_core::scenario::{
     concurrent_swaps_multi_witness, concurrent_swaps_over_chains, concurrent_swaps_scenario,
@@ -60,7 +57,6 @@ use ac3_crypto::KeyPair;
 use ac3_sim::{SwapId, World};
 use serde::Serialize;
 
-#[derive(Serialize)]
 struct ContentionRow {
     witness_tps: u64,
     swaps: usize,
@@ -79,9 +75,15 @@ fn machines(s: &MultiSwapScenario, driver: &Ac3wn) -> Vec<(SwapId, Box<dyn SwapM
     s.machines_with(|swap| Box::new(driver.machine(swap.graph.clone(), swap.witness)))
 }
 
-fn main() {
-    let swaps: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(64);
-    let chains: usize = std::env::args().nth(2).and_then(|a| a.parse().ok()).unwrap_or(4);
+/// Concurrent swaps in the acceptance run.
+pub const SWAPS: usize = 64;
+/// Shared asset chains.
+pub const ASSET_CHAINS: usize = 4;
+
+/// Run the four experiments and their asserts; returns the fee-market and
+/// base-fee records.
+pub fn run() -> Vec<Record> {
+    let (swaps, chains) = (SWAPS, ASSET_CHAINS);
     let driver = Ac3wn::new(ProtocolConfig {
         witness_depth: 3,
         deployment_depth: 3,
@@ -189,7 +191,6 @@ fn main() {
          generous, protocol latency (not block space) limits throughput — exactly the \
          min(tps) bound of Table 1 / Section 6.4."
     );
-    print_json_rows("sec64_contention", &rows);
 
     // ------------------------------------------------------------------
     // Experiment 3: the fee market — B swaps × k witness chains × policy.
@@ -233,12 +234,7 @@ fn main() {
          schedule pays Section 6.2 prices at every k and absorbs the same congestion as \
          queueing latency instead."
     );
-    print_json_rows("sec64_fee_market", &fee_rows);
-
-    let json = serde_json::to_string(&fee_rows).expect("rows serialize");
-    std::fs::write("BENCH_fee_market.json", format!("{json}\n"))
-        .expect("BENCH_fee_market.json is writable");
-    println!("\nFee-market sweep recorded in BENCH_fee_market.json");
+    let fee_market = Record::new("BENCH_fee_market.json", &fee_rows);
 
     // ------------------------------------------------------------------
     // Experiment 4: the dynamic base fee under sustained demand.
@@ -253,7 +249,6 @@ fn main() {
         &["block", "phase", "base fee"],
         &table,
     );
-    print_json_rows("sec64_base_fee_trajectory", &trajectory);
 
     let policy_rows = adaptive_vs_exponential();
     let table: Vec<Vec<String>> = policy_rows
@@ -292,13 +287,9 @@ fn main() {
          commits the same contended batch at strictly lower mean fee inflation than the \
          Exponential doubling ladder, at equal-or-better commit latency."
     );
-    print_json_rows("sec64_adaptive_bidding", &policy_rows);
 
     let report = BaseFeeReport { trajectory, policies: policy_rows };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_base_fee.json", format!("{json}\n"))
-        .expect("BENCH_base_fee.json is writable");
-    println!("\nBase-fee sweep recorded in BENCH_base_fee.json");
+    vec![fee_market, Record::new("BENCH_base_fee.json", &report)]
 }
 
 /// One sampled point of the base-fee trajectory (experiment 4a).
@@ -331,7 +322,7 @@ struct BaseFeeReport {
 }
 
 /// Experiment 4a: drive one base-fee chain through a demand phase
-/// (back-to-back full blocks) and an idle phase, asserting in-binary that
+/// (back-to-back full blocks) and an idle phase, asserting in-process that
 /// the base fee rises monotonically under sustained utilisation and decays
 /// back to the floor when demand stops.
 fn base_fee_trajectory() -> Vec<BaseFeePoint> {
@@ -393,12 +384,10 @@ fn base_fee_trajectory() -> Vec<BaseFeePoint> {
 /// headline claim: Adaptive commits with strictly lower mean fee inflation
 /// at equal-or-better mean commit latency.
 fn adaptive_vs_exponential() -> Vec<PolicyRow> {
-    // Fixed workload, whatever budgets the sweeps above ran at: enough
+    // A fixed workload, whatever size the sweeps above ran at: enough
     // swaps that witness bids are stuck for several blocks — the regime
     // where the doubling ladder overshoots and the congestion reader pays
-    // the observed price — and invariant across invocations, so the
-    // committed `BENCH_base_fee.json` tracks the same sweep that CI's
-    // tiny-budget paper-repro run regenerates.
+    // the observed price.
     let b = 12;
     let chains = 2;
     let policies = [

@@ -7,21 +7,17 @@
 //! measured cross-check: tps-capped simulated chains processing a backlog
 //! of transfer transactions, confirming each chain sustains its Table 1
 //! rate and the combination is bounded by the slowest member.
+//!
+//! Both are asserted exactly: each simulated chain sustains exactly its
+//! Table 1 rate (7/25/56/61 tps), and each Section 6.4 combination's AC2T
+//! throughput is the minimum of the measured rates of the chains involved,
+//! the witness included.
 
-use ac3_bench::{f2, print_json_rows, print_table};
+use crate::{f2, print_table, Record};
 use ac3_chain::{Address, ChainParams, TxBuilder, TxOutput};
 use ac3_core::analysis::throughput;
 use ac3_crypto::KeyPair;
 use ac3_sim::World;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct ThroughputRow {
-    chains: String,
-    witness: String,
-    model_tps: u64,
-    measured_bottleneck_tps: f64,
-}
 
 /// Measure the sustained transaction throughput of one simulated chain by
 /// flooding it with simple transfers for `seconds` of simulated time.
@@ -68,7 +64,8 @@ fn measured_tps(params: ChainParams, seconds: u64) -> f64 {
     mined as f64 / ((world.now() - start_time) as f64 / 1000.0)
 }
 
-fn main() {
+/// Measure the Table 1 chains and assert the `min(tps)` bound.
+pub fn run() -> Vec<Record> {
     // Table 1 itself.
     let t1 = throughput::table1();
     let table1_rows: Vec<Vec<String>> =
@@ -87,12 +84,15 @@ fn main() {
     // so the measurement is capped by the chain's tps budget, not the
     // workload.
     let sim_seconds = 60;
+    let mut measured = Vec::new();
     let mut measured_rows = Vec::new();
-    for base in ChainParams::table1() {
+    for (base, row) in ChainParams::table1().into_iter().zip(&t1) {
         let mut p = base.clone();
         p.block_interval_ms = 10_000;
-        let measured = measured_tps(p, sim_seconds);
-        measured_rows.push(vec![base.name.clone(), base.tps.to_string(), f2(measured)]);
+        let tps = measured_tps(p, sim_seconds);
+        assert_eq!(tps, row.tps as f64, "{} sustains exactly its Table 1 rate", row.name);
+        measured_rows.push(vec![base.name.clone(), base.tps.to_string(), f2(tps)]);
+        measured.push(tps);
     }
     print_table(
         "Measured sustained tps of the simulated chains (tps-capped blocks)",
@@ -100,29 +100,28 @@ fn main() {
         &measured_rows,
     );
 
-    // Section 6.4 combinations.
-    let combos: Vec<(&str, Vec<u64>, &str, u64)> = vec![
-        ("Ethereum + Litecoin", vec![25, 56], "Bitcoin", 7),
-        ("Ethereum + Litecoin", vec![25, 56], "Ethereum", 25),
-        ("Bitcoin + Ethereum", vec![7, 25], "Bitcoin", 7),
-        ("Litecoin + Bitcoin Cash", vec![56, 61], "Litecoin", 56),
-        ("All four", vec![7, 25, 56, 61], "Bitcoin Cash", 61),
+    // Section 6.4 combinations, as indices into Table 1: the asset chains
+    // and the witness.
+    let combos: [(&str, &[usize], usize); 5] = [
+        ("Ethereum + Litecoin", &[1, 2], 0),
+        ("Ethereum + Litecoin", &[1, 2], 1),
+        ("Bitcoin + Ethereum", &[0, 1], 0),
+        ("Litecoin + Bitcoin Cash", &[2, 3], 2),
+        ("All four", &[0, 1, 2, 3], 3),
     ];
-    let mut rows = Vec::new();
-    for (chains, tps, witness, witness_tps) in combos {
-        let model = throughput::ac2t_throughput(&tps, witness_tps);
-        rows.push(ThroughputRow {
-            chains: chains.to_string(),
-            witness: witness.to_string(),
-            model_tps: model,
-            measured_bottleneck_tps: *tps.iter().chain(std::iter::once(&witness_tps)).min().unwrap()
-                as f64,
-        });
+    let mut combo_table = Vec::new();
+    for (chains, assets, witness) in combos {
+        let tps: Vec<u64> = assets.iter().map(|&i| t1[i].tps).collect();
+        let model = throughput::ac2t_throughput(&tps, t1[witness].tps);
+        let bottleneck =
+            assets.iter().chain([&witness]).map(|&i| measured[i]).fold(f64::MAX, f64::min);
+        assert_eq!(
+            model as f64, bottleneck,
+            "{chains} witnessed by {}: AC2T tps is min(tps)",
+            t1[witness].name
+        );
+        combo_table.push(vec![chains.to_string(), t1[witness].name.to_string(), model.to_string()]);
     }
-    let combo_table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![r.chains.clone(), r.witness.clone(), r.model_tps.to_string()])
-        .collect();
     print_table(
         "Section 6.4: AC2T throughput = min(tps) over involved chains + witness",
         &["asset chains", "witness", "AC2T tps"],
@@ -133,5 +132,5 @@ fn main() {
         "\nPaper's example: Ethereum+Litecoin witnessed by Bitcoin ⇒ {btc} tps; choosing the witness \
          among the involved chains (Ethereum) lifts it to {eth} tps."
     );
-    print_json_rows("table1_throughput", &rows);
+    Vec::new()
 }

@@ -1,16 +1,14 @@
-//! Criterion bench of the JSON codec on the two shapes that carry nearly
-//! all of its bytes: an AC3WN authorize call whose deployment evidence spans
-//! a 200-header range (what `codec::encode` / `codec::decode` see on the
-//! witness chain), and a block body carrying that call (what the paged
-//! store writes and reads). Throughput is MiB/s of encoded text.
+//! The JSON codec round-trips the two shapes that carry nearly all of its
+//! bytes, at realistic size: an AC3WN authorize call whose deployment
+//! evidence spans a 200-header range (what `codec::encode` /
+//! `codec::decode` see on the witness chain), and a block body carrying
+//! that call (what the paged store writes and reads).
 
 use ac3_chain::Block;
 use ac3_contracts::{codec, ContractCall, ContractSpec, HtlcSpec, WitnessCall};
 use ac3_core::actions::deploy_contract;
 use ac3_core::scenario::{two_party_scenario, ScenarioConfig};
 use ac3_crypto::Hashlock;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use std::hint::black_box;
 
 const HEADER_RANGE: u64 = 200;
 
@@ -45,30 +43,11 @@ fn authorize_and_block() -> (ContractCall, Block) {
     (call, Block { header, transactions: vec![tx] })
 }
 
-fn bench_codec(c: &mut Criterion) {
+#[test]
+fn a_200_header_authorize_call_and_its_block_round_trip() {
     let (call, block) = authorize_and_block();
     let payload = codec::encode(&call);
     let body = serde_json::to_vec(&block).unwrap();
     assert_eq!(codec::decode::<ContractCall>(&payload).unwrap(), call);
     assert_eq!(serde_json::from_slice::<Block>(&body).unwrap(), block);
-
-    let mut group = c.benchmark_group("codec");
-    group.throughput(Throughput::Bytes(payload.len() as u64));
-    group.bench_function("encode/authorize_200_headers", |b| {
-        b.iter(|| codec::encode(black_box(&call)))
-    });
-    group.bench_function("decode/authorize_200_headers", |b| {
-        b.iter(|| codec::decode::<ContractCall>(black_box(&payload)).unwrap())
-    });
-    group.throughput(Throughput::Bytes(body.len() as u64));
-    group.bench_function("encode/block_body", |b| {
-        b.iter(|| serde_json::to_vec(black_box(&block)).unwrap())
-    });
-    group.bench_function("decode/block_body", |b| {
-        b.iter(|| serde_json::from_slice::<Block>(black_box(&body)).unwrap())
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_codec);
-criterion_main!(benches);

@@ -14,7 +14,7 @@
 //!   [`ReplacementPolicy`] (LRU, Clock, SIEVE), pin/unpin semantics and
 //!   lazy dirty-page write-back. Simulated history is no longer capped by
 //!   RAM, and the storage hot path becomes measurable and optimizable
-//!   (`buffer_pool` criterion bench).
+//!   (the `buffer_pool` experiment of `ac3-bench`).
 //!
 //! Both backends return identical bytes for every lookup, so *every*
 //! simulation result — fork choice, state derivation, fingerprint suites —

@@ -12,7 +12,7 @@
 //! *pages*, not decoded blocks, exactly like a database buffer manager.
 //! A hit therefore costs a deserialization; a miss additionally costs the
 //! file read (and possibly a dirty write-back). Both are visible in
-//! [`StoreStats`] and swept by the `buffer_pool` criterion bench.
+//! [`StoreStats`] and swept by the `buffer_pool` experiment of `ac3-bench`.
 //!
 //! Determinism: serialization round-trips bit-exactly (asserted in tests
 //! and by the cross-backend differential suite), and eviction only decides

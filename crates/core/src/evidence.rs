@@ -186,8 +186,8 @@ pub fn validate_tx(
     }
 }
 
-/// Validate with every strategy and return the three reports (used by the
-/// ablation bench to compare costs on identical claims).
+/// Validate with every strategy and return the three reports, to compare
+/// their costs on identical claims.
 pub fn validate_with_all(
     world: &World,
     chain: ChainId,

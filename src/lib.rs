@@ -17,8 +17,9 @@
 //! * [`client`] — the end-user layer: wallets, swap negotiation
 //!   (assembling `ms(D)`) and persistent, crash-recoverable swap sessions.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for the reproduction of every table and figure.
+//! See `README.md` for a tour and the reproduction of every table and
+//! figure (the `ac3-bench` crate's `repro` binary), and `DESIGN.md` for the
+//! system inventory.
 //!
 //! ```
 //! use ac3wn::prelude::*;
