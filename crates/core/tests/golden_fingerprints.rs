@@ -180,6 +180,29 @@ fn herlihy_declined_deployment_refunds() {
 }
 
 #[test]
+fn herlihy_crashed_lone_leader_still_redeems() {
+    // Alice leads alone and is down across the instant phase A completes
+    // (8 s). Unlike a multi-leader exchange, nothing fails there: a lone
+    // leader holds its own secret from the start, so once recovered she
+    // redeems and the swap commits.
+    let mut s = two_party_scenario(50, 80, &ScenarioConfig::default());
+    let alice = addr(&s, "alice");
+    s.participants
+        .get_mut("alice")
+        .unwrap()
+        .schedule_crash(CrashWindow { from: 8_000, until: 12_000 });
+    let report = Herlihy::with_leader(depth3(), alice).execute(&mut s).unwrap();
+    assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed, "{}", report.summary());
+    assert_eq!(
+        digests(&report, &s),
+        [
+            "a7df4b261de4c744f1be889e94fb3a875c98e618d0b4b299fc4c135577435c3d",
+            "0368531728f1af0d2db05642e826547dbcb4efdb86451ab06fd9560267a7603c",
+        ]
+    );
+}
+
+#[test]
 fn herlihy_multi_figure7a() {
     let mut s = figure7a_scenario(&ScenarioConfig::default());
     let report = HerlihyMulti::new(depth3()).execute(&mut s).unwrap();
