@@ -5,7 +5,7 @@
 //! that call (what the paged store writes and reads).
 
 use ac3_chain::Block;
-use ac3_contracts::{codec, ContractCall, ContractSpec, HtlcSpec, WitnessCall};
+use ac3_contracts::{codec, ContractCall, ContractSpec, MultiHtlcSpec, WitnessCall};
 use ac3_core::actions::deploy_contract;
 use ac3_core::scenario::{two_party_scenario, ScenarioConfig};
 use ac3_crypto::Hashlock;
@@ -20,9 +20,9 @@ fn authorize_and_block() -> (ContractCall, Block) {
     let bob = s.participants.get("bob").unwrap().address();
     let chain = s.asset_chains[0];
     let anchor = s.world.anchor(chain).unwrap();
-    let spec = ContractSpec::Htlc(HtlcSpec {
+    let spec = ContractSpec::MultiHtlc(MultiHtlcSpec {
         recipient: bob,
-        hashlock: Hashlock::from_secret(b"s").lock,
+        hashlocks: vec![Hashlock::from_secret(b"s").lock],
         timelock: u64::MAX,
     });
     let (deploy_txid, contract) =

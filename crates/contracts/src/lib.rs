@@ -1,9 +1,9 @@
 //! # ac3-contracts
 //!
 //! The smart-contract layer of the AC3WN reproduction: Rust implementations
-//! of the paper's Algorithms 1–4 plus the HTLC used by the Nolan/Herlihy
-//! baselines, executed on simulated chains through the [`runtime::SwapVm`]
-//! (which implements [`ac3_chain::ContractVm`]).
+//! of the paper's Algorithms 1–4 plus the one hashlock contract every
+//! Nolan/Herlihy baseline swap deploys, executed on simulated chains through
+//! the [`runtime::SwapVm`] (which implements [`ac3_chain::ContractVm`]).
 //!
 //! | Paper | Module |
 //! |---|---|
@@ -11,8 +11,7 @@
 //! | Algorithm 2 — smart contract for centralized AC3 (AC3TW) | [`centralized`] |
 //! | Algorithm 3 — witness network smart contract `SC_w` | [`witness`] |
 //! | Algorithm 4 — smart contract for permissionless AC3 (AC3WN) | [`permissionless`] |
-//! | Nolan/Herlihy hashlock + timelock contracts | [`htlc`] |
-//! | Herlihy multi-leader multi-hashlock contracts | [`multihtlc`] |
+//! | Nolan/Herlihy hashlock + timelock contracts (one hashlock per leader) | [`multihtlc`] |
 //! | Section 4.3 cross-chain evidence | [`evidence`] |
 
 #![forbid(unsafe_code)]
@@ -21,7 +20,6 @@
 pub mod centralized;
 pub mod codec;
 pub mod evidence;
-pub mod htlc;
 pub mod multihtlc;
 pub mod permissionless;
 pub mod runtime;
@@ -33,7 +31,6 @@ pub use evidence::{
     verify_deployment, ChainAnchor, EquivocationProof, ExpectedContract, SignedDecision,
     TxInclusionEvidence, WitnessStateEvidence,
 };
-pub use htlc::{HtlcCall, HtlcSpec, HtlcState};
 pub use multihtlc::{MultiHtlcCall, MultiHtlcSpec, MultiHtlcState};
 pub use permissionless::{PermissionlessCall, PermissionlessSpec, PermissionlessState};
 pub use runtime::{ContractCall, ContractSpec, ContractState, SwapVm};

@@ -1,15 +1,22 @@
-//! Multi-hashlock timelock contracts — the building block of Herlihy's
-//! *multi-leader* atomic-swap protocol (the variant reference \[16\] proposes
-//! for cyclic graphs, mentioned in Section 5.3 of the paper).
+//! Hashed timelock contracts (HTLCs) — the one hashlock contract of every
+//! Nolan/Herlihy-family swap: Nolan's two-party protocol and Herlihy's
+//! single-leader protocol (Section 1 of the paper), and Herlihy's
+//! *multi-leader* protocol (the variant reference \[16\] proposes for cyclic
+//! graphs, mentioned in Section 5.3).
 //!
-//! In the multi-leader protocol a *leader set* L (a feedback vertex set of
-//! the AC2T graph) replaces the single swap leader. Every leader `l ∈ L`
-//! generates its own secret `s_l`; every contract in the swap is locked
-//! behind **all** of the leaders' hashlocks and can only be redeemed by
-//! presenting a preimage for each of them. The timelock plays the same role
-//! as in the single-leader protocol — and carries the same liveness/safety
-//! coupling the paper criticises: a redeemer who misses the timelock loses
-//! the asset to a refund.
+//! A contract locks an asset behind two conditions:
+//!
+//! * **hashlocks** — one per swap leader `l`, `h_l = H(s_l)`: the recipient
+//!   may redeem by presenting every preimage `s_l`, in lock order. A
+//!   single-leader swap's contract carries exactly one hashlock, which is
+//!   Nolan's and Herlihy's plain HTLC; the multi-leader protocol's leader
+//!   set (a feedback vertex set of the AC2T graph) gives one per leader;
+//! * **timelock** — once the timelock `t` expires, the sender may refund.
+//!
+//! The paper's critique of these protocols is precisely that the timelock
+//! couples liveness to safety: if the rightful redeemer crashes past `t`,
+//! the sender refunds and atomicity is violated. The simulation reproduces
+//! that behaviour faithfully (experiment E6).
 
 use crate::swap::{SwapCore, SwapPhase};
 use ac3_chain::{Address, Amount, Payout, Timestamp, VmError};
@@ -48,9 +55,9 @@ pub struct MultiHtlcState {
     pub hashlocks: Vec<Hash256>,
     /// The timelock.
     pub timelock: Timestamp,
-    /// The revealed preimages, if the contract has been redeemed. As with
-    /// the single-hashlock HTLC, redemption reveals every leader secret to
-    /// the remaining participants.
+    /// The revealed preimages, if the contract has been redeemed. Crucial
+    /// for Nolan/Herlihy: redeeming on one chain reveals every leader secret
+    /// to the counterparties on the other chains.
     pub revealed_preimages: Option<Vec<Vec<u8>>>,
 }
 
@@ -87,6 +94,9 @@ impl MultiHtlcState {
     }
 
     /// Execute a redeem call from `caller`.
+    ///
+    /// Only the designated recipient may redeem (the paper's SC1 "transfer X
+    /// bitcoins *to Bob* if Bob provides s").
     pub fn redeem(&mut self, caller: Address, preimages: Vec<Vec<u8>>) -> Result<Payout, VmError> {
         if caller != self.core.recipient {
             return Err(VmError::Unauthorized(format!(
@@ -101,6 +111,8 @@ impl MultiHtlcState {
     }
 
     /// Execute a refund call from `caller` at simulated time `now`.
+    ///
+    /// Only the original sender may refund, and only after the timelock.
     pub fn refund(&mut self, caller: Address, now: Timestamp) -> Result<Payout, VmError> {
         if caller != self.core.sender {
             return Err(VmError::Unauthorized(format!(
@@ -208,8 +220,15 @@ mod tests {
         let mut c = contract(&[b"only"], 5_000);
         assert!(c.is_redeemable(&[b"only".to_vec()]));
         assert!(!c.is_redeemable(&[b"nope".to_vec()]));
-        c.redeem(addr(b"bob"), vec![b"only".to_vec()]).unwrap();
+        assert!(c.redeem(addr(b"bob"), vec![b"nope".to_vec()]).is_err());
+        assert_eq!(c.phase(), SwapPhase::Published);
+        assert!(c.revealed_preimages.is_none());
+        let payout = c.redeem(addr(b"bob"), vec![b"only".to_vec()]).unwrap();
+        assert_eq!((payout.to, payout.amount), (addr(b"bob"), 100));
         assert_eq!(c.phase(), SwapPhase::Redeemed);
+        assert_eq!(c.revealed_preimages, Some(vec![b"only".to_vec()]));
+        // Redeemed is terminal: the sender cannot refund it afterwards.
+        assert!(c.refund(addr(b"alice"), 20_000).is_err());
     }
 
     proptest! {

@@ -1,8 +1,9 @@
 //! The `SwapVm`: the contract virtual machine installed on every simulated
 //! chain, executing the paper's contract algorithms.
 //!
-//! The VM's universe of contracts is a closed enum — HTLCs (the
-//! Nolan/Herlihy baselines), centralized AC3TW contracts (Algorithm 2),
+//! The VM's universe of contracts is a closed enum — hashlock/timelock
+//! contracts (the Nolan/Herlihy baselines, one hashlock per swap leader),
+//! centralized AC3TW contracts (Algorithm 2),
 //! permissionless AC3WN contracts (Algorithm 4) and witness contracts
 //! (Algorithm 3). Deploy and call payloads are encoded with
 //! [`crate::codec`]; the chain stores contract state as opaque bytes and
@@ -10,7 +11,6 @@
 
 use crate::centralized::{CentralizedCall, CentralizedSpec, CentralizedState};
 use crate::codec;
-use crate::htlc::{HtlcCall, HtlcSpec, HtlcState};
 use crate::multihtlc::{MultiHtlcCall, MultiHtlcSpec, MultiHtlcState};
 use crate::permissionless::{PermissionlessCall, PermissionlessSpec, PermissionlessState};
 use crate::witness::{WitnessCall, WitnessContractState, WitnessSpec};
@@ -22,8 +22,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ContractSpec {
     /// A hashlock/timelock contract (Nolan / Herlihy baselines).
-    Htlc(HtlcSpec),
-    /// A multi-hashlock/timelock contract (Herlihy multi-leader baseline).
     MultiHtlc(MultiHtlcSpec),
     /// An AC3TW contract guarded by the trusted witness's signatures.
     Centralized(CentralizedSpec),
@@ -47,9 +45,7 @@ impl ContractSpec {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ContractCall {
-    /// A call on an HTLC.
-    Htlc(HtlcCall),
-    /// A call on a multi-hashlock HTLC.
+    /// A call on a hashlock/timelock contract.
     MultiHtlc(MultiHtlcCall),
     /// A call on a centralized swap contract.
     Centralized(CentralizedCall),
@@ -69,9 +65,7 @@ impl ContractCall {
 /// Persisted contract state (the VM's view of one deployed contract).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ContractState {
-    /// An HTLC.
-    Htlc(HtlcState),
-    /// A multi-hashlock HTLC.
+    /// A hashlock/timelock contract.
     MultiHtlc(MultiHtlcState),
     /// A centralized swap contract.
     Centralized(CentralizedState),
@@ -95,7 +89,6 @@ impl ContractState {
     /// The short state tag ("P", "RD", "RF", "RDauth", "RFauth").
     pub fn tag(&self) -> String {
         match self {
-            ContractState::Htlc(s) => s.core.phase.tag().to_string(),
             ContractState::MultiHtlc(s) => s.core.phase.tag().to_string(),
             ContractState::Centralized(s) => s.core.phase.tag().to_string(),
             ContractState::Permissionless(s) => s.core.phase.tag().to_string(),
@@ -119,40 +112,25 @@ impl ContractVm for SwapVm {
     fn deploy(&self, ctx: &DeployContext, payload: &[u8]) -> Result<Vec<u8>, VmError> {
         let spec: ContractSpec = codec::decode(payload)?;
         let state = match spec {
-            ContractSpec::Htlc(spec) => {
-                if ctx.value == 0 {
-                    return Err(VmError::RequirementFailed(
-                        "an atomic-swap contract must lock a non-zero asset".to_string(),
-                    ));
-                }
-                ContractState::Htlc(HtlcState::publish(ctx.sender, ctx.value, &spec))
+            // Every atomic-swap contract (all but the witness contract).
+            ContractSpec::MultiHtlc(_)
+            | ContractSpec::Centralized(_)
+            | ContractSpec::Permissionless(_)
+                if ctx.value == 0 =>
+            {
+                return Err(VmError::RequirementFailed(
+                    "an atomic-swap contract must lock a non-zero asset".to_string(),
+                ));
             }
             ContractSpec::MultiHtlc(spec) => {
-                if ctx.value == 0 {
-                    return Err(VmError::RequirementFailed(
-                        "an atomic-swap contract must lock a non-zero asset".to_string(),
-                    ));
-                }
                 ContractState::MultiHtlc(MultiHtlcState::publish(ctx.sender, ctx.value, &spec)?)
             }
             ContractSpec::Centralized(spec) => {
-                if ctx.value == 0 {
-                    return Err(VmError::RequirementFailed(
-                        "an atomic-swap contract must lock a non-zero asset".to_string(),
-                    ));
-                }
                 ContractState::Centralized(CentralizedState::publish(ctx.sender, ctx.value, &spec))
             }
-            ContractSpec::Permissionless(spec) => {
-                if ctx.value == 0 {
-                    return Err(VmError::RequirementFailed(
-                        "an atomic-swap contract must lock a non-zero asset".to_string(),
-                    ));
-                }
-                ContractState::Permissionless(PermissionlessState::publish(
-                    ctx.sender, ctx.value, &spec,
-                ))
-            }
+            ContractSpec::Permissionless(spec) => ContractState::Permissionless(
+                PermissionlessState::publish(ctx.sender, ctx.value, &spec),
+            ),
             ContractSpec::Witness(spec) => {
                 // The deployment must lock exactly the declared stake (zero
                 // for the paper's unstaked base protocol), so the slashing
@@ -179,16 +157,6 @@ impl ContractVm for SwapVm {
         let call: ContractCall = codec::decode(payload)?;
         let (new_state, payouts, event): (ContractState, Vec<Payout>, String) = match (state, call)
         {
-            (ContractState::Htlc(mut s), ContractCall::Htlc(call)) => match call {
-                HtlcCall::Redeem { preimage } => {
-                    let payout = s.redeem(ctx.sender, preimage)?;
-                    (ContractState::Htlc(s), vec![payout], "htlc redeemed".to_string())
-                }
-                HtlcCall::Refund => {
-                    let payout = s.refund(ctx.sender, ctx.now)?;
-                    (ContractState::Htlc(s), vec![payout], "htlc refunded".to_string())
-                }
-            },
             (ContractState::MultiHtlc(mut s), ContractCall::MultiHtlc(call)) => match call {
                 MultiHtlcCall::Redeem { preimages } => {
                     let payout = s.redeem(ctx.sender, preimages)?;
@@ -294,9 +262,9 @@ mod tests {
     }
 
     fn htlc_spec(secret: &[u8], timelock: Timestamp) -> ContractSpec {
-        ContractSpec::Htlc(HtlcSpec {
+        ContractSpec::MultiHtlc(MultiHtlcSpec {
             recipient: addr(b"bob"),
-            hashlock: Hashlock::from_secret(secret).lock,
+            hashlocks: vec![Hashlock::from_secret(secret).lock],
             timelock,
         })
     }
@@ -311,7 +279,8 @@ mod tests {
             vm.deploy(&deploy_ctx(alice, 100), &htlc_spec(b"s", 10_000).to_payload()).unwrap();
         assert_eq!(vm.state_tag(&state).unwrap(), "P");
 
-        let call = ContractCall::Htlc(HtlcCall::Redeem { preimage: b"s".to_vec() });
+        let call =
+            ContractCall::MultiHtlc(MultiHtlcCall::Redeem { preimages: vec![b"s".to_vec()] });
         let outcome = vm.call(&call_ctx(bob, 5_000), &state, &call.to_payload()).unwrap();
         assert_eq!(vm.state_tag(&outcome.new_state).unwrap(), "RD");
         assert_eq!(outcome.payouts, vec![Payout { to: bob, amount: 100 }]);
@@ -324,7 +293,7 @@ mod tests {
         let alice = addr(b"alice");
         let state =
             vm.deploy(&deploy_ctx(alice, 50), &htlc_spec(b"s", 10_000).to_payload()).unwrap();
-        let refund = ContractCall::Htlc(HtlcCall::Refund).to_payload();
+        let refund = ContractCall::MultiHtlc(MultiHtlcCall::Refund).to_payload();
         assert!(vm.call(&call_ctx(alice, 9_000), &state, &refund).is_err());
         let outcome = vm.call(&call_ctx(alice, 10_000), &state, &refund).unwrap();
         assert_eq!(vm.state_tag(&outcome.new_state).unwrap(), "RF");

@@ -68,14 +68,14 @@ pub fn edge_disposition(
 mod tests {
     use super::*;
     use crate::scenario::{two_party_scenario, ScenarioConfig};
-    use ac3_contracts::HtlcSpec;
+    use ac3_contracts::MultiHtlcSpec;
     use ac3_crypto::Hashlock;
     use ac3_sim::CrashWindow;
 
     fn htlc_spec(recipient: Address) -> ContractSpec {
-        ContractSpec::Htlc(HtlcSpec {
+        ContractSpec::MultiHtlc(MultiHtlcSpec {
             recipient,
-            hashlock: Hashlock::from_secret(b"s").lock,
+            hashlocks: vec![Hashlock::from_secret(b"s").lock],
             timelock: 1_000_000,
         })
     }

@@ -779,7 +779,7 @@ mod tests {
         // traffic deeper than the block budget, and must start the doubling
         // ladder at 1 instead of re-bidding 0 forever.
         use ac3_chain::{ChainParams, TxBuilder};
-        use ac3_contracts::HtlcCall;
+        use ac3_contracts::MultiHtlcCall;
         use ac3_crypto::{Hash256, KeyPair};
 
         let mut world = World::new();
@@ -792,7 +792,7 @@ mod tests {
 
         let mut book = BidBook::new(FeePolicy::Exponential { cap: 8 });
         let phantom = ContractId(Hash256::digest(b"phantom"));
-        let call = ContractCall::Htlc(HtlcCall::Refund);
+        let call = ContractCall::MultiHtlc(MultiHtlcCall::Refund);
         let (txid, fee) = book
             .submit_call(&mut world, &mut participants, &alice, chain, phantom, &call)
             .unwrap()
@@ -837,7 +837,7 @@ mod tests {
         // opening bid is floor + margin, and a stuck bid re-bids to one
         // above the marginal price of next-block inclusion.
         use ac3_chain::{ChainParams, TxBuilder};
-        use ac3_contracts::HtlcCall;
+        use ac3_contracts::MultiHtlcCall;
         use ac3_crypto::{Hash256, KeyPair};
 
         let mut world = World::new();
@@ -858,7 +858,7 @@ mod tests {
 
         let mut book = BidBook::new(FeePolicy::Adaptive { margin: 1, cap: 64 });
         let phantom_contract = ContractId(Hash256::digest(b"phantom"));
-        let call = ContractCall::Htlc(HtlcCall::Refund);
+        let call = ContractCall::MultiHtlc(MultiHtlcCall::Refund);
         let (_, fee) = book
             .submit_call(&mut world, &mut participants, &alice, chain, phantom_contract, &call)
             .unwrap()
@@ -892,7 +892,7 @@ mod tests {
         // current fee and stall forever. It must instead walk the schedule
         // past the current fee.
         use ac3_chain::{ChainParams, TxBuilder};
-        use ac3_contracts::HtlcCall;
+        use ac3_contracts::MultiHtlcCall;
         use ac3_crypto::{Hash256, KeyPair};
 
         let mut world = World::new();
@@ -915,7 +915,7 @@ mod tests {
         // bid is floor-raised to 20, between schedule steps.
         let mut book = BidBook::new(FeePolicy::Exponential { cap: 64 });
         let phantom_contract = ContractId(Hash256::digest(b"phantom"));
-        let call = ContractCall::Htlc(HtlcCall::Refund);
+        let call = ContractCall::MultiHtlc(MultiHtlcCall::Refund);
         let (_, fee) = book
             .submit_call(&mut world, &mut participants, &alice, chain, phantom_contract, &call)
             .unwrap()
@@ -959,7 +959,7 @@ mod tests {
         // no churn) and resume escalating once the base fee decays back
         // under the cap.
         use ac3_chain::{coinbase, BaseFeeSchedule, ChainParams, OutPoint, TxBuilder, TxOutput};
-        use ac3_contracts::HtlcCall;
+        use ac3_contracts::MultiHtlcCall;
         use ac3_crypto::{Hash256, KeyPair};
 
         let mut world = World::new();
@@ -975,7 +975,7 @@ mod tests {
         // Open an Adaptive bid with a tight cap of 3 (floor 1 + margin 1 = 2).
         let mut book = BidBook::new(FeePolicy::Adaptive { margin: 1, cap: 3 });
         let phantom = ContractId(Hash256::digest(b"phantom"));
-        let call = ContractCall::Htlc(HtlcCall::Refund);
+        let call = ContractCall::MultiHtlc(MultiHtlcCall::Refund);
         let (txid, fee) = book
             .submit_call(&mut world, &mut participants, &alice, chain, phantom, &call)
             .unwrap()
@@ -1023,7 +1023,7 @@ mod tests {
         // be retired (the sim abandons reorged-out transactions), not
         // refunded or re-bid.
         use ac3_chain::ChainParams;
-        use ac3_contracts::{ContractSpec, HtlcSpec};
+        use ac3_contracts::{ContractSpec, MultiHtlcSpec};
         use ac3_crypto::Hashlock;
 
         let mut world = World::new();
@@ -1035,9 +1035,9 @@ mod tests {
         let chain = world.add_chain(params, &[(alice, 100), (bob, 100)]);
 
         let mut book = BidBook::new(FeePolicy::Exponential { cap: 64 });
-        let spec = ContractSpec::Htlc(HtlcSpec {
+        let spec = ContractSpec::MultiHtlc(MultiHtlcSpec {
             recipient: bob,
-            hashlock: Hashlock::from_secret(b"s").lock,
+            hashlocks: vec![Hashlock::from_secret(b"s").lock],
             timelock: 1_000_000,
         });
         let (txid, _, fee) = book
@@ -1080,7 +1080,7 @@ mod tests {
         // snapshot does not bind and every bid is sent. The skipped build
         // still consumes its nonce, so the later re-entry gets the same id.
         use ac3_chain::{ChainParams, TxBuilder};
-        use ac3_contracts::HtlcCall;
+        use ac3_contracts::MultiHtlcCall;
         use ac3_crypto::{Hash256, KeyPair};
         use ac3_sim::NetworkProfile;
 
@@ -1098,7 +1098,7 @@ mod tests {
             // A Fixed-policy bid: opening fee = call_fee = 2, cap = 2.
             let mut book = BidBook::new(FeePolicy::Fixed);
             let phantom = ContractId(Hash256::digest(b"phantom-contract"));
-            let call = ContractCall::Htlc(HtlcCall::Refund);
+            let call = ContractCall::MultiHtlc(MultiHtlcCall::Refund);
             let (txid, fee) = book
                 .submit_call(&mut world, &mut participants, &alice, chain, phantom, &call)
                 .unwrap()

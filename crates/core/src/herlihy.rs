@@ -35,18 +35,21 @@
 //! secret set becomes known to all leaders; the first on-chain redemption
 //! then reveals every preimage to the remaining participants, as in the
 //! single-leader protocol. If any leader is unavailable the exchange fails,
-//! redemption stalls, and the timelock/refund path takes over. This
-//! preserves the properties the paper measures (latency shape, graph
-//! coverage, crash-failure behaviour) without reproducing the full
-//! leader-subprotocol message flow.
+//! redemption stalls, and the timelock/refund path takes over. The
+//! [`HerlihyMulti`] driver runs the exchange even when its leader set is one
+//! participant; [`Herlihy`] and [`crate::nolan::Nolan`] skip it, since a
+//! lone leader holds its own secret from the start. This preserves the
+//! properties the paper measures (latency shape, graph coverage,
+//! crash-failure behaviour) without reproducing the full leader-subprotocol
+//! message flow.
 //!
 //! The protocol logic lives in one resumable step/poll state machine,
 //! [`HerlihyMachine`] (see [`crate::driver`]), which never advances the
 //! simulated clock and so joins mixed-protocol
 //! [`crate::scheduler::Scheduler`] batches. [`Herlihy`], [`HerlihyMulti`]
 //! and [`crate::nolan::Nolan`] are thin drivers that pick the leader set
-//! and the lock flavour; their `execute` methods are single-swap [`drive`]
-//! wrappers.
+//! and whether the leaders start out knowing every secret; their `execute`
+//! methods are single-swap [`drive`] wrappers.
 
 use crate::actions::edge_disposition;
 use crate::driver::{drive, tx_at_depth, Step, SwapMachine};
@@ -57,7 +60,7 @@ use crate::protocol::{
 };
 use crate::scenario::Scenario;
 use ac3_chain::{Address, ChainId, ContractId, Timestamp, TxId};
-use ac3_contracts::{ContractCall, ContractSpec, HtlcCall, HtlcSpec, MultiHtlcCall, MultiHtlcSpec};
+use ac3_contracts::{ContractCall, ContractSpec, MultiHtlcCall, MultiHtlcSpec};
 use ac3_crypto::{Hash256, Hashlock, Sha256};
 use ac3_sim::{ChainApi, EventKind, ParticipantSet, Timeline};
 
@@ -144,7 +147,8 @@ impl Herlihy {
             }
             None => Self::supports_graph(&graph)?,
         };
-        let locks = Locks::single(&graph);
+        // A lone leader holds its own secret from the start.
+        let locks = Locks::new(&graph, &[leader], true);
         let kind = self.kind.unwrap_or(ProtocolKind::Herlihy);
         Ok(HerlihyMachine::new(self.config.clone(), graph, vec![leader], locks, kind))
     }
@@ -184,7 +188,7 @@ impl HerlihyMulti {
     /// with edges unreachable from the feedback vertex set).
     pub fn machine(&self, graph: SwapGraph) -> Result<HerlihyMachine, ProtocolError> {
         let leaders = Self::supports_graph(&graph)?;
-        let locks = Locks::multi(&graph, &leaders);
+        let locks = Locks::new(&graph, &leaders, false);
         Ok(HerlihyMachine::new(
             self.config.clone(),
             graph,
@@ -202,32 +206,21 @@ impl HerlihyMulti {
     }
 }
 
-/// How a run's contracts are locked and who can open them before any
-/// preimage is public — everything the single- and multi-leader variants
-/// do differently. Secrets are deterministic per graph (and leader) so
-/// runs are reproducible.
+/// How a run's contracts are locked: one secret per leader, and every
+/// contract a [`MultiHtlcSpec`] behind all of their hashlocks. Secrets are
+/// deterministic per graph and leader so runs are reproducible.
 #[derive(Debug)]
-enum Locks {
-    /// One leader, one secret, plain [`HtlcSpec`] contracts. The leader
-    /// knows the secret from the start.
-    Single { secret: Vec<u8>, hashlock: Hash256 },
-    /// One secret per leader; every contract is a [`MultiHtlcSpec`] behind
-    /// all of them. The leaders know the full set iff the off-chain
-    /// exchange (evaluated once, when phase A completes) succeeded.
-    Multi { secrets: Vec<Vec<u8>>, hashlocks: Vec<Hash256>, exchanged: bool },
+struct Locks {
+    secrets: Vec<Vec<u8>>,
+    hashlocks: Vec<Hash256>,
+    /// Whether the leaders know every secret off chain. The driver sets the
+    /// start value: a lone leader knows its own; a leader set must first
+    /// exchange them, which is evaluated once, when phase A completes.
+    exchanged: bool,
 }
 
 impl Locks {
-    fn single(graph: &SwapGraph) -> Self {
-        let mut h = Sha256::new();
-        h.update(b"herlihy/leader-secret");
-        h.update(graph.digest().as_bytes());
-        let secret = h.finalize().to_vec();
-        let hashlock = Hashlock::from_secret(&secret).lock;
-        Locks::Single { secret, hashlock }
-    }
-
-    fn multi(graph: &SwapGraph, leaders: &[Address]) -> Self {
+    fn new(graph: &SwapGraph, leaders: &[Address], exchanged: bool) -> Self {
         let digest = graph.digest();
         let secrets: Vec<Vec<u8>> = leaders
             .iter()
@@ -240,46 +233,19 @@ impl Locks {
             })
             .collect();
         let hashlocks = secrets.iter().map(|s| Hashlock::from_secret(s).lock).collect();
-        Locks::Multi { secrets, hashlocks, exchanged: false }
+        Locks { secrets, hashlocks, exchanged }
     }
 
     fn spec(&self, recipient: Address, timelock: Timestamp) -> ContractSpec {
-        match self {
-            Locks::Single { hashlock, .. } => {
-                ContractSpec::Htlc(HtlcSpec { recipient, hashlock: *hashlock, timelock })
-            }
-            Locks::Multi { hashlocks, .. } => ContractSpec::MultiHtlc(MultiHtlcSpec {
-                recipient,
-                hashlocks: hashlocks.clone(),
-                timelock,
-            }),
-        }
+        ContractSpec::MultiHtlc(MultiHtlcSpec {
+            recipient,
+            hashlocks: self.hashlocks.clone(),
+            timelock,
+        })
     }
 
     fn redeem(&self) -> ContractCall {
-        match self {
-            Locks::Single { secret, .. } => {
-                ContractCall::Htlc(HtlcCall::Redeem { preimage: secret.clone() })
-            }
-            Locks::Multi { secrets, .. } => {
-                ContractCall::MultiHtlc(MultiHtlcCall::Redeem { preimages: secrets.clone() })
-            }
-        }
-    }
-
-    fn refund(&self) -> ContractCall {
-        match self {
-            Locks::Single { .. } => ContractCall::Htlc(HtlcCall::Refund),
-            Locks::Multi { .. } => ContractCall::MultiHtlc(MultiHtlcCall::Refund),
-        }
-    }
-
-    /// Whether the leaders can present every preimage off chain.
-    fn leaders_know(&self) -> bool {
-        match self {
-            Locks::Single { .. } => true,
-            Locks::Multi { exchanged, .. } => *exchanged,
-        }
+        ContractCall::MultiHtlc(MultiHtlcCall::Redeem { preimages: self.secrets.clone() })
     }
 }
 
@@ -331,9 +297,9 @@ enum Phase {
 /// The Herlihy protocol family — single-leader (and its two-party Nolan
 /// restriction) and multi-leader — as one resumable state machine (see
 /// [`crate::driver`]). The variants share the wave structure, the phases
-/// and the timelock cleanup; they differ only in the leader set and in the
-/// private lock flavour the drivers pick (one hashlock or one per leader,
-/// and whether the leaders must first exchange secrets off chain).
+/// and the timelock cleanup, and every contract carries one hashlock per
+/// leader; they differ only in the leader set and in whether the leaders
+/// must first exchange their secrets off chain.
 #[derive(Debug)]
 pub struct HerlihyMachine {
     config: ProtocolConfig,
@@ -411,12 +377,12 @@ impl HerlihyMachine {
     }
 
     /// The off-chain leader secret exchange, evaluated once when phase A
-    /// completes: it succeeds iff every leader is currently available. A
-    /// single leader has nobody to exchange with.
+    /// completes unless the leaders already know every secret: it succeeds
+    /// iff every leader is currently available.
     fn exchange_secrets(&mut self, world: &dyn ChainApi, participants: &ParticipantSet) {
-        if let Locks::Multi { exchanged, .. } = &mut self.locks {
+        if !self.locks.exchanged {
             let now = world.now();
-            *exchanged = self
+            self.locks.exchanged = self
                 .leaders
                 .iter()
                 .all(|l| participants.by_address(l).is_some_and(|p| p.is_available(now)));
@@ -427,7 +393,7 @@ impl HerlihyMachine {
     /// off chain, or anyone once the preimages are public on some chain
     /// (`public` is the caller's snapshot of [`Self::secrets_public`]).
     fn knows_secrets(&self, who: &Address, public: bool) -> bool {
-        (self.locks.leaders_know() && self.leaders.contains(who)) || public
+        (self.locks.exchanged && self.leaders.contains(who)) || public
     }
 
     /// Book a replace-by-fee escalation and rewrite every stored copy of
@@ -569,7 +535,7 @@ impl HerlihyMachine {
         participants: &mut ParticipantSet,
     ) -> Result<Vec<Pending>, ProtocolError> {
         let now = world.now();
-        let call = self.locks.refund();
+        let call = ContractCall::MultiHtlc(MultiHtlcCall::Refund);
         let mut submitted = Vec::new();
         for i in 0..self.slots.len() {
             let slot = self.slots[i].clone();
@@ -985,6 +951,34 @@ mod tests {
         let mut s = figure7a_scenario(&ScenarioConfig::default());
         let report = multi().execute(&mut s).unwrap();
         assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed, "{}", report.summary());
+    }
+
+    #[test]
+    fn a_one_leader_set_runs_the_single_leader_swap() {
+        // Figure 7a's leader set is one participant L: without a crash the
+        // multi-leader run and the single-leader run led by L deploy the
+        // same contracts and settle them the same way.
+        let run = |multi_leader: bool| {
+            let mut s = figure7a_scenario(&ScenarioConfig::default());
+            let leaders = HerlihyMulti::supports_graph(&s.graph).unwrap();
+            assert_eq!(leaders.len(), 1);
+            let mut report = if multi_leader {
+                multi().execute(&mut s)
+            } else {
+                Herlihy::with_leader(cfg(), leaders[0]).execute(&mut s)
+            }
+            .unwrap();
+            assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed, "{}", report.summary());
+            report.protocol = ProtocolKind::Herlihy;
+            let chains: Vec<_> = s
+                .world
+                .chain_ids()
+                .into_iter()
+                .map(|id| (s.world.chain(id).unwrap().tip(), s.world.chain(id).unwrap().height()))
+                .collect();
+            (format!("{report:?}"), chains)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn nolan_two_party() {
     assert_eq!(
         digests(&report, &s),
         [
-            "2eb19846ddb474e80c6cd10b3fb0f26e562cbc55019d5254acfaa2970d5f9bbe",
+            "c63ee81f5c8f56ce3e61de1af80d2438beac38aa80677dd691cd8a227ddc8b44",
             "9edf9063b6fb313fee5261793d153039384563bf567cc42933a7d8fdab36285a",
         ]
     );
@@ -117,7 +117,7 @@ fn herlihy_ring_of_four() {
     assert_eq!(
         digests(&report, &s),
         [
-            "d04b74fce5db8b6c63bcff84e4203be695a25acbe00981a9a112ea00c0b67eeb",
+            "2844c734cc6ee0f512167669d11279f95643653c99a1ca04a3b5dddc67449ff6",
             "0f4588b62cb2e9f096914f34e320cd16640cdcc50176088e78930886c1a08ef0",
         ]
     );
@@ -135,7 +135,7 @@ fn herlihy_explicit_leader() {
     assert_eq!(
         digests(&report, &s),
         [
-            "318544570fa8501a25eca324b638ae67cd2f3c85e0c0e8c8f9b277c2bab2ac32",
+            "b6dfb1eb020dbd796c88c578937fe4a680e214040f7aff7627522be69617dd10",
             "5df439d7fbd55f7602cdda318a4c21cf01e1909eb347be6a6ad1599113b697e0",
         ]
     );
@@ -156,7 +156,7 @@ fn herlihy_crash_past_timelock_violation() {
     assert_eq!(
         digests(&report, &s),
         [
-            "035dde832baa640d25592416d2bb967fbf263933d819ef15642c4acc3d628f1a",
+            "4da30203df778dc816fe587aaed904c800ec526de46f66d3ce16eef79ba8428c",
             "3801409f2336ade34742de2d3f9a99f97a8b5398114e17eeb70d95b9eb199a48",
         ]
     );
@@ -173,7 +173,7 @@ fn herlihy_declined_deployment_refunds() {
     assert_eq!(
         digests(&report, &s),
         [
-            "5134aa5aed9863fcaccf8f37436f8c62ca7fbcaed81c2dc018b55f379c233c7c",
+            "00b3e1ee1ec6d9d73e0c415e3214a71c2d5e08067f7648b3719301c22f3af226",
             "43f431034490d97b9ed113f167fb8d08f5462c53cb6d6f020b4f8ca3f443a5ac",
         ]
     );
@@ -196,7 +196,7 @@ fn herlihy_crashed_lone_leader_still_redeems() {
     assert_eq!(
         digests(&report, &s),
         [
-            "a7df4b261de4c744f1be889e94fb3a875c98e618d0b4b299fc4c135577435c3d",
+            "d6d77e1d9cf07927baff86b8240a13f6c5ab6306f638d5fcce647ed3e952ba72",
             "0368531728f1af0d2db05642e826547dbcb4efdb86451ab06fd9560267a7603c",
         ]
     );
@@ -309,7 +309,7 @@ fn mixed_four_protocol_batch_at_one_worker() {
     assert_eq!(
         [Hash256::digest(lines.join("\n").as_bytes()).to_hex(), id_blind_digest(&blind.join("\n"))],
         [
-            "a608d103452ce257f31299b5962927e75137fc9332097566ac511df1ddcbca38",
+            "da617824385d3cba273fc7c996381e96ae15613e432e7f1f53f17c0adb801cdd",
             "977003ce2ddf521bce00f4221920184525f7b7716f44d217087a467b8da3b6d0",
         ]
     );
