@@ -44,7 +44,7 @@ pub use contracts::{
     CallContext, CallOutcome, ContractRecord, ContractVm, DeployContext, EchoVm, NullVm, Payout,
     VmError, VmHandle,
 };
-pub use light::{HeaderEvidence, LightClient, LightClientError};
+pub use light::{LightClient, LightClientError};
 pub use mempool::{Mempool, MempoolError};
 pub use params::{BaseFeeSchedule, ChainParams, SealPolicy};
 pub use storage::{

@@ -14,14 +14,16 @@
 //!    `d` blocks.
 //!
 //! This module implements the header-chain machinery shared by options 2 and
-//! 3: [`LightClient`] (an incrementally-updated header chain) and
-//! [`HeaderEvidence`] (the self-contained evidence payload plus its stateless
-//! verification routine). Option 1 needs no machinery — the validator simply
-//! reads the other [`crate::chain::Blockchain`] — and the three strategies
-//! are compared head-to-head in `ac3-core::evidence`.
+//! 3: [`verify_header_chain`] (the stateless check of a run of headers) and
+//! [`LightClient`] (an incrementally-updated header chain). Option 3's
+//! self-contained evidence payload and its verifier are
+//! `ac3_contracts::TxInclusionEvidence`, the one the contracts run. Option 1
+//! needs no machinery — the validator simply reads the other
+//! [`crate::chain::Blockchain`] — and the three strategies are compared
+//! head-to-head in `ac3-core::evidence`.
 
 use crate::block::BlockHeader;
-use crate::types::{BlockHash, ChainId, TxId};
+use crate::types::{BlockHash, ChainId};
 use ac3_crypto::MerkleProof;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -59,15 +61,6 @@ pub enum LightClientError {
         /// Actual burial depth provided by the evidence.
         got: u64,
     },
-    /// The evidence does not start at the expected stable header.
-    WrongAnchor {
-        /// The stable block hash the verifier stored.
-        expected: BlockHash,
-        /// The parent of the first evidence header.
-        got: BlockHash,
-    },
-    /// The evidence contains no headers.
-    EmptyEvidence,
 }
 
 impl fmt::Display for LightClientError {
@@ -87,10 +80,6 @@ impl fmt::Display for LightClientError {
             LightClientError::InsufficientDepth { required, got } => {
                 write!(f, "insufficient burial depth: required {required}, got {got}")
             }
-            LightClientError::WrongAnchor { expected, got } => {
-                write!(f, "evidence anchored at {got}, expected {expected}")
-            }
-            LightClientError::EmptyEvidence => write!(f, "empty evidence"),
         }
     }
 }
@@ -222,77 +211,6 @@ impl LightClient {
     }
 }
 
-/// Self-contained cross-chain evidence (Section 4.3, option 3): everything a
-/// validator smart contract needs to convince itself that a transaction
-/// happened on the validated chain, relative to a stable anchor header the
-/// contract already stores.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HeaderEvidence {
-    /// The chain the evidence is about.
-    pub chain: ChainId,
-    /// Headers following the anchor, oldest first, at least up to the
-    /// block that buries the transaction under the depth the verifier
-    /// demands (headers beyond it prove nothing more).
-    pub headers: Vec<BlockHeader>,
-    /// Height (within `headers`) of the block containing the transaction.
-    pub tx_height: u64,
-    /// The transaction's id (for bookkeeping / duplicate detection).
-    pub txid: TxId,
-    /// The transaction's canonical bytes (the Merkle leaf).
-    pub tx_bytes: Vec<u8>,
-    /// Merkle inclusion proof of `tx_bytes` in the block at `tx_height`.
-    pub proof: MerkleProof,
-}
-
-impl HeaderEvidence {
-    /// Verify the evidence against a stored stable anchor.
-    ///
-    /// Checks, in the order the paper lists them: (1) the submitted headers
-    /// extend the anchor with valid links and proof-of-work, (2) the
-    /// transaction of interest is included in one of those blocks, and
-    /// (3) that block is itself buried under at least `min_depth` of the
-    /// submitted headers.
-    pub fn verify(
-        &self,
-        anchor_hash: BlockHash,
-        anchor_height: u64,
-        min_depth: u64,
-    ) -> Result<(), LightClientError> {
-        if self.headers.is_empty() {
-            return Err(LightClientError::EmptyEvidence);
-        }
-        if self.headers[0].parent != anchor_hash {
-            return Err(LightClientError::WrongAnchor {
-                expected: anchor_hash,
-                got: self.headers[0].parent,
-            });
-        }
-        verify_header_chain(self.chain, anchor_hash, anchor_height, &self.headers)?;
-
-        let first_height = self.headers[0].height;
-        let idx = self
-            .tx_height
-            .checked_sub(first_height)
-            .ok_or(LightClientError::InvalidInclusionProof)? as usize;
-        let header = self.headers.get(idx).ok_or(LightClientError::InvalidInclusionProof)?;
-        if !self.proof.verify(&header.tx_root, &self.tx_bytes) {
-            return Err(LightClientError::InvalidInclusionProof);
-        }
-        let tip_height = self.headers.last().expect("non-empty").height;
-        let depth = tip_height - self.tx_height;
-        if depth < min_depth {
-            return Err(LightClientError::InsufficientDepth { required: min_depth, got: depth });
-        }
-        Ok(())
-    }
-
-    /// Size of the evidence in headers — the quantity the paper's
-    /// light-client cost discussion is about.
-    pub fn header_count(&self) -> usize {
-        self.headers.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +218,7 @@ mod tests {
     use crate::contracts::EchoVm;
     use crate::params::ChainParams;
     use crate::transaction::TxBuilder;
-    use crate::types::{Address, Amount};
+    use crate::types::{Address, Amount, TxId};
     use ac3_crypto::KeyPair;
     use std::sync::Arc;
 
@@ -331,24 +249,6 @@ mod tests {
             chain.mine_block(miner, 2_000 + i).unwrap();
         }
         (chain, txid, tx_bytes)
-    }
-
-    fn evidence_for(
-        chain: &Blockchain,
-        txid: TxId,
-        tx_bytes: Vec<u8>,
-        anchor: BlockHash,
-    ) -> HeaderEvidence {
-        let headers = chain.headers_since(&anchor).unwrap();
-        let inclusion = chain.tx_inclusion(&txid).unwrap();
-        HeaderEvidence {
-            chain: chain.id(),
-            headers,
-            tx_height: inclusion.header.height,
-            txid,
-            tx_bytes,
-            proof: inclusion.proof,
-        }
     }
 
     #[test]
@@ -389,67 +289,5 @@ mod tests {
             lc.verify_inclusion(inclusion.header.height, &inclusion.proof, &bytes, 7),
             Err(LightClientError::InsufficientDepth { .. })
         ));
-    }
-
-    #[test]
-    fn header_evidence_verifies_end_to_end() {
-        let (chain, txid, bytes) = chain_with_payment(6);
-        let genesis = chain.store().canonical_block_at_height(0).unwrap();
-        let ev = evidence_for(&chain, txid, bytes, genesis);
-        ev.verify(genesis, 0, 6).unwrap();
-        assert_eq!(ev.header_count(), 7);
-    }
-
-    #[test]
-    fn header_evidence_rejects_wrong_anchor() {
-        let (chain, txid, bytes) = chain_with_payment(6);
-        let genesis = chain.store().canonical_block_at_height(0).unwrap();
-        let ev = evidence_for(&chain, txid, bytes, genesis);
-        let bogus_anchor = BlockHash(ac3_crypto::Hash256::digest(b"other"));
-        assert!(matches!(
-            ev.verify(bogus_anchor, 0, 6).unwrap_err(),
-            LightClientError::WrongAnchor { .. }
-        ));
-    }
-
-    #[test]
-    fn header_evidence_rejects_shallow_burial() {
-        let (chain, txid, bytes) = chain_with_payment(2);
-        let genesis = chain.store().canonical_block_at_height(0).unwrap();
-        let ev = evidence_for(&chain, txid, bytes, genesis);
-        assert!(matches!(
-            ev.verify(genesis, 0, 6).unwrap_err(),
-            LightClientError::InsufficientDepth { required: 6, got: 2 }
-        ));
-    }
-
-    #[test]
-    fn header_evidence_rejects_tampered_tx() {
-        let (chain, txid, mut bytes) = chain_with_payment(6);
-        let genesis = chain.store().canonical_block_at_height(0).unwrap();
-        bytes.push(0xff);
-        let ev = evidence_for(&chain, txid, bytes, genesis);
-        assert_eq!(ev.verify(genesis, 0, 6).unwrap_err(), LightClientError::InvalidInclusionProof);
-    }
-
-    #[test]
-    fn header_evidence_rejects_foreign_chain_headers() {
-        let (chain, txid, bytes) = chain_with_payment(6);
-        let genesis = chain.store().canonical_block_at_height(0).unwrap();
-        let mut ev = evidence_for(&chain, txid, bytes, genesis);
-        ev.chain = ChainId(42);
-        assert!(matches!(
-            ev.verify(genesis, 0, 6).unwrap_err(),
-            LightClientError::WrongChain { .. }
-        ));
-    }
-
-    #[test]
-    fn empty_evidence_rejected() {
-        let (chain, txid, bytes) = chain_with_payment(1);
-        let genesis = chain.store().canonical_block_at_height(0).unwrap();
-        let mut ev = evidence_for(&chain, txid, bytes, genesis);
-        ev.headers.clear();
-        assert_eq!(ev.verify(genesis, 0, 0).unwrap_err(), LightClientError::EmptyEvidence);
     }
 }

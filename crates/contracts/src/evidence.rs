@@ -487,6 +487,20 @@ mod tests {
     }
 
     #[test]
+    fn foreign_chain_headers_rejected() {
+        // Well-linked headers from another chain than the anchor names
+        // prove nothing about the anchored chain.
+        let (anchor, ev) = fabricate_evidence(sample_transfer(), 6);
+        let foreign = ChainAnchor { chain: ChainId(42), ..anchor };
+        let want = format!(
+            "header chain invalid: header from {}, expected {}",
+            anchor.chain, foreign.chain
+        );
+        assert_eq!(ev.verify(&foreign, 6), Err(VmError::RequirementFailed(want)));
+        ev.verify(&anchor, 6).unwrap();
+    }
+
+    #[test]
     fn empty_headers_rejected() {
         let (anchor, mut ev) = fabricate_evidence(sample_transfer(), 2);
         ev.headers.clear();

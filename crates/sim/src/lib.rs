@@ -27,8 +27,7 @@ pub use api::{ChainApi, DirectApi, NetworkedApi};
 pub use audit::AuditScope;
 pub use faults::{Fault, FaultPlan, OutageWindow};
 pub use metrics::{
-    EventKind, FeeKind, FeeLedger, LatencyStats, SubTransactionRecord, SwapId, Timeline,
-    TimelineEvent, TxBill,
+    EventKind, FeeKind, FeeLedger, LatencyStats, SwapId, Timeline, TimelineEvent, TxBill,
 };
 pub use network::{LinkStats, NetworkProfile};
 pub use participant::{CrashWindow, Participant, ParticipantSet};

@@ -453,24 +453,9 @@ impl LatencyStats {
     }
 }
 
-/// A record of a completed (or failed) sub-transaction, used by the
-/// atomicity auditor in `ac3-core`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SubTransactionRecord {
-    /// The chain the sub-transaction ran on.
-    pub chain: ChainId,
-    /// The swap contract implementing it.
-    pub contract: ContractId,
-    /// The deployment transaction.
-    pub deploy_tx: TxId,
-    /// Terminal state tag observed ("P", "RD", "RF").
-    pub final_state: String,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ac3_crypto::Hash256;
 
     #[test]
     fn timeline_span_and_lookup() {
@@ -581,16 +566,5 @@ mod tests {
         assert!(stats.is_empty());
         assert_eq!(stats.mean(), None);
         assert_eq!(stats.percentile(50.0), None);
-    }
-
-    #[test]
-    fn sub_transaction_record_round_trip() {
-        let rec = SubTransactionRecord {
-            chain: ChainId(2),
-            contract: ContractId(Hash256::digest(b"sc")),
-            deploy_tx: TxId(Hash256::digest(b"tx")),
-            final_state: "RD".to_string(),
-        };
-        assert_eq!(rec.clone(), rec);
     }
 }
