@@ -7,28 +7,51 @@
 //! (Va = $1M ⇒ d = 21) is asserted.
 
 use crate::{f2, print_table, Record};
+use ac3_core::actions::edge_disposition;
 use ac3_core::analysis::witness_choice;
 use ac3_core::scenario::{two_party_scenario, ScenarioConfig};
-use ac3_core::{Ac3wn, ProtocolConfig};
+use ac3_core::{drive, Ac3wn, AtomicityVerdict, EdgeOutcome, ProtocolConfig};
 
 fn fork_resilience_demo() {
     // Run a swap to completion, then inject a fork on the witness chain
-    // shallower than the configured depth d and verify the decision (and
-    // the settled assets) are untouched.
+    // shallower than the configured depth d, let it win, and re-audit the
+    // decision and the settled assets on the forked chains.
     let cfg = ScenarioConfig::default();
-    let mut scenario = two_party_scenario(50, 80, &cfg);
+    let mut s = two_party_scenario(50, 80, &cfg);
     let protocol_cfg =
         ProtocolConfig { witness_depth: 3, deployment_depth: 3, ..Default::default() };
-    let report = Ac3wn::new(protocol_cfg).execute(&mut scenario).expect("swap");
-    assert!(report.is_atomic());
-    let witness = scenario.witness_chain;
-    let before = scenario.world.chain(witness).unwrap().height();
-    // A 2-block adversarial fork (< d = 3 confirmations the contracts demanded).
-    scenario.world.inject_fork(witness, 2, 3).expect("fork injection");
-    let after_verdict = report.verdict();
+    let mut machine = Ac3wn::new(protocol_cfg).machine(s.graph.clone(), s.witness_chain);
+    let report = drive(&mut machine, &mut s.world, &mut s.participants).expect("swap");
+    assert_eq!(report.verdict(), AtomicityVerdict::AllRedeemed);
+    let witness = s.witness_chain;
+    let scw = machine.witness_contract().expect("AC3WN deploys SC_w");
+    let before = s.world.chain(witness).unwrap().height();
+
+    // A 3-block adversarial branch off the block 2 below the tip (a fork
+    // 2 deep, < d = 3 confirmations the contracts demanded) outgrows the
+    // honest tip and becomes canonical.
+    let branch = s.world.inject_fork(witness, 2, 3).expect("fork injection");
+    let chain = s.world.chain(witness).unwrap();
+    assert_eq!(chain.tip(), *branch.last().unwrap(), "the attacker's branch is canonical");
+    assert_eq!(chain.height(), before + 1);
+    let (scw_state, _) = s.world.contract_state(witness, scw).expect("SC_w survives the fork");
+    assert_eq!(scw_state, "RDauth", "the decision predates the fork point");
+    s.world.assert_state_integrity();
+
+    let edges: Vec<EdgeOutcome> = report
+        .edges
+        .iter()
+        .map(|e| EdgeOutcome {
+            disposition: edge_disposition(&s.world, e.edge.chain, e.contract),
+            ..*e
+        })
+        .collect();
+    let after_verdict = AtomicityVerdict::from_outcomes(&edges);
+    assert_eq!(after_verdict, AtomicityVerdict::AllRedeemed);
     println!(
-        "\nFork-resilience demo: witness chain forked at height {before}; swap verdict remains \
-         '{after_verdict}' because both asset contracts only accepted evidence buried ≥ d blocks."
+        "\nFork-resilience demo: witness chain forked 2 blocks below height {before} and a \
+         3-block branch won; SC_w still reads {scw_state} and the re-audited swap verdict is \
+         '{after_verdict}', because both asset contracts only accepted evidence buried ≥ d blocks."
     );
 }
 
