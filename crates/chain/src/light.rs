@@ -251,6 +251,31 @@ mod tests {
         (chain, txid, tx_bytes)
     }
 
+    /// The genesis header of `chain`, the stable anchor the evidence below
+    /// extends.
+    fn genesis_header(chain: &Blockchain) -> (BlockHash, BlockHeader) {
+        let genesis = chain.store().canonical_block_at_height(0).unwrap();
+        (genesis, chain.store().header(&genesis).unwrap())
+    }
+
+    /// Check option 3's header-chain evidence with this module's machinery:
+    /// `headers` extend the `anchor` header with valid links and work, and
+    /// `tx_bytes` is included in the block at `tx_height`, buried under at
+    /// least `min_depth` of them.
+    fn verify_evidence(
+        anchor: BlockHeader,
+        headers: &[BlockHeader],
+        tx_height: u64,
+        proof: &MerkleProof,
+        tx_bytes: &[u8],
+        min_depth: u64,
+    ) -> Result<LightClient, LightClientError> {
+        let mut lc = LightClient::new(anchor)?;
+        lc.extend(headers)?;
+        lc.verify_inclusion(tx_height, proof, tx_bytes, min_depth)?;
+        Ok(lc)
+    }
+
     #[test]
     fn light_client_follows_headers() {
         let (chain, _txid, _bytes) = chain_with_payment(5);
@@ -287,6 +312,72 @@ mod tests {
         // Demanding more depth than available fails.
         assert!(matches!(
             lc.verify_inclusion(inclusion.header.height, &inclusion.proof, &bytes, 7),
+            Err(LightClientError::InsufficientDepth { .. })
+        ));
+    }
+
+    #[test]
+    fn header_evidence_verifies_end_to_end() {
+        let (chain, txid, bytes) = chain_with_payment(6);
+        let (genesis, anchor) = genesis_header(&chain);
+        let headers = chain.headers_since(&genesis).unwrap();
+        let inclusion = chain.tx_inclusion(&txid).unwrap();
+        verify_header_chain(chain.id(), genesis, 0, &headers).unwrap();
+        let lc =
+            verify_evidence(anchor, &headers, inclusion.header.height, &inclusion.proof, &bytes, 6)
+                .unwrap();
+        assert_eq!(headers.len(), 7);
+        assert_eq!(lc.height(), chain.height());
+    }
+
+    #[test]
+    fn header_evidence_rejects_wrong_anchor() {
+        let (chain, _txid, _bytes) = chain_with_payment(6);
+        let (genesis, _anchor) = genesis_header(&chain);
+        let headers = chain.headers_since(&genesis).unwrap();
+        let bogus_anchor = BlockHash(ac3_crypto::Hash256::digest(b"other"));
+        assert_eq!(
+            verify_header_chain(chain.id(), bogus_anchor, 0, &headers).unwrap_err(),
+            LightClientError::BrokenLink { height: 1 }
+        );
+    }
+
+    #[test]
+    fn header_evidence_rejects_shallow_burial() {
+        let (chain, txid, bytes) = chain_with_payment(2);
+        let (genesis, anchor) = genesis_header(&chain);
+        let headers = chain.headers_since(&genesis).unwrap();
+        let inclusion = chain.tx_inclusion(&txid).unwrap();
+        assert_eq!(
+            verify_evidence(anchor, &headers, inclusion.header.height, &inclusion.proof, &bytes, 6)
+                .unwrap_err(),
+            LightClientError::InsufficientDepth { required: 6, got: 2 }
+        );
+    }
+
+    #[test]
+    fn header_evidence_rejects_tampered_tx() {
+        let (chain, txid, mut bytes) = chain_with_payment(6);
+        let (genesis, anchor) = genesis_header(&chain);
+        let headers = chain.headers_since(&genesis).unwrap();
+        let inclusion = chain.tx_inclusion(&txid).unwrap();
+        bytes.push(0xff);
+        assert_eq!(
+            verify_evidence(anchor, &headers, inclusion.header.height, &inclusion.proof, &bytes, 6)
+                .unwrap_err(),
+            LightClientError::InvalidInclusionProof
+        );
+    }
+
+    #[test]
+    fn empty_evidence_rejected() {
+        // No headers past the anchor prove nothing about the block at
+        // height 1, even at depth 0.
+        let (chain, txid, bytes) = chain_with_payment(1);
+        let (_genesis, anchor) = genesis_header(&chain);
+        let inclusion = chain.tx_inclusion(&txid).unwrap();
+        assert!(matches!(
+            verify_evidence(anchor, &[], inclusion.header.height, &inclusion.proof, &bytes, 0),
             Err(LightClientError::InsufficientDepth { .. })
         ));
     }
