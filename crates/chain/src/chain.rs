@@ -362,12 +362,6 @@ impl Blockchain {
         self.mempool.contains(txid)
     }
 
-    /// Rank of a pending transaction in miner priority order (0 = mined
-    /// first), or `None` if it is not pending.
-    pub fn mempool_position(&self, txid: &TxId) -> Option<usize> {
-        self.mempool.position(txid)
-    }
-
     /// Whether a pending transaction ranks within the first `limit` slots
     /// of miner priority order (O(limit), not O(queue depth)).
     pub fn mempool_position_within(&self, txid: &TxId, limit: usize) -> Option<bool> {

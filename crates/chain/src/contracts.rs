@@ -95,8 +95,6 @@ pub struct CallOutcome {
     pub new_state: Vec<u8>,
     /// Payouts to materialise as new unspent outputs.
     pub payouts: Vec<Payout>,
-    /// Human-readable events, recorded for metrics and debugging.
-    pub events: Vec<String>,
 }
 
 /// A contract virtual machine: decodes payloads and executes the contract
@@ -137,30 +135,6 @@ pub struct ContractRecord {
     pub last_update: BlockHeight,
 }
 
-/// A trivial VM that rejects every message; the default for chains that do
-/// not host contracts (useful in UTXO-only tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullVm;
-
-impl ContractVm for NullVm {
-    fn deploy(&self, _ctx: &DeployContext, _payload: &[u8]) -> Result<Vec<u8>, VmError> {
-        Err(VmError::MalformedPayload("this chain does not support contracts".to_string()))
-    }
-
-    fn call(
-        &self,
-        _ctx: &CallContext,
-        _state: &[u8],
-        _payload: &[u8],
-    ) -> Result<CallOutcome, VmError> {
-        Err(VmError::MalformedPayload("this chain does not support contracts".to_string()))
-    }
-
-    fn state_tag(&self, _state: &[u8]) -> Option<String> {
-        None
-    }
-}
-
 /// A minimal key/value VM used by chain-level unit tests: the deploy payload
 /// is the initial value, a call payload replaces the value, and a call
 /// payload beginning with `b"payout:"` releases the full locked amount to
@@ -190,10 +164,9 @@ impl ContractVm for EchoVm {
             return Ok(CallOutcome {
                 new_state: b"spent".to_vec(),
                 payouts: vec![Payout { to: ctx.sender, amount }],
-                events: vec![format!("payout {amount} to {}", ctx.sender)],
             });
         }
-        Ok(CallOutcome { new_state: payload.to_vec(), payouts: vec![], events: vec![] })
+        Ok(CallOutcome { new_state: payload.to_vec(), payouts: vec![] })
     }
 
     fn state_tag(&self, state: &[u8]) -> Option<String> {
@@ -213,15 +186,6 @@ mod tests {
             DeployContext { chain: ChainId(0), sender, value: 10, contract, height: 1, now: 0 },
             CallContext { chain: ChainId(0), sender, contract, height: 2, now: 1000 },
         )
-    }
-
-    #[test]
-    fn null_vm_rejects_everything() {
-        let (d, c) = ctx_pair();
-        let vm = NullVm;
-        assert!(vm.deploy(&d, b"x").is_err());
-        assert!(vm.call(&c, b"x", b"y").is_err());
-        assert_eq!(vm.state_tag(b"x"), None);
     }
 
     #[test]

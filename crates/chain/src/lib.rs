@@ -41,8 +41,8 @@ pub mod utxo;
 pub use block::{Block, BlockHeader};
 pub use chain::{Blockchain, ChainError, ChainState, TxInclusion};
 pub use contracts::{
-    CallContext, CallOutcome, ContractRecord, ContractVm, DeployContext, EchoVm, NullVm, Payout,
-    VmError, VmHandle,
+    CallContext, CallOutcome, ContractRecord, ContractVm, DeployContext, EchoVm, Payout, VmError,
+    VmHandle,
 };
 pub use light::{LightClient, LightClientError};
 pub use mempool::{Mempool, MempoolError};

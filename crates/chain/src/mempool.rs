@@ -24,7 +24,7 @@
 //!   stuck transaction. The replacement must pay a strictly higher fee and
 //!   the replaced transaction must not have pending dependents.
 //! * **Observability** ([`Mempool::min_fee`], [`Mempool::fee_floor`],
-//!   [`Mempool::position`]) exposes queue depth and the going price of
+//!   [`Mempool::position_within`]) exposes queue depth and the going price of
 //!   block space, so rational submitters can decide when to outbid.
 //!
 //! Admission runs its checks cheapest first, as Bitcoin Core runs its
@@ -266,13 +266,6 @@ impl Mempool {
     /// (0 = mined first), or `None` when the queue is shallower. O(rank).
     pub fn fee_at_rank(&self, rank: usize) -> Option<Amount> {
         self.order.iter().nth(rank).map(|(key, _)| (-key.neg_fee) as Amount)
-    }
-
-    /// Rank of a pending transaction in miner priority order (0 = mined
-    /// first). `None` if not pending.
-    pub fn position(&self, txid: &TxId) -> Option<usize> {
-        let key = self.keys.get(txid)?;
-        Some(self.order.range(..(*key, *txid)).count())
     }
 
     /// Whether a pending transaction ranks within the first `limit` slots
@@ -874,10 +867,12 @@ mod tests {
         assert_eq!(pool.capacity(), 3);
         assert_eq!(pool.min_fee(), Some(2));
         assert_eq!(pool.fee_floor(), 3, "must beat the cheapest pending tx");
-        assert_eq!(pool.position(&t2.id()), Some(0));
-        assert_eq!(pool.position(&t3.id()), Some(1));
-        assert_eq!(pool.position(&t1.id()), Some(2));
-        assert_eq!(pool.position(&TxId(Hash256::digest(b"ghost"))), None);
+        assert_eq!(pool.position_within(&t2.id(), 1), Some(true));
+        assert_eq!(pool.position_within(&t3.id(), 1), Some(false));
+        assert_eq!(pool.position_within(&t3.id(), 2), Some(true));
+        assert_eq!(pool.position_within(&t1.id(), 2), Some(false));
+        assert_eq!(pool.position_within(&t1.id(), 3), Some(true));
+        assert_eq!(pool.position_within(&TxId(Hash256::digest(b"ghost")), 3), None);
     }
 
     #[test]

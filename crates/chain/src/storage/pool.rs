@@ -123,11 +123,6 @@ impl BufferPool {
         self.allocated
     }
 
-    /// The replacement policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> PoolStats {
         self.stats

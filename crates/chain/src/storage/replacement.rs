@@ -39,8 +39,6 @@ pub trait ReplacementPolicy: fmt::Debug + Send + Sync {
     /// Choose an unpinned victim frame and forget it, or `None` if every
     /// frame is pinned.
     fn evict(&mut self, pinned: &[bool]) -> Option<usize>;
-    /// Short lowercase policy name ("lru", "clock", "sieve").
-    fn name(&self) -> &'static str;
 }
 
 /// Which replacement policy a paged store's buffer pool uses.
@@ -129,10 +127,6 @@ impl ReplacementPolicy for LruPolicy {
             .min_by_key(|(_, stamp)| **stamp)
             .map(|(f, _)| f)
     }
-
-    fn name(&self) -> &'static str {
-        "lru"
-    }
 }
 
 /// Clock (second chance): a reference bit per frame and a sweeping hand.
@@ -180,10 +174,6 @@ impl ReplacementPolicy for ClockPolicy {
             }
         }
         unreachable!("an unpinned frame exists, so two sweeps find a victim")
-    }
-
-    fn name(&self) -> &'static str {
-        "clock"
     }
 }
 
@@ -250,10 +240,6 @@ impl ReplacementPolicy for SievePolicy {
             pos = if pos == 0 { self.queue.len() - 1 } else { pos - 1 };
         }
         unreachable!("an unpinned frame exists, so two passes find a victim")
-    }
-
-    fn name(&self) -> &'static str {
-        "sieve"
     }
 }
 
@@ -352,7 +338,6 @@ mod tests {
     fn policy_kind_parses_names() {
         for kind in PolicyKind::all() {
             assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.build(4).name(), kind.name());
         }
         assert_eq!(PolicyKind::parse("mru"), None);
     }

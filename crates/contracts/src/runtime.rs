@@ -155,66 +155,45 @@ impl ContractVm for SwapVm {
     ) -> Result<CallOutcome, VmError> {
         let state = ContractState::from_bytes(state)?;
         let call: ContractCall = codec::decode(payload)?;
-        let (new_state, payouts, event): (ContractState, Vec<Payout>, String) = match (state, call)
-        {
-            (ContractState::MultiHtlc(mut s), ContractCall::MultiHtlc(call)) => match call {
-                MultiHtlcCall::Redeem { preimages } => {
-                    let payout = s.redeem(ctx.sender, preimages)?;
-                    (ContractState::MultiHtlc(s), vec![payout], "multi-htlc redeemed".to_string())
-                }
-                MultiHtlcCall::Refund => {
-                    let payout = s.refund(ctx.sender, ctx.now)?;
-                    (ContractState::MultiHtlc(s), vec![payout], "multi-htlc refunded".to_string())
-                }
-            },
-            (ContractState::Centralized(mut s), ContractCall::Centralized(call)) => match call {
-                CentralizedCall::Redeem { signature } => {
-                    let payout = s.redeem(&signature)?;
-                    (ContractState::Centralized(s), vec![payout], "ac3tw redeemed".to_string())
-                }
-                CentralizedCall::Refund { signature } => {
-                    let payout = s.refund(&signature)?;
-                    (ContractState::Centralized(s), vec![payout], "ac3tw refunded".to_string())
-                }
-            },
-            (ContractState::Permissionless(mut s), ContractCall::Permissionless(call)) => {
-                match call {
-                    PermissionlessCall::Redeem { evidence } => {
-                        let payout = s.redeem(&evidence)?;
-                        (
-                            ContractState::Permissionless(s),
-                            vec![payout],
-                            "ac3wn redeemed".to_string(),
-                        )
-                    }
-                    PermissionlessCall::Refund { evidence } => {
-                        let payout = s.refund(&evidence)?;
-                        (
-                            ContractState::Permissionless(s),
-                            vec![payout],
-                            "ac3wn refunded".to_string(),
-                        )
-                    }
-                }
+        let (new_state, payouts) = match (state, call) {
+            (ContractState::MultiHtlc(mut s), ContractCall::MultiHtlc(call)) => {
+                let payout = match call {
+                    MultiHtlcCall::Redeem { preimages } => s.redeem(ctx.sender, preimages)?,
+                    MultiHtlcCall::Refund => s.refund(ctx.sender, ctx.now)?,
+                };
+                (ContractState::MultiHtlc(s), vec![payout])
             }
-            (ContractState::Witness(mut s), ContractCall::Witness(call)) => match call {
-                WitnessCall::AuthorizeRedeem { deployments } => {
-                    s.authorize_redeem(&deployments, ctx.chain, ctx.contract)?;
-                    (ContractState::Witness(s), vec![], "witness authorized redeem".to_string())
-                }
-                WitnessCall::AuthorizeRefund => {
-                    s.authorize_refund()?;
-                    (ContractState::Witness(s), vec![], "witness authorized refund".to_string())
-                }
-                WitnessCall::ReportEquivocation { proof } => {
-                    let stake = s.report_equivocation(&proof)?;
-                    (
-                        ContractState::Witness(s),
-                        vec![Payout { to: ctx.sender, amount: stake }],
-                        "witness operator slashed".to_string(),
-                    )
-                }
-            },
+            (ContractState::Centralized(mut s), ContractCall::Centralized(call)) => {
+                let payout = match call {
+                    CentralizedCall::Redeem { signature } => s.redeem(&signature)?,
+                    CentralizedCall::Refund { signature } => s.refund(&signature)?,
+                };
+                (ContractState::Centralized(s), vec![payout])
+            }
+            (ContractState::Permissionless(mut s), ContractCall::Permissionless(call)) => {
+                let payout = match call {
+                    PermissionlessCall::Redeem { evidence } => s.redeem(&evidence)?,
+                    PermissionlessCall::Refund { evidence } => s.refund(&evidence)?,
+                };
+                (ContractState::Permissionless(s), vec![payout])
+            }
+            (ContractState::Witness(mut s), ContractCall::Witness(call)) => {
+                let payouts = match call {
+                    WitnessCall::AuthorizeRedeem { deployments } => {
+                        s.authorize_redeem(&deployments, ctx.chain, ctx.contract)?;
+                        vec![]
+                    }
+                    WitnessCall::AuthorizeRefund => {
+                        s.authorize_refund()?;
+                        vec![]
+                    }
+                    WitnessCall::ReportEquivocation { proof } => {
+                        let stake = s.report_equivocation(&proof)?;
+                        vec![Payout { to: ctx.sender, amount: stake }]
+                    }
+                };
+                (ContractState::Witness(s), payouts)
+            }
             (state, _) => {
                 return Err(VmError::MalformedPayload(format!(
                     "call payload does not match contract kind ({})",
@@ -222,7 +201,7 @@ impl ContractVm for SwapVm {
                 )))
             }
         };
-        Ok(CallOutcome { new_state: new_state.to_bytes(), payouts, events: vec![event] })
+        Ok(CallOutcome { new_state: new_state.to_bytes(), payouts })
     }
 
     fn state_tag(&self, state: &[u8]) -> Option<String> {
@@ -284,7 +263,6 @@ mod tests {
         let outcome = vm.call(&call_ctx(bob, 5_000), &state, &call.to_payload()).unwrap();
         assert_eq!(vm.state_tag(&outcome.new_state).unwrap(), "RD");
         assert_eq!(outcome.payouts, vec![Payout { to: bob, amount: 100 }]);
-        assert_eq!(outcome.events.len(), 1);
     }
 
     #[test]
@@ -437,7 +415,6 @@ mod tests {
         let call = ContractCall::Witness(WitnessCall::ReportEquivocation { proof });
         let outcome = vm.call(&call_ctx(watchdog, 0), &state, &call.to_payload()).unwrap();
         assert_eq!(outcome.payouts, vec![Payout { to: watchdog, amount: 250 }]);
-        assert_eq!(outcome.events, vec!["witness operator slashed".to_string()]);
 
         // A duplicate report against the new state fails: one slash only.
         assert!(vm.call(&call_ctx(alice, 0), &outcome.new_state, &call.to_payload()).is_err());

@@ -827,11 +827,7 @@ impl SwapMachine for Ac3Machine {
                             self.record_settlements(world, now, commit);
                         }
                         self.finished_at = Some(now);
-                        self.phase = if self.config.allow_recovery_redemption {
-                            self.next_recovery_phase(world, self.config.wait_cap_deltas)
-                        } else {
-                            Phase::Finished
-                        };
+                        self.phase = self.next_recovery_phase(world, self.config.wait_cap_deltas);
                     } else {
                         return Ok(self.poll_step(world));
                     }

@@ -45,15 +45,6 @@ pub enum FeePolicy {
     /// paper's fixed-fee cost model). Congestion shows up as latency.
     #[default]
     Fixed,
-    /// Re-bid in fixed increments of `step` up to `cap` — linear
-    /// escalation. Congestion shows up as fees rising one step per stuck
-    /// block.
-    Linear {
-        /// Fee increment per re-bid.
-        step: Amount,
-        /// Hard per-transaction fee ceiling (never exceeded).
-        cap: Amount,
-    },
     /// Double the fee on every re-bid up to `cap` — exponential
     /// backoff-style bidding that wins a slot in O(log contention) re-bids.
     Exponential {
@@ -90,9 +81,6 @@ impl FeePolicy {
     pub fn fee_for_attempt(&self, base: Amount, attempt: u32) -> Amount {
         match self {
             FeePolicy::Fixed | FeePolicy::Adaptive { .. } => base,
-            FeePolicy::Linear { step, .. } => {
-                base.saturating_add(step.saturating_mul(attempt as Amount)).min(self.cap(base))
-            }
             FeePolicy::Exponential { .. } => {
                 let fee = if base == 0 {
                     if attempt == 0 {
@@ -116,9 +104,7 @@ impl FeePolicy {
     pub fn cap(&self, base: Amount) -> Amount {
         match self {
             FeePolicy::Fixed => base,
-            FeePolicy::Linear { cap, .. }
-            | FeePolicy::Exponential { cap }
-            | FeePolicy::Adaptive { cap, .. } => (*cap).max(base),
+            FeePolicy::Exponential { cap } | FeePolicy::Adaptive { cap, .. } => (*cap).max(base),
         }
     }
 
@@ -477,26 +463,19 @@ impl BidBook {
             }
             return (observed > bid.fee).then_some((bid.attempt + 1, observed));
         }
+        // The doubling ladder grows strictly until it reaches the cap, so
+        // the walk ends within 64 steps.
         let mut attempt = bid.attempt + 1;
-        let mut next = self.policy.fee_for_attempt(bid.base_fee, attempt);
-        // Monotone schedules reach the cap in finitely many steps; the
-        // iteration bound guards degenerate policies (e.g. a zero linear
-        // step) that never grow.
-        for _ in 0..128 {
+        loop {
+            let next = self.policy.fee_for_attempt(bid.base_fee, attempt);
             if next > bid.fee && next >= congestion.base_fee {
                 return Some((attempt, next));
             }
             if next >= cap {
-                break;
+                return None;
             }
             attempt += 1;
-            let stepped = self.policy.fee_for_attempt(bid.base_fee, attempt);
-            if stepped == next {
-                break;
-            }
-            next = stepped;
         }
-        None
     }
 
     /// The opening bid: the scheduled fee, raised to the chain's admission
@@ -730,16 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_policy_steps_to_its_cap() {
-        let p = FeePolicy::Linear { step: 3, cap: 10 };
-        assert_eq!(p.fee_for_attempt(4, 0), 4);
-        assert_eq!(p.fee_for_attempt(4, 1), 7);
-        assert_eq!(p.fee_for_attempt(4, 2), 10);
-        assert_eq!(p.fee_for_attempt(4, 3), 10, "clamped at the cap");
-        assert!(p.escalates());
-    }
-
-    #[test]
     fn exponential_policy_doubles_to_its_cap() {
         let p = FeePolicy::Exponential { cap: 30 };
         assert_eq!(p.fee_for_attempt(4, 0), 4);
@@ -770,6 +739,54 @@ mod tests {
         assert_eq!(p.fee_for_attempt(0, 5), 16);
         assert_eq!(p.fee_for_attempt(0, 6), 30, "clamped at the cap");
         assert_eq!(p.fee_for_attempt(0, 63), 30, "huge attempts saturate safely");
+    }
+
+    #[test]
+    fn exponential_escalation_climbs_past_the_base_fee_and_stops_at_the_cap() {
+        let book = BidBook::new(FeePolicy::Exponential { cap: 30 });
+        let bid = |base_fee, fee| Bid {
+            chain: ChainId(0),
+            actor: Address::from(ac3_crypto::KeyPair::from_seed(b"alice").public()),
+            txid: TxId(ac3_crypto::Hash256::digest(b"tx")),
+            fee,
+            base_fee,
+            attempt: 0,
+            last_bid_at: 0,
+            settled: false,
+            billed: true,
+            kind: BidKind::Call {
+                contract: ContractId(ac3_crypto::Hash256::digest(b"sc")),
+                payload: Vec::new(),
+            },
+        };
+        let congestion = |base_fee| ChainCongestion {
+            chain: ChainId(0),
+            depth: 0,
+            capacity: 10,
+            min_fee: None,
+            fee_floor: base_fee,
+            base_fee,
+            block_budget: 1,
+            binding: true,
+        };
+        // Re-bid a zero-schedule bid until the ladder runs out; returns the
+        // last fee reached.
+        let walk = |mut bid: Bid, chain_base_fee| {
+            let snapshot = congestion(chain_base_fee);
+            while let Some((attempt, fee)) = book.next_escalation(&bid, &snapshot, None) {
+                assert!(fee > bid.fee, "re-bid {fee} must beat {}", bid.fee);
+                assert!(fee >= chain_base_fee, "re-bid {fee} under base fee {chain_base_fee}");
+                (bid.attempt, bid.fee) = (attempt, fee);
+            }
+            bid.fee
+        };
+        assert_eq!(walk(bid(0, 0), 0), 30, "from a zero base the ladder climbs to the cap");
+        assert_eq!(walk(bid(0, 0), 5), 30, "re-bids skip the rungs under the chain's base fee");
+        assert_eq!(walk(bid(0, 0), 31), 0, "a base fee above the cap leaves nothing to bid");
+        // A cap below the scheduled fee leaves no headroom above it.
+        let below = BidBook::new(FeePolicy::Exponential { cap: 1 });
+        assert_eq!(below.next_escalation(&bid(4, 4), &congestion(0), None), None);
+        assert_eq!(book.next_escalation(&bid(0, 30), &congestion(0), None), None, "at the cap");
     }
 
     #[test]

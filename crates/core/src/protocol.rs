@@ -177,6 +177,12 @@ impl SwapReport {
 }
 
 /// Configuration knobs shared by the protocol drivers.
+///
+/// The AC3 recovery pass is not among them: it always runs. Once a
+/// decision settles, edges left locked (a participant crashed through
+/// settlement) are re-settled in rounds of Δ, for at most
+/// `wait_cap_deltas` rounds — the *commitment* property, a decision
+/// eventually takes effect.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProtocolConfig {
     /// Burial depth `d` required of witness-chain decisions before asset
@@ -194,10 +200,6 @@ pub struct ProtocolConfig {
     /// for contended scheduler batches, where submissions can queue many
     /// blocks behind other swaps' transactions.
     pub wait_cap_deltas: u64,
-    /// Whether recovered participants get a post-run chance to redeem
-    /// (exercises the *commitment* property: decisions must eventually take
-    /// effect).
-    pub allow_recovery_redemption: bool,
     /// How participants bid for block space when their submissions queue
     /// (see [`crate::fee::FeePolicy`]). The default
     /// [`Fixed`](crate::fee::FeePolicy::Fixed) policy reproduces the
@@ -215,7 +217,6 @@ impl Default for ProtocolConfig {
             deployment_depth: 1,
             abort_after_deltas: 4,
             wait_cap_deltas: 12,
-            allow_recovery_redemption: true,
             fee_policy: crate::fee::FeePolicy::Fixed,
         }
     }

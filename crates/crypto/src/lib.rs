@@ -8,8 +8,7 @@
 //!
 //! * a one-way hash function, used for hashlocks (`h = H(s)`), block links,
 //!   Merkle roots and transaction/contract identifiers — implemented from
-//!   scratch as [`mod@sha256`], plus the Ethereum-flavoured [`keccak`]
-//!   (Keccak-256 / SHA3-256 and Ethereum-style address derivation);
+//!   scratch as [`mod@sha256`];
 //! * digital signatures, used to authorise asset transfers, to build the
 //!   graph multisignature `ms(D)` of Equation 1 and to implement the trusted
 //!   witness secrets of the AC3TW protocol — implemented as Schnorr
@@ -39,7 +38,6 @@
 pub mod commitment;
 pub mod hash;
 pub mod hex;
-pub mod keccak;
 pub mod merkle;
 pub mod multisig;
 pub mod schnorr;
@@ -50,7 +48,6 @@ pub use commitment::{
     WitnessState,
 };
 pub use hash::Hash256;
-pub use keccak::{ethereum_address, ethereum_address_hex, keccak256, sha3_256};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use multisig::{GraphMultisig, MultisigError};
 pub use schnorr::{KeyPair, PublicKey, SecretKey, Signature, SignatureError};

@@ -26,7 +26,6 @@
 
 use crate::hash::Hash256;
 use crate::sha256::Sha256;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -111,16 +110,6 @@ impl SecretKey {
         h.update(b"ac3wn/secret-key/v1");
         h.update(seed);
         SecretKey(hash_to_exponent(&Hash256::from(h.finalize())))
-    }
-
-    /// Sample a fresh random secret key.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        SecretKey(rng.gen_range(1..ORDER))
-    }
-
-    /// The raw exponent. Exposed for tests and serialization only.
-    pub fn expose_scalar(&self) -> u64 {
-        self.0
     }
 
     /// The corresponding public key `g^x mod p`.
@@ -262,11 +251,6 @@ impl KeyPair {
         Self::from_secret(SecretKey::from_seed(seed))
     }
 
-    /// Sample a fresh random key pair.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Self::from_secret(SecretKey::random(rng))
-    }
-
     /// The public half.
     pub fn public(&self) -> PublicKey {
         self.public
@@ -291,21 +275,11 @@ impl KeyPair {
         let s = (k as u128 + mul_mod(e, self.secret.0, ORDER) as u128) % ORDER as u128;
         Signature { e, s: s as u64 }
     }
-
-    /// Sign and immediately verify (defensive helper used by simulation
-    /// actors; panics only on internal inconsistency).
-    pub fn sign_checked(&self, msg: &[u8]) -> Signature {
-        let sig = self.sign(msg);
-        debug_assert!(self.public.verifies(msg, &sig));
-        sig
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn sign_verify_round_trip() {
@@ -359,9 +333,8 @@ mod tests {
 
     #[test]
     fn random_keys_sign_and_verify() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..32 {
-            let kp = KeyPair::random(&mut rng);
+        for i in 0u32..32 {
+            let kp = KeyPair::from_seed(&i.to_be_bytes());
             let msg = b"random keypair message";
             assert!(kp.public().verifies(msg, &kp.sign(msg)));
         }

@@ -175,13 +175,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     hasher.finalize()
 }
 
-/// Double SHA-256 (`SHA256(SHA256(data))`), the construction Bitcoin uses for
-/// block and transaction identifiers. Provided for parity with the simulated
-/// chains.
-pub fn sha256d(data: &[u8]) -> [u8; 32] {
-    sha256(&sha256(data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,12 +238,6 @@ mod tests {
             h.update(std::slice::from_ref(b));
         }
         assert_eq!(h.finalize(), sha256(data));
-    }
-
-    #[test]
-    fn sha256d_differs_from_single() {
-        assert_ne!(sha256d(b"abc"), sha256(b"abc"));
-        assert_eq!(sha256d(b"abc"), sha256(&sha256(b"abc")));
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! * **Forks / 51% attacks** — [`crate::world::World::inject_fork`] mines a
 //!   competing branch, modelling the adversary of Section 6.3.
 //!
-//! [`FaultPlan`] bundles a named set of faults so experiments can describe
-//! scenarios declaratively and apply them to a world/participant set in one
-//! call.
+//! A [`Fault`] names one of these, or a Byzantine or fee-market adversary,
+//! declaratively; `ac3-core`'s campaigns schedule faults and apply them
+//! mid-batch.
 
-use crate::participant::{CrashWindow, ParticipantSet};
-use crate::world::{World, WorldError};
+use crate::participant::CrashWindow;
 use ac3_chain::{Amount, ChainId, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -118,93 +117,11 @@ impl Fault {
             }
         }
     }
-
-    /// Whether this fault is *behavioral* — it describes ongoing adversary
-    /// conduct rather than a one-shot world mutation, so [`FaultPlan::apply`]
-    /// defers it to the caller (a campaign machine) like forks.
-    pub fn is_behavioral(&self) -> bool {
-        matches!(
-            self,
-            Fault::Fork { .. }
-                | Fault::Equivocate { .. }
-                | Fault::Bribe { .. }
-                | Fault::FloodMempool { .. }
-                | Fault::SpikeBaseFee { .. }
-        )
-    }
-}
-
-/// A named collection of faults applied to a scenario.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    /// Human-readable scenario name.
-    pub name: String,
-    /// The faults to apply.
-    pub faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// A plan with no faults (the failure-free baseline).
-    pub fn none() -> Self {
-        FaultPlan { name: "no-faults".to_string(), faults: Vec::new() }
-    }
-
-    /// A plan with a single crashed participant — the paper's motivating
-    /// scenario ("Bob fails to provide s to SC1 before t1 expires due to a
-    /// crash failure").
-    pub fn crash(participant: &str, from: Timestamp, until: Timestamp) -> Self {
-        FaultPlan {
-            name: format!("crash-{participant}"),
-            faults: vec![Fault::Crash {
-                participant: participant.to_string(),
-                window: CrashWindow { from, until },
-            }],
-        }
-    }
-
-    /// Add a fault.
-    pub fn with(mut self, fault: Fault) -> Self {
-        self.faults.push(fault);
-        self
-    }
-
-    /// Apply crash and partition faults up front. Behavioral faults (forks,
-    /// Byzantine witness conduct and fee-market griefing — see
-    /// [`Fault::is_behavioral`]) are returned so the caller can drive them
-    /// at the appropriate protocol step: they are time-of-attack dependent
-    /// and, for the griefing faults, require a funded adversary actor.
-    pub fn apply(
-        &self,
-        world: &mut World,
-        participants: &mut ParticipantSet,
-    ) -> Result<Vec<Fault>, WorldError> {
-        let mut deferred = Vec::new();
-        for fault in &self.faults {
-            match fault {
-                Fault::Crash { participant, window } => {
-                    if let Some(p) = participants.get_mut(participant) {
-                        p.schedule_crash(*window);
-                    }
-                }
-                Fault::Partition { chain, window } => {
-                    world.schedule_outage(*chain, *window)?;
-                }
-                _ => deferred.push(fault.clone()),
-            }
-        }
-        Ok(deferred)
-    }
-
-    /// Whether the plan contains any fault at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ac3_chain::ChainParams;
 
     #[test]
     fn outage_window_coverage() {
@@ -225,86 +142,23 @@ mod tests {
     }
 
     #[test]
-    fn crash_plan_applies_to_named_participant() {
-        let mut world = World::new();
-        let mut participants = ParticipantSet::new();
-        participants.add("alice");
-        participants.add("bob");
-
-        let plan = FaultPlan::crash("bob", 100, 500);
-        let deferred = plan.apply(&mut world, &mut participants).unwrap();
-        assert!(deferred.is_empty());
-        assert!(participants.get("bob").unwrap().is_available(50));
-        assert!(!participants.get("bob").unwrap().is_available(200));
-        assert!(participants.get("alice").unwrap().is_available(200));
-    }
-
-    #[test]
-    fn partition_plan_applies_to_world() {
-        let mut world = World::new();
-        let chain = world.add_chain(ChainParams::test("c"), &[]);
-        let mut participants = ParticipantSet::new();
-        let plan = FaultPlan::none()
-            .with(Fault::Partition { chain, window: OutageWindow { from: 0, until: 1_000 } });
-        plan.apply(&mut world, &mut participants).unwrap();
-        assert!(!world.is_reachable(chain));
-        world.advance(1_000);
-        assert!(world.is_reachable(chain));
-    }
-
-    #[test]
-    fn fork_faults_are_deferred_to_caller() {
-        let mut world = World::new();
-        let chain = world.add_chain(ChainParams::test("c"), &[]);
-        let mut participants = ParticipantSet::new();
-        let plan = FaultPlan::none().with(Fault::Fork { chain, fork_depth: 2, length: 3 });
-        let deferred = plan.apply(&mut world, &mut participants).unwrap();
-        assert_eq!(deferred.len(), 1);
-    }
-
-    #[test]
-    fn unknown_participant_is_ignored() {
-        let mut world = World::new();
-        let mut participants = ParticipantSet::new();
-        participants.add("alice");
-        // Crashing someone who does not exist is a no-op rather than an
-        // error: plans are reused across scenarios with different casts.
-        let plan = FaultPlan::crash("zelda", 0, 10);
-        assert!(plan.apply(&mut world, &mut participants).is_ok());
-    }
-
-    #[test]
-    fn empty_plan_reports_empty() {
-        assert!(FaultPlan::none().is_empty());
-        assert!(!FaultPlan::crash("bob", 0, 1).is_empty());
-    }
-
-    #[test]
-    fn behavioral_faults_are_deferred_with_their_chains() {
-        let mut world = World::new();
-        let chain = world.add_chain(ChainParams::test("c"), &[]);
-        let mut participants = ParticipantSet::new();
+    fn fault_chain_names_the_touched_chain() {
+        let chain = ChainId(3);
         let window = OutageWindow { from: 5_000, until: 9_000 };
-        let plan = FaultPlan::none()
-            .with(Fault::Equivocate { witness_chain: chain })
-            .with(Fault::Bribe { witness_chain: chain, commit: true })
-            .with(Fault::FloodMempool { chain, window, budget: 500 })
-            .with(Fault::SpikeBaseFee { chain, window, budget: 500 })
-            .with(Fault::Crash {
-                participant: "alice".to_string(),
-                window: CrashWindow { from: 0, until: 1 },
-            });
-        let deferred = plan.apply(&mut world, &mut participants).unwrap();
-        // The crash applies up front; everything behavioral is handed back.
-        assert_eq!(deferred.len(), 4);
-        for fault in &deferred {
-            assert!(fault.is_behavioral());
-            assert_eq!(fault.chain(), Some(chain));
+        for fault in [
+            Fault::Partition { chain, window },
+            Fault::Fork { chain, fork_depth: 2, length: 3 },
+            Fault::Equivocate { witness_chain: chain },
+            Fault::Bribe { witness_chain: chain, commit: true },
+            Fault::FloodMempool { chain, window, budget: 500 },
+            Fault::SpikeBaseFee { chain, window, budget: 500 },
+        ] {
+            assert_eq!(fault.chain(), Some(chain), "{fault:?}");
         }
-        assert!(!Fault::Crash {
+        let crash = Fault::Crash {
             participant: "alice".to_string(),
-            window: CrashWindow { from: 0, until: 1 }
-        }
-        .is_behavioral());
+            window: CrashWindow { from: 0, until: 1 },
+        };
+        assert_eq!(crash.chain(), None);
     }
 }

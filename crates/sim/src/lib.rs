@@ -7,10 +7,9 @@
 //! the evaluation harness reads.
 //!
 //! The protocol drivers in `ac3-core` are written against this crate: they
-//! create a [`world::World`], register [`participant::Participant`]s, apply a
-//! [`faults::FaultPlan`], then poll their machines through [`World`]'s
-//! [`api::ChainApi`] impl — the only one that does any work — and advance
-//! simulated time between polls.
+//! create a [`world::World`], register [`participant::Participant`]s, then
+//! poll their machines through [`World`]'s [`api::ChainApi`] impl — the only
+//! one that does any work — and advance simulated time between polls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +24,7 @@ pub mod world;
 
 pub use api::{ChainApi, DirectApi, NetworkedApi};
 pub use audit::AuditScope;
-pub use faults::{Fault, FaultPlan, OutageWindow};
+pub use faults::{Fault, OutageWindow};
 pub use metrics::{
     EventKind, FeeKind, FeeLedger, LatencyStats, SwapId, Timeline, TimelineEvent, TxBill,
 };

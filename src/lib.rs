@@ -56,7 +56,5 @@ pub mod prelude {
         SwapGraph, SwapMachine, SwapReport, ValidationStrategy, WitnessAssignment,
     };
     pub use ac3_crypto::{Hash256, Hashlock, KeyPair};
-    pub use ac3_sim::{
-        ChainCongestion, CrashWindow, FaultPlan, OutageWindow, ParticipantSet, SwapId, World,
-    };
+    pub use ac3_sim::{ChainCongestion, CrashWindow, OutageWindow, ParticipantSet, SwapId, World};
 }

@@ -43,9 +43,8 @@ fn property_escalating_fees_respect_the_cap_and_atomicity() {
         // Caps stay far above any base fee the bounded schedules below can
         // reach, so the contention delays swaps instead of failing them.
         let cap = 48 + gen.below(80); // 48..=127
-        let policy = match gen.below(3) {
+        let policy = match gen.below(2) {
             0 => FeePolicy::Exponential { cap },
-            1 => FeePolicy::Linear { step: 1 + gen.below(8), cap },
             _ => FeePolicy::Adaptive { margin: gen.below(4), cap },
         };
         // Random miner-side schedule: the base fee may be pinned at zero
