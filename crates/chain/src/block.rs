@@ -90,25 +90,11 @@ impl Block {
 
     /// Compute the Merkle root over a transaction list. Leaves are the
     /// memoized leaf hashes, so each transaction instance is hashed into a
-    /// leaf at most once across root computation, root validation and
-    /// proof generation.
+    /// leaf at most once. (The block store validates a stored block's root
+    /// from the same leaves and keeps them for inclusion proofs.)
     pub fn compute_tx_root(transactions: &[Transaction]) -> Hash256 {
-        Self::tree_of(transactions).root()
-    }
-
-    /// The Merkle tree over this block's transactions (used to produce SPV
-    /// inclusion proofs).
-    pub fn tx_tree(&self) -> MerkleTree {
-        Self::tree_of(&self.transactions)
-    }
-
-    fn tree_of(transactions: &[Transaction]) -> MerkleTree {
         MerkleTree::from_leaf_hashes(transactions.iter().map(Transaction::leaf_hash).collect())
-    }
-
-    /// Whether the header's Merkle root matches the transactions.
-    pub fn tx_root_valid(&self) -> bool {
-        Self::compute_tx_root(&self.transactions) == self.header.tx_root
+            .root()
     }
 
     /// Locate a transaction by id and return its index.
@@ -168,9 +154,9 @@ mod tests {
     #[test]
     fn tx_root_validation() {
         let mut block = sample_block(3);
-        assert!(block.tx_root_valid());
+        assert_eq!(Block::compute_tx_root(&block.transactions), block.header.tx_root);
         block.transactions.pop();
-        assert!(!block.tx_root_valid());
+        assert_ne!(Block::compute_tx_root(&block.transactions), block.header.tx_root);
     }
 
     #[test]
@@ -207,7 +193,7 @@ mod tests {
     #[test]
     fn inclusion_proofs_verify_against_header_root() {
         let block = sample_block(4);
-        let tree = block.tx_tree();
+        let tree = MerkleTree::from_leaves(block.transactions.iter().map(|t| t.canonical_bytes()));
         for (i, tx) in block.transactions.iter().enumerate() {
             let proof = tree.prove(i).unwrap();
             assert!(proof.verify(&block.header.tx_root, &tx.canonical_bytes()));

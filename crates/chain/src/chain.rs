@@ -468,13 +468,14 @@ impl Blockchain {
         self.tx_depth(txid).is_some_and(|d| d >= self.params.stable_depth)
     }
 
-    /// Produce SPV inclusion evidence for a canonical transaction.
+    /// Produce SPV inclusion evidence for a canonical transaction. Served
+    /// from block metadata (header and Merkle leaves): no body is read.
     pub fn tx_inclusion(&self, txid: &TxId) -> Option<TxInclusion> {
         let (block_hash, index) = self.store.find_canonical_tx(txid)?;
-        let block = self.store.get(&block_hash)?;
-        let proof = block.tx_tree().prove(index)?;
+        let header = self.store.header(&block_hash)?;
+        let proof = self.store.tx_proof(&block_hash, index)?;
         let depth = self.store.depth_of(&block_hash)?;
-        Some(TxInclusion { header: block.header, proof, depth })
+        Some(TxInclusion { header, proof, depth })
     }
 
     /// Canonical headers strictly after the given block, oldest first

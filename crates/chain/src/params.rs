@@ -90,11 +90,6 @@ impl BaseFeeSchedule {
         BaseFeeSchedule { floor: 1, target_utilisation_pct: 50, max_change_pct: 13 }
     }
 
-    /// Whether the schedule ever moves the base fee.
-    pub fn is_dynamic(&self) -> bool {
-        self.max_change_pct > 0
-    }
-
     /// The target transaction count for a block with `budget` slots.
     pub fn target_txs(&self, budget: usize) -> usize {
         let budget = budget.max(1);
@@ -381,7 +376,6 @@ mod tests {
     #[test]
     fn disabled_schedule_never_moves() {
         let s = BaseFeeSchedule::disabled();
-        assert!(!s.is_dynamic());
         for used in 0..10 {
             assert_eq!(s.next(0, used, 4), 0);
             assert_eq!(s.next(7, used, 4), 7, "a pinned base fee never moves");

@@ -173,12 +173,18 @@ impl BufferPool {
     }
 
     /// Release one pin on `frame`; `dirty` records whether the caller
-    /// wrote to it.
+    /// wrote to it. A write is a reference: a dirty unpin reports an
+    /// access to the replacement policy, so a page just written ranks as
+    /// recently used (SIEVE sets its visited bit) rather than as a
+    /// one-shot admission (DESIGN.md §11).
     pub fn unpin(&mut self, frame: usize, dirty: bool) {
         let f = &mut self.frames[frame];
         assert!(f.pins > 0, "unpin of unpinned frame {frame}");
         f.pins -= 1;
         f.dirty |= dirty;
+        if dirty {
+            self.policy.on_access(frame);
+        }
     }
 
     /// The bytes of a pinned frame.
@@ -330,6 +336,25 @@ mod tests {
         let _ia = pool.pin(a).unwrap();
         let _ib = pool.pin(b).unwrap();
         assert!(pool.pin(c).is_err());
+    }
+
+    #[test]
+    fn a_written_page_outlives_an_unvisited_one_under_sieve() {
+        let mut pool = BufferPool::new(2, 128, PolicyKind::Sieve).expect("scratch file");
+        let written = pool.allocate();
+        let read = pool.allocate();
+        write_page(&mut pool, written, 5);
+        read_first_byte(&mut pool, read);
+        // SIEVE's hand starts at the tail, the older `written` page. The
+        // write counted as a reference, so the hand spares it and takes
+        // the newer page that was only admitted.
+        let third = pool.allocate();
+        write_page(&mut pool, third, 6);
+        let before = pool.stats();
+        assert_eq!(read_first_byte(&mut pool, written), 5);
+        assert_eq!(pool.stats().hits, before.hits + 1, "the written page stayed resident");
+        read_first_byte(&mut pool, read);
+        assert_eq!(pool.stats().misses, before.misses + 1, "the unvisited page was evicted");
     }
 
     #[test]

@@ -11,19 +11,27 @@
 //!
 //! Storage is split in two (DESIGN.md §11):
 //!
-//! * **metadata** — headers, chain lengths, the child/tip sets and the
-//!   canonical indexes — lives in memory, always. It is small and touched
-//!   on every fork-choice decision and every header query, so header-only
-//!   paths ([`BlockStore::header`], [`BlockStore::headers_since`]) never
+//! * **metadata** — headers, chain lengths, each block's txids and Merkle
+//!   leaf hashes, the child/tip sets and the canonical indexes — lives in
+//!   memory, always. It is small and touched on every fork-choice decision
+//!   and every header query. [`BlockStore::insert`] hashes the ids and
+//!   leaves once, from the block in hand (the leaves also check the
+//!   header's `tx_root`), so header queries ([`BlockStore::header`],
+//!   [`BlockStore::headers_since`]), canonical indexing on a tip extension
+//!   or a reorg, and Merkle proofs ([`BlockStore::tx_proof`]) never
 //!   materialize a block body;
 //! * **bodies** — the transaction payloads — go through the pluggable
 //!   [`Store`] trait: the in-memory map by default, or the paged
 //!   file-backed backend ([`crate::storage::PagedStore`]) whose buffer
-//!   pool bounds resident memory regardless of chain length.
+//!   pool bounds resident memory regardless of chain length. A body is
+//!   read only when a caller needs the transactions themselves: evidence
+//!   copying out the one it embeds, state replay, fork execution.
 
 use crate::block::{Block, BlockHeader};
 use crate::storage::{Store, StoreConfig, StoreStats};
+use crate::transaction::Transaction;
 use crate::types::{BlockHash, BlockHeight, TxId};
+use ac3_crypto::{Hash256, MerkleProof, MerkleTree};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -71,13 +79,19 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// In-memory metadata of one stored block: everything fork choice and
-/// header queries need, without the body.
-#[derive(Debug, Clone, Copy)]
+/// In-memory metadata of one stored block: everything fork choice, header
+/// queries, the canonical transaction index and inclusion proofs need,
+/// without the body.
+#[derive(Debug, Clone)]
 struct BlockMeta {
     header: BlockHeader,
     /// Cumulative chain length (number of blocks from genesis, inclusive).
     chain_len: u64,
+    /// The block's transaction ids, in block order.
+    txids: Box<[TxId]>,
+    /// The block's Merkle leaf hashes, in block order. Their root is the
+    /// header's `tx_root`: [`BlockStore::insert`] checks it.
+    leaves: Box<[Hash256]>,
 }
 
 /// A tree of blocks with longest-chain fork choice.
@@ -94,7 +108,8 @@ struct BlockMeta {
 ///   [`BlockStore::find_canonical_tx`] O(1) instead of scanning the whole
 ///   canonical chain.
 ///
-/// On a reorg only the divergent suffix of the canonical chain is reindexed.
+/// On a reorg only the divergent suffix of the canonical chain is reindexed,
+/// from the txids kept in metadata.
 ///
 /// Block *bodies* are held by a pluggable [`Store`] backend — see the
 /// module docs and [`BlockStore::with_config`].
@@ -232,7 +247,10 @@ impl BlockStore {
             }
             return Err(StoreError::DuplicateBlock(hash));
         }
-        if !block.tx_root_valid() {
+        // Ids and leaves are hashed once, from the block in hand; indexing
+        // and proofs later read them from metadata, never from the body.
+        let leaves: Vec<Hash256> = block.transactions.iter().map(Transaction::leaf_hash).collect();
+        if MerkleTree::from_leaf_hashes(leaves.clone()).root() != block.header.tx_root {
             return Err(StoreError::BadTxRoot(hash));
         }
         // The header hash is in hand: check the target against it rather
@@ -265,7 +283,11 @@ impl BlockStore {
             self.tips.remove(&block.header.parent);
         }
         self.tips.insert(hash, ());
-        self.meta.insert(hash, BlockMeta { header: block.header, chain_len });
+        let txids = block.transactions.iter().map(Transaction::id).collect();
+        self.meta.insert(
+            hash,
+            BlockMeta { header: block.header, chain_len, txids, leaves: leaves.into() },
+        );
         self.bodies.insert_body(hash, block).map_err(|e| StoreError::Io(e.to_string()))?;
         self.update_best_tip(hash, chain_len);
         Ok(hash)
@@ -287,9 +309,8 @@ impl BlockStore {
     /// Repair `canonical` and `canonical_txs` after a best-tip change.
     /// Walks back from the new tip only until it rejoins the previously
     /// indexed chain, so extending the tip is O(1) and a reorg is
-    /// O(divergent suffix), never O(chain length). The fork walk itself
-    /// uses only in-memory metadata; bodies are read just for the blocks
-    /// whose transactions are (un)indexed.
+    /// O(divergent suffix), never O(chain length). Both the fork walk and
+    /// the txids come from in-memory metadata: no body is read.
     fn reindex_canonical(&mut self) {
         let Some(tip) = self.best_tip else {
             self.canonical.clear();
@@ -321,40 +342,29 @@ impl BlockStore {
         };
         let abandoned: Vec<BlockHash> = self.canonical.drain(keep..).collect();
         for hash in abandoned {
-            let block = self.body(&hash);
-            for tx in &block.transactions {
+            for txid in self.meta[&hash].txids.iter() {
                 // Remove only entries still pointing at the abandoned block;
                 // a duplicate txid re-indexed by the new branch must stay.
-                if let Some((owner, _)) = self.canonical_txs.get(&tx.id()) {
-                    if *owner == hash {
-                        self.canonical_txs.remove(&tx.id());
-                    }
+                if self.canonical_txs.get(txid).is_some_and(|(owner, _)| *owner == hash) {
+                    self.canonical_txs.remove(txid);
                 }
             }
         }
         // Index the new suffix in ascending height order.
         for hash in fresh.into_iter().rev() {
-            let block = self.body(&hash);
-            debug_assert_eq!(block.header.height as usize, self.canonical.len());
-            for (idx, tx) in block.transactions.iter().enumerate() {
-                self.canonical_txs.insert(tx.id(), (hash, idx));
+            let meta = &self.meta[&hash];
+            debug_assert_eq!(meta.header.height as usize, self.canonical.len());
+            for (idx, txid) in meta.txids.iter().enumerate() {
+                self.canonical_txs.insert(*txid, (hash, idx));
             }
             self.canonical.push(hash);
         }
     }
 
     /// The canonical chain from genesis to the best tip (inclusive), as a
-    /// borrowed slice — the allocation-free accessor; prefer it over
-    /// [`BlockStore::canonical_chain`].
+    /// borrowed slice.
     pub fn canonical_hashes(&self) -> &[BlockHash] {
         &self.canonical
-    }
-
-    /// The canonical chain from genesis to the best tip (inclusive),
-    /// cloned into a fresh `Vec`. Callers that only iterate should use
-    /// [`BlockStore::canonical_hashes`].
-    pub fn canonical_chain(&self) -> Vec<BlockHash> {
-        self.canonical.clone()
     }
 
     /// Whether `hash` lies on the canonical chain. O(1) via the height
@@ -387,6 +397,13 @@ impl BlockStore {
     /// canonical transaction index.
     pub fn find_canonical_tx(&self, txid: &TxId) -> Option<(BlockHash, usize)> {
         self.canonical_txs.get(txid).copied()
+    }
+
+    /// A Merkle inclusion proof for transaction `index` of block `hash`,
+    /// built from the leaf hashes kept in metadata: no body is read on any
+    /// backend. `None` if the block is unknown or the index out of range.
+    pub fn tx_proof(&self, hash: &BlockHash, index: usize) -> Option<MerkleProof> {
+        MerkleTree::from_leaf_hashes(self.meta.get(hash)?.leaves.to_vec()).prove(index)
     }
 
     /// The canonical headers from (and excluding) `from` up to the tip, in
@@ -618,5 +635,61 @@ mod tests {
         let pins_after = store.stats();
         assert_eq!(pins_after.hits, pins_before.hits, "headers_since reads no pages");
         assert_eq!(pins_after.misses, pins_before.misses);
+    }
+
+    /// Inserting a block pins exactly the pages its body is written to —
+    /// one page of the shared tail, or the block's own run of pages — and
+    /// nothing more: indexing its txids reads no body, not even on a reorg
+    /// that un-indexes one branch and indexes another.
+    #[test]
+    fn paged_insert_pins_only_the_written_pages_and_a_reorg_reads_no_body() {
+        let config =
+            StoreConfig::Paged { pool_pages: 4, page_size: 1024, policy: PolicyKind::Sieve };
+        let mut store = BlockStore::with_config(config);
+        // Up to six extra coinbases (~130 bytes each on a ~370-byte block):
+        // small bodies share the tail page, the largest outgrow one page.
+        let block = |parent: Option<&Block>, tag: u64| {
+            let extra = (0..tag % 7).map(|i| coinbase(miner(), 1, 1_000 * tag + i)).collect();
+            make_block(parent, tag, extra)
+        };
+        let mut pages_written = Vec::new();
+        let mut insert = |store: &mut BlockStore, block: &Block| {
+            let before = store.stats();
+            store.insert(block.clone()).unwrap();
+            let after = store.stats();
+            let pins = after.hits + after.misses - before.hits - before.misses;
+            let written = after.pages - before.pages;
+            assert_eq!(
+                pins,
+                written.max(1),
+                "block {} pinned pages it did not write",
+                block.header
+            );
+            pages_written.push(written);
+        };
+        let mut main: Vec<Block> = Vec::new();
+        for tag in 0..6 {
+            let b = block(main.last(), tag);
+            insert(&mut store, &b);
+            main.push(b);
+        }
+        let mut fork = vec![main[2].clone()];
+        for tag in 100..105 {
+            let b = block(fork.last(), tag);
+            insert(&mut store, &b);
+            fork.push(b);
+        }
+        assert!(pages_written.contains(&0), "some body must append to the tail page");
+        assert!(pages_written.iter().any(|&p| p > 1), "some body must span pages");
+        // The last insert reorged onto the fork: the indexes moved with it.
+        assert_eq!(store.best_tip(), Some(fork.last().unwrap().hash()));
+        for b in &main[3..] {
+            assert!(b.transactions.iter().all(|tx| store.find_canonical_tx(&tx.id()).is_none()));
+        }
+        for b in &fork {
+            for (idx, tx) in b.transactions.iter().enumerate() {
+                assert_eq!(store.find_canonical_tx(&tx.id()), Some((b.hash(), idx)));
+            }
+        }
     }
 }

@@ -87,8 +87,11 @@ proptest! {
             nonce: 0,
         };
         let block = Block { header, transactions: txs };
-        prop_assert!(block.tx_root_valid());
-        let tree = block.tx_tree();
+        prop_assert_eq!(Block::compute_tx_root(&block.transactions), block.header.tx_root);
+        // The tree over the memoized leaves — what the block store keeps
+        // for proofs — equals the tree over the canonical bytes.
+        let memo_leaves = block.transactions.iter().map(Transaction::leaf_hash).collect();
+        let tree = MerkleTree::from_leaf_hashes(memo_leaves);
         prop_assert_eq!(tree.root(), expected);
         for (i, leaf) in leaves.iter().enumerate() {
             let proof = tree.prove(i).expect("index in range");

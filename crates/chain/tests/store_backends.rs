@@ -15,8 +15,9 @@ use ac3_chain::{
     Address, Amount, BlockHash, Blockchain, ChainId, ChainParams, EchoVm, PolicyKind, StoreConfig,
     TxBuilder, TxId,
 };
-use ac3_crypto::KeyPair;
-use proptest::Gen;
+use ac3_crypto::{KeyPair, MerkleTree};
+use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 fn addr(seed: &[u8]) -> Address {
@@ -66,70 +67,94 @@ fn assert_backends_agree(memory: &Blockchain, paged: &Blockchain, context: &str)
     assert_eq!(memory.state(), paged.state(), "derived state diverged ({context})");
 }
 
+/// What a random history left behind for the end-of-run checks.
+struct History {
+    /// Every transaction submitted, canonical or not.
+    submitted: Vec<TxId>,
+    /// Steps after which the pre-step tip had left the canonical chain.
+    reorgs: u32,
+}
+
+/// Drive twin chains through `steps` random steps of payments, tip
+/// extensions, fork mining and reorgs drawn from `gen`, checking after every
+/// step that the backends agree.
+fn random_fork_history(
+    gen: &mut Gen,
+    memory: &mut Blockchain,
+    paged: &mut Blockchain,
+    steps: u64,
+    context: &str,
+) -> History {
+    let alice = addr(b"alice");
+    let bob = addr(b"bob");
+    let miner = addr(b"miner");
+    let mut builder = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
+    let mut history = History { submitted: Vec::new(), reorgs: 0 };
+
+    for step in 0..steps {
+        let now = 1_000 * (step + 1);
+        let roll = gen.below(10);
+        if roll < 6 {
+            // Extend the canonical tip, sometimes with a payment. The
+            // transaction is built once and submitted to both chains.
+            if roll < 3 {
+                if let Some((inputs, outputs)) =
+                    memory.plan_payment(&alice, &bob, 1 + gen.below(40), 1)
+                {
+                    let tx = builder.transfer(inputs, outputs, 1);
+                    history.submitted.push(tx.id());
+                    memory.submit(tx.clone()).unwrap();
+                    paged.submit(tx).unwrap();
+                }
+            }
+            let (a, b) = if step % 2 == 0 {
+                (&mut *memory, &mut *paged)
+            } else {
+                (&mut *paged, &mut *memory)
+            };
+            let block = a.mine_block(miner, now).unwrap();
+            b.accept_block(block).unwrap();
+        } else {
+            // Mine on an ancestor, or grow the longest competing fork
+            // until it overtakes the canonical tip: a tie never reorgs
+            // under first-seen fork choice.
+            let tip_before = memory.tip();
+            let (mut parent, overtake) = if roll == 9 {
+                (longest_fork_tip(memory).unwrap_or(tip_before), true)
+            } else {
+                let depth = 1 + gen.below(5);
+                let height = memory.height().saturating_sub(depth);
+                (memory.store().canonical_block_at_height(height).unwrap(), false)
+            };
+            let (a, b) = if step % 2 == 0 {
+                (&mut *memory, &mut *paged)
+            } else {
+                (&mut *paged, &mut *memory)
+            };
+            loop {
+                let block = a.mine_block_on(parent, miner, now).unwrap();
+                parent = b.accept_block(block).unwrap();
+                if !overtake || a.tip() == parent {
+                    break;
+                }
+            }
+            history.reorgs += u32::from(!memory.store().is_canonical(&tip_before));
+        }
+        assert_backends_agree(memory, paged, &format!("{context} step {step}"));
+    }
+    history
+}
+
 #[test]
 fn random_fork_histories_are_identical_across_backends() {
     let alice = addr(b"alice");
     let bob = addr(b"bob");
-    let miner = addr(b"miner");
 
     for policy in PolicyKind::all() {
         let mut gen = Gen::deterministic(&format!("store_backends::{}", policy.name()));
         let (mut memory, mut paged) = twin_chains(policy, &[(alice, 100_000), (bob, 50_000)]);
-        let mut builder = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
-        let mut submitted: Vec<TxId> = Vec::new();
-        let mut reorgs_seen = 0u32;
-
-        for step in 0..100u64 {
-            let now = 1_000 * (step + 1);
-            let roll = gen.below(10);
-            if roll < 6 {
-                // Extend the canonical tip, sometimes with a payment. The
-                // transaction is built once and submitted to both chains.
-                if roll < 3 {
-                    if let Some((inputs, outputs)) =
-                        memory.plan_payment(&alice, &bob, 1 + gen.below(40), 1)
-                    {
-                        let tx = builder.transfer(inputs, outputs, 1);
-                        submitted.push(tx.id());
-                        memory.submit(tx.clone()).unwrap();
-                        paged.submit(tx).unwrap();
-                    }
-                }
-                let (a, b) = if step % 2 == 0 {
-                    (&mut memory, &mut paged)
-                } else {
-                    (&mut paged, &mut memory)
-                };
-                let block = a.mine_block(miner, now).unwrap();
-                b.accept_block(block).unwrap();
-            } else {
-                // Mine on an ancestor, or grow the longest competing fork
-                // until it overtakes the canonical tip: a tie never reorgs
-                // under first-seen fork choice.
-                let tip_before = memory.tip();
-                let (mut parent, overtake) = if roll == 9 {
-                    (longest_fork_tip(&memory).unwrap_or(tip_before), true)
-                } else {
-                    let depth = 1 + gen.below(5);
-                    let height = memory.height().saturating_sub(depth);
-                    (memory.store().canonical_block_at_height(height).unwrap(), false)
-                };
-                let (a, b) = if step % 2 == 0 {
-                    (&mut memory, &mut paged)
-                } else {
-                    (&mut paged, &mut memory)
-                };
-                loop {
-                    let block = a.mine_block_on(parent, miner, now).unwrap();
-                    parent = b.accept_block(block).unwrap();
-                    if !overtake || a.tip() == parent {
-                        break;
-                    }
-                }
-                reorgs_seen += u32::from(!memory.store().is_canonical(&tip_before));
-            }
-            assert_backends_agree(&memory, &paged, &format!("{} step {step}", policy.name()));
-        }
+        let History { submitted, reorgs: reorgs_seen } =
+            random_fork_history(&mut gen, &mut memory, &mut paged, 100, policy.name());
 
         // The transaction index agrees for every transaction ever submitted
         // (canonical location or absence alike).
@@ -168,5 +193,62 @@ fn random_fork_histories_are_identical_across_backends() {
         assert!(stats.evictions > 0, "eviction never ran under {}", policy.name());
         assert!(stats.hits + stats.misses > 0);
         assert_eq!(memory.store_stats().backend, "memory");
+    }
+}
+
+/// Every canonical transaction's inclusion evidence equals the evidence
+/// rebuilt from its block's canonical bytes, and the transaction index
+/// equals a scan of the canonical bodies, for the transactions of every
+/// stored block, canonical or not.
+fn assert_evidence_matches_bodies(chain: &Blockchain, context: &str) {
+    let store = chain.store();
+    let mut scanned: HashMap<TxId, (BlockHash, usize)> = HashMap::new();
+    for block in store.canonical_blocks() {
+        let leaves: Vec<Vec<u8>> =
+            block.transactions.iter().map(|tx| tx.clone().canonical_bytes()).collect();
+        let tree = MerkleTree::from_leaves(&leaves);
+        for (index, tx) in block.transactions.iter().enumerate() {
+            scanned.insert(tx.id(), (block.hash(), index));
+            let inclusion = chain.tx_inclusion(&tx.id()).expect("a canonical tx has evidence");
+            assert_eq!(inclusion.header, block.header, "evidence header ({context})");
+            assert_eq!(Some(&inclusion.proof), tree.prove(index).as_ref(), "proof ({context})");
+            assert!(inclusion.proof.verify(&inclusion.header.tx_root, &leaves[index]));
+            assert_eq!(inclusion.depth, chain.height() - block.header.height);
+        }
+    }
+    let mut seen = HashSet::new();
+    for tip in store.tips() {
+        let mut cursor = Some(tip);
+        while let Some(hash) = cursor.filter(|h| seen.insert(*h)) {
+            let block = store.get(&hash).expect("a stored block has a body");
+            for tx in &block.transactions {
+                assert_eq!(
+                    store.find_canonical_tx(&tx.id()),
+                    scanned.get(&tx.id()).copied(),
+                    "tx index of {} ({context})",
+                    tx.id()
+                );
+            }
+            cursor = (!block.header.is_genesis()).then_some(block.header.parent);
+        }
+    }
+    assert_eq!(seen.len(), store.len(), "every stored block was checked ({context})");
+}
+
+proptest! {
+    #[test]
+    fn inclusion_evidence_and_tx_index_match_the_canonical_bodies(
+        seed in any::<u64>(),
+        steps in 10u64..40,
+    ) {
+        let policy = PolicyKind::all()[(seed % 3) as usize];
+        let mut gen = Gen::deterministic(&format!("evidence::{seed}"));
+        let (mut memory, mut paged) =
+            twin_chains(policy, &[(addr(b"alice"), 100_000), (addr(b"bob"), 50_000)]);
+        let context = format!("seed {seed}, {}", policy.name());
+        random_fork_history(&mut gen, &mut memory, &mut paged, steps, &context);
+        for chain in [&memory, &paged] {
+            assert_evidence_matches_bodies(chain, &format!("{context}, {}", chain.store().backend()));
+        }
     }
 }

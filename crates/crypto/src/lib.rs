@@ -58,15 +58,6 @@ pub fn hash_bytes(data: &[u8]) -> Hash256 {
     Hash256::from(sha256(data))
 }
 
-/// Hash the concatenation of two hashes (used for Merkle interior nodes and
-/// block links).
-pub fn hash_pair(left: &Hash256, right: &Hash256) -> Hash256 {
-    let mut h = Sha256::new();
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    Hash256::from(h.finalize())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,12 +65,5 @@ mod tests {
     #[test]
     fn hash_bytes_matches_sha256() {
         assert_eq!(hash_bytes(b"abc").as_bytes(), &sha256(b"abc"));
-    }
-
-    #[test]
-    fn hash_pair_is_order_sensitive() {
-        let a = hash_bytes(b"a");
-        let b = hash_bytes(b"b");
-        assert_ne!(hash_pair(&a, &b), hash_pair(&b, &a));
     }
 }

@@ -344,11 +344,6 @@ impl FeeLedger {
         self.by_swap.get(&swap).copied().unwrap_or(0)
     }
 
-    /// Swaps with attributed fees, in id order.
-    pub fn attributed_swaps(&self) -> Vec<SwapId> {
-        self.by_swap.keys().copied().collect()
-    }
-
     /// Total number of contract deployments across chains.
     pub fn total_deployments(&self) -> u64 {
         self.deployments.values().sum()
@@ -554,7 +549,6 @@ mod tests {
         assert_eq!(ledger.fees_for_swap(SwapId(1)), 3);
         assert_eq!(ledger.fees_for_swap(SwapId(2)), 4);
         assert_eq!(ledger.fees_for_swap(SwapId(3)), 0);
-        assert_eq!(ledger.attributed_swaps(), vec![SwapId(1), SwapId(2)]);
         // Attribution is a second axis over the same payments.
         assert_eq!(ledger.total_fees(), 7);
         assert_eq!(SwapId(1).to_string(), "swap-1");

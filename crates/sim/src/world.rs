@@ -732,7 +732,8 @@ impl World {
 
     /// Build self-contained inclusion evidence for `txid` relative to
     /// `anchor` (header chain since the anchor + Merkle proof + the full
-    /// transaction).
+    /// transaction). Headers and proof come from block metadata; the body
+    /// is read only to copy out the embedded transaction.
     pub fn tx_evidence_since(
         &self,
         chain: ChainId,
@@ -749,7 +750,7 @@ impl World {
             .get(&block_hash)
             .ok_or_else(|| WorldError::EvidenceUnavailable("block missing".to_string()))?;
         let tx = block.transactions[index].clone();
-        let proof = block.tx_tree().prove(index).ok_or_else(|| {
+        let proof = c.store().tx_proof(&block_hash, index).ok_or_else(|| {
             WorldError::EvidenceUnavailable("proof construction failed".to_string())
         })?;
         let headers = c
