@@ -47,7 +47,8 @@ pub enum LightClientError {
     },
     /// Header heights are not consecutive.
     NonConsecutiveHeight {
-        /// Expected height.
+        /// Expected height; `u64::MAX` when the previous height is already
+        /// `u64::MAX`, which no height follows.
         expected: u64,
         /// Height found.
         got: u64,
@@ -105,9 +106,12 @@ pub fn verify_header_chain(
         if header.parent != prev_hash {
             return Err(LightClientError::BrokenLink { height: header.height });
         }
-        if header.height != prev_height + 1 {
+        // The anchor height is deployer-chosen: no height follows
+        // `u64::MAX`, so no header can extend an anchor there.
+        let expected = prev_height.checked_add(1);
+        if expected != Some(header.height) {
             return Err(LightClientError::NonConsecutiveHeight {
-                expected: prev_height + 1,
+                expected: expected.unwrap_or(u64::MAX),
                 got: header.height,
             });
         }
@@ -367,6 +371,22 @@ mod tests {
                 .unwrap_err(),
             LightClientError::InvalidInclusionProof
         );
+    }
+
+    #[test]
+    fn an_anchor_at_the_last_height_has_no_successor() {
+        // A deployer-chosen anchor height: the next height must neither
+        // overflow (debug builds panic) nor wrap to 0 (release builds).
+        let (chain, _txid, _bytes) = chain_with_payment(0);
+        let (genesis, _anchor) = genesis_header(&chain);
+        let mut header = chain.headers_since(&genesis).unwrap()[0];
+        for height in [0, 1, u64::MAX] {
+            header.height = height;
+            assert_eq!(
+                verify_header_chain(chain.id(), genesis, u64::MAX, &[header]).unwrap_err(),
+                LightClientError::NonConsecutiveHeight { expected: u64::MAX, got: height }
+            );
+        }
     }
 
     #[test]

@@ -321,11 +321,21 @@ impl Mempool {
     /// signature. `exempt_inputs` names inputs whose claims are being
     /// released by the same operation (the replaced transaction's own
     /// inputs).
+    ///
+    /// The id and verdict build on the transaction's memoized digest, which
+    /// `TxBuilder` set when it signed. Debug builds re-derive the digest
+    /// from the fields, so a transaction mutated after that fails here
+    /// instead of being judged by stale identity values.
     fn check_identity(
         &self,
         tx: &Transaction,
         exempt_inputs: &[OutPoint],
     ) -> Result<TxId, MempoolError> {
+        debug_assert_eq!(
+            tx.digest(),
+            ac3_crypto::Hash256::digest(&tx.signing_bytes()),
+            "transaction mutated after its digest was memoized"
+        );
         let txid = tx.id();
         if self.txs.contains_key(&txid) {
             return Err(MempoolError::AlreadyPending(txid));
@@ -568,9 +578,21 @@ mod tests {
     fn invalid_signature_rejected() {
         let mut pool = Mempool::new();
         let mut alice = builder(b"alice");
-        let mut tx = alice.transfer(vec![outpoint(1)], vec![], 1);
+        // Tamper a cold copy: the builder memoized the original's digest.
+        let mut tx = alice.transfer(vec![outpoint(1)], vec![], 1).clone();
         tx.fee = 99; // breaks the signature
         assert!(matches!(pool.submit(tx).unwrap_err(), MempoolError::InvalidSignature(_)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "transaction mutated after its digest was memoized")]
+    fn a_built_transaction_mutated_in_place_trips_the_admission_cross_check() {
+        let mut pool = Mempool::new();
+        let mut alice = builder(b"alice");
+        let mut tx = alice.transfer(vec![outpoint(1)], vec![], 1);
+        tx.fee = 99; // the builder's memoized digest is now stale
+        let _ = pool.submit(tx);
     }
 
     #[test]
@@ -1069,9 +1091,10 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// A transfer whose signature does not match it: signed at another fee,
-    /// then re-priced to `fee` before anything observed it.
+    /// then re-priced to `fee` in a cold copy (the builder memoized the
+    /// original's digest).
     fn badly_signed(b: &mut TxBuilder, input: OutPoint, fee: Amount) -> Transaction {
-        let mut tx = b.transfer(vec![input], vec![], fee + 1);
+        let mut tx = b.transfer(vec![input], vec![], fee + 1).clone();
         tx.fee = fee;
         tx
     }

@@ -80,7 +80,10 @@ pub enum TxKind {
 /// id or verdict would silently mask the mutation.
 ///
 /// Treat a transaction as immutable once any of these has been observed:
-/// mutating fields afterwards yields stale cached values.
+/// mutating fields afterwards yields stale cached values. [`TxBuilder`]
+/// observes the digest when it signs, so a built transaction is immutable
+/// from the start; debug builds check at mempool admission that the memoized
+/// digest still matches the fields.
 #[derive(Debug, Default)]
 pub struct TxIdentityCache {
     digest: OnceLock<Hash256>,
@@ -333,10 +336,11 @@ impl TxBuilder {
             signature: None,
             cache: TxIdentityCache::default(),
         };
-        // Sign the digest without memoizing it: callers may still mutate a
-        // freshly built transaction (tests model tampering that way).
-        let digest = Hash256::digest(&tx.signing_bytes());
-        tx.signature = Some(self.keypair.sign(digest.as_bytes()));
+        // Sign the memoized digest, so the body is hashed once per built
+        // transaction. Setting the signature afterwards leaves the memo
+        // fresh: the digest excludes it. The transaction is treated as
+        // immutable from here on; a test that tampers mutates a `clone()`.
+        tx.signature = Some(self.keypair.sign(tx.digest().as_bytes()));
         tx
     }
 
@@ -416,7 +420,9 @@ mod tests {
         let mut alice = builder(b"alice");
         let bob = builder(b"bob").address();
         let eve = builder(b"eve").address();
-        let mut tx = alice.transfer(vec![dummy_outpoint(1)], vec![TxOutput::new(bob, 50)], 1);
+        // Tamper a cold copy: the builder memoized the original's digest.
+        let mut tx =
+            alice.transfer(vec![dummy_outpoint(1)], vec![TxOutput::new(bob, 50)], 1).clone();
         if let TxKind::Transfer { outputs, .. } = &mut tx.kind {
             outputs[0] = TxOutput::new(eve, 50);
         }
@@ -494,9 +500,13 @@ mod tests {
     fn id_is_memoized_and_stable() {
         let mut alice = builder(b"alice");
         let tx = alice.transfer(vec![dummy_outpoint(1)], vec![], 1);
-        assert!(tx.cache.digest.get().is_none(), "the builder does not memoize its digest");
+        assert_eq!(
+            tx.cache.digest.get(),
+            Some(&Hash256::digest(&tx.signing_bytes())),
+            "the builder memoizes the digest it signs"
+        );
+        assert!(tx.cache.id.get().is_none());
         let first = tx.id();
-        assert_eq!(tx.cache.digest.get(), Some(&Hash256::digest(&tx.signing_bytes())));
         assert_eq!(tx.id(), first);
         assert_eq!(first, TxId(Hash256::digest(&tx.canonical_bytes())));
     }

@@ -36,7 +36,9 @@ fn arbitrary_tx(builder: &mut TxBuilder, shape: u8, seed: u64, warm: bool) -> Tr
     let tx = match shape % 4 {
         0 => builder.transfer(vec![outpoint], vec![output], seed % 7),
         1 => {
-            let mut tx = builder.call(ContractId(outpoint.txid.0), seed.to_be_bytes().to_vec(), 1);
+            // Tamper a cold copy: the builder memoized the original's digest.
+            let mut tx =
+                builder.call(ContractId(outpoint.txid.0), seed.to_be_bytes().to_vec(), 1).clone();
             tx.fee += 1;
             tx
         }

@@ -163,14 +163,7 @@ impl PublicKey {
         if sig.e >= ORDER || sig.s >= ORDER {
             return Err(SignatureError::VerificationFailed);
         }
-        // r' = g^s * y^(-e) = g^s * y^(ORDER - e) since y^ORDER == 1 is not
-        // guaranteed for arbitrary y, we instead verify multiplicatively:
-        // g^s == r' * y^e  <=>  r' = g^s * inverse(y^e).
-        // Using Fermat: inverse(a) = a^(p-2) mod p.
-        let y_e = pow_mod(self.0, sig.e, MODULUS);
-        let y_e_inv = pow_mod(y_e, MODULUS - 2, MODULUS);
-        let r_prime = mul_mod(pow_mod(GENERATOR, sig.s, MODULUS), y_e_inv, MODULUS);
-        let e_prime = challenge(r_prime, self, msg);
+        let e_prime = challenge(recover_commitment(self.0, sig), self, msg);
         if e_prime == sig.e {
             Ok(())
         } else {
@@ -221,6 +214,16 @@ impl Signature {
             s: u64::from_be_bytes(bytes[8..].try_into().expect("8 bytes")),
         }
     }
+}
+
+/// The commitment `r' = g^s · y^(-e)` a verifier recomputes from `y` and a
+/// range-checked signature, as `g^s · y^(ORDER - e)`: every nonzero `y` in
+/// `GF(p)` has `y^ORDER = 1` (Fermat), so `y^(ORDER - e)` is the inverse of
+/// `y^e` at one exponentiation, not two. For `y ≡ 0 mod p`, which only a
+/// deserialized key can hold, `r' = 0` whenever `e ≠ 0`, as with the
+/// inverse; `e = 0` never verifies, since no challenge is 0.
+fn recover_commitment(y: u64, sig: &Signature) -> u64 {
+    mul_mod(pow_mod(GENERATOR, sig.s, MODULUS), pow_mod(y, ORDER - sig.e, MODULUS), MODULUS)
 }
 
 /// Fiat–Shamir challenge `H(r || pk || msg) mod n`.
@@ -364,6 +367,58 @@ mod tests {
             kp.public().verify(b"msg", &sig).unwrap_err(),
             SignatureError::VerificationFailed
         );
+    }
+
+    /// The commitment the verifier recomputed before `recover_commitment`:
+    /// `g^s · (y^e)^(p-2)`, inverting `y^e` by Fermat.
+    fn fermat_commitment(y: u64, sig: &Signature) -> u64 {
+        let y_e_inv = pow_mod(pow_mod(y, sig.e, MODULUS), MODULUS - 2, MODULUS);
+        mul_mod(pow_mod(GENERATOR, sig.s, MODULUS), y_e_inv, MODULUS)
+    }
+
+    /// `verify` and the Fermat-inverse verifier give the same verdict, and
+    /// the same commitment wherever the two formulas are defined to agree.
+    fn assert_same_verdict(y: u64, msg: &[u8], sig: &Signature) {
+        let in_range = sig.e < ORDER && sig.s < ORDER;
+        let fermat = in_range && challenge(fermat_commitment(y, sig), &PublicKey(y), msg) == sig.e;
+        assert_eq!(PublicKey(y).verifies(msg, sig), fermat, "y={y} sig={sig:?}");
+        if in_range && (!y.is_multiple_of(MODULUS) || sig.e != 0) {
+            assert_eq!(recover_commitment(y, sig), fermat_commitment(y, sig), "y={y} sig={sig:?}");
+        }
+    }
+
+    #[test]
+    fn verify_agrees_with_the_fermat_inverse_verifier() {
+        // A deterministic stream of 64-bit values.
+        let mut counter = 0u64;
+        let mut next = || {
+            counter += 1;
+            Hash256::digest(&counter.to_be_bytes()).to_u64()
+        };
+        for _ in 0..64 {
+            let kp = KeyPair::from_secret(SecretKey(next() % (ORDER - 1) + 1));
+            let msg = next().to_be_bytes();
+            let sig = kp.sign(&msg);
+            assert!(kp.public().verifies(&msg, &sig));
+            assert_same_verdict(kp.public().0, &msg, &sig);
+            // A random signature under the same key, and a random element
+            // as the key.
+            assert_same_verdict(kp.public().0, &msg, &Signature { e: next(), s: next() % ORDER });
+            assert_same_verdict(kp.public().0, &msg, &Signature { e: next() % ORDER, s: next() });
+            assert_same_verdict(next(), &msg, &sig);
+        }
+        // Edge values of the challenge, the response and the key element,
+        // including elements `from_element` refuses (0, MODULUS, u64::MAX)
+        // but a deserialized key may hold.
+        let kp = KeyPair::from_seed(b"edge");
+        let sig = kp.sign(b"m");
+        for y in [0, 1, MODULUS - 1, MODULUS, u64::MAX, kp.public().0] {
+            for e in [0, 1, ORDER - 1, sig.e] {
+                for s in [0, ORDER - 1, sig.s] {
+                    assert_same_verdict(y, b"m", &Signature { e, s });
+                }
+            }
+        }
     }
 
     #[test]

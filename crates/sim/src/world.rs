@@ -1002,10 +1002,11 @@ mod tests {
         let mut kp = ac3_chain::TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
         let (inputs, outputs) =
             world.chain(chain).unwrap().plan_payment(&alice, &alice, 1, 5).unwrap();
-        let mut tx = kp.transfer(inputs, outputs, 5);
-        let good = tx.clone();
+        let good = kp.transfer(inputs, outputs, 5);
 
-        // Invalid signature: tampering with the fee after signing.
+        // Invalid signature: tampering with the fee of a cold copy after
+        // signing (the builder memoized the original's digest).
+        let mut tx = good.clone();
         tx.fee = 7;
         assert!(world.submit(chain, tx).is_err());
         assert_eq!(world.fees.total_fees(), 0, "rejected tx must not be billed");
