@@ -18,7 +18,6 @@
 //! | `fig7_complex_graphs` | Figure 7 / Section 5.3: cyclic & disconnected graphs (E7) | — |
 //! | `fig8_9_timeline` | Figures 8 & 9: per-phase timelines, 10Δ against 4Δ | — |
 //! | `fig10_latency` | Figure 10: latency vs diameter, 2Δ·Diam against 4Δ | — |
-//! | `sec52_scalability` | Section 5.2: B swaps over k shared witness chains (E8) | — |
 //! | `sec52_scale` | Section 5.2 at 10k swaps: the sharded scheduler swept over workers (E9) | `BENCH_parallel_scale.json` |
 //! | `sec62_cost` | Section 6.2: N+1 contracts against N | — |
 //! | `sec63_witness_choice` | Section 6.3: required burial depth vs asset value | — |
@@ -39,7 +38,6 @@ mod fig10_latency;
 mod fig7_complex_graphs;
 mod fig8_9_timeline;
 mod network_sweep;
-mod sec52_scalability;
 pub mod sec52_scale;
 mod sec62_cost;
 mod sec63_attack;
@@ -70,7 +68,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "fig7_complex_graphs", run: fig7_complex_graphs::run },
     Experiment { name: "fig8_9_timeline", run: fig8_9_timeline::run },
     Experiment { name: "fig10_latency", run: fig10_latency::run },
-    Experiment { name: "sec52_scalability", run: sec52_scalability::run },
     Experiment { name: "sec52_scale", run: sec52_scale::run },
     Experiment { name: "sec62_cost", run: sec62_cost::run },
     Experiment { name: "sec63_witness_choice", run: sec63_witness_choice::run },

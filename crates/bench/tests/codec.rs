@@ -29,7 +29,7 @@ fn authorize_and_block() -> (ContractCall, Block) {
         deploy_contract(&mut s.world, &mut s.participants, &alice, chain, &spec, 50)
             .unwrap()
             .expect("alice is up and the chain reachable");
-    s.world.advance_blocks(chain, HEADER_RANGE).unwrap();
+    s.world.wait_for_depth(chain, deploy_txid, HEADER_RANGE, 60_000 * HEADER_RANGE).unwrap();
     let evidence = s.world.tx_evidence_since(chain, &anchor, deploy_txid).unwrap();
     assert!(evidence.headers.len() as u64 >= HEADER_RANGE);
     let call = ContractCall::Witness(WitnessCall::AuthorizeRedeem { deployments: vec![evidence] });
@@ -39,7 +39,8 @@ fn authorize_and_block() -> (ContractCall, Block) {
         call.to_payload(),
         2,
     );
-    let header = s.world.chain(s.witness_chain).unwrap().tip_header();
+    let witness = s.world.chain(s.witness_chain).unwrap();
+    let header = witness.store().header(&witness.tip()).unwrap();
     (call, Block { header, transactions: vec![tx] })
 }
 

@@ -2,8 +2,8 @@
 //!
 //! A block header carries the parent link, the Merkle root of its
 //! transactions, its height, a timestamp, the proof-of-work difficulty
-//! target and a nonce — the minimum a light client (Section 4.3) needs to
-//! verify chain continuity and transaction inclusion.
+//! target and a nonce — the minimum the Section 4.3 header-chain evidence
+//! needs to verify chain continuity and transaction inclusion.
 
 use crate::transaction::Transaction;
 use crate::types::{BlockHash, BlockHeight, ChainId, Timestamp};
@@ -98,6 +98,7 @@ impl Block {
     }
 
     /// Locate a transaction by id and return its index.
+    // lint: api-ok(the chain, store and adversarial suites locate mined transactions with it)
     pub fn find_tx(&self, txid: &crate::types::TxId) -> Option<usize> {
         self.transactions.iter().position(|t| t.id() == *txid)
     }

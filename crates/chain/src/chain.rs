@@ -35,7 +35,7 @@ use crate::types::{
     Address, Amount, BlockHash, BlockHeight, ChainId, ContractId, OutPoint, Timestamp, TxId,
 };
 use crate::utxo::{UtxoError, UtxoSet};
-use ac3_crypto::MerkleProof;
+use ac3_crypto::{Hash256, MerkleProof};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
@@ -69,6 +69,14 @@ pub enum ChainError {
         expected: ChainId,
         /// Chain id found in the block.
         got: ChainId,
+    },
+    /// The block's proof-of-work target is not the one the chain's seal
+    /// policy demands, so meeting it proves none of the chain's work.
+    WrongTarget {
+        /// The chain's target.
+        expected: Hash256,
+        /// The target in the block header.
+        got: Hash256,
     },
     /// A block carried a transaction paying less than the base fee in
     /// force for that block (derived from the parent block's fullness).
@@ -105,6 +113,9 @@ impl fmt::Display for ChainError {
             ChainError::SealFailed => write!(f, "failed to seal block"),
             ChainError::WrongChain { expected, got } => {
                 write!(f, "block for {got} submitted to {expected}")
+            }
+            ChainError::WrongTarget { expected, got } => {
+                write!(f, "block target {got} is not the chain's target {expected}")
             }
             ChainError::FeeBelowBase { txid, offered, base_fee } => {
                 write!(f, "{txid} pays {offered}, below the block's base fee {base_fee}")
@@ -310,11 +321,6 @@ impl Blockchain {
         &self.params
     }
 
-    /// The contract VM handle.
-    pub fn vm(&self) -> &VmHandle {
-        &self.vm
-    }
-
     /// Height of the canonical tip.
     pub fn height(&self) -> BlockHeight {
         self.store.best_height().unwrap_or(0)
@@ -323,11 +329,6 @@ impl Blockchain {
     /// Hash of the canonical tip.
     pub fn tip(&self) -> BlockHash {
         self.store.best_tip().expect("chain always has a genesis")
-    }
-
-    /// Header of the canonical tip.
-    pub fn tip_header(&self) -> BlockHeader {
-        self.store.header(&self.tip()).expect("tip exists")
     }
 
     /// The underlying block store (read-only).
@@ -389,11 +390,6 @@ impl Blockchain {
     /// disabled [`crate::params::BaseFeeSchedule`]).
     pub fn base_fee(&self) -> Amount {
         self.state.base_fee
-    }
-
-    /// The fee a pending transaction currently bids.
-    pub fn mempool_fee_of(&self, txid: &TxId) -> Option<Amount> {
-        self.mempool.fee_of(txid)
     }
 
     /// Monotonic counter of mempool mutations (see [`Mempool::revision`]):
@@ -463,13 +459,9 @@ impl Blockchain {
         self.store.depth_of(&block_hash)
     }
 
-    /// Whether a transaction is buried under the chain's stable depth.
-    pub fn tx_is_stable(&self, txid: &TxId) -> bool {
-        self.tx_depth(txid).is_some_and(|d| d >= self.params.stable_depth)
-    }
-
     /// Produce SPV inclusion evidence for a canonical transaction. Served
     /// from block metadata (header and Merkle leaves): no body is read.
+    // lint: api-ok(SPV inclusion; the chain, store and evidence suites check proofs with it)
     pub fn tx_inclusion(&self, txid: &TxId) -> Option<TxInclusion> {
         let (block_hash, index) = self.store.find_canonical_tx(txid)?;
         let header = self.store.header(&block_hash)?;
@@ -617,6 +609,10 @@ impl Blockchain {
     pub fn accept_block(&mut self, block: Block) -> Result<BlockHash, ChainError> {
         if block.header.chain != self.id {
             return Err(ChainError::WrongChain { expected: self.id, got: block.header.chain });
+        }
+        let target = self.params.target();
+        if block.header.target != target {
+            return Err(ChainError::WrongTarget { expected: target, got: block.header.target });
         }
         // Stateful validation against the parent's state; genesis blocks are
         // only produced by the constructor.
@@ -1081,7 +1077,7 @@ mod tests {
         assert!(inclusion.proof.verify(&inclusion.header.tx_root, &tx.canonical_bytes()));
         assert_eq!(inclusion.depth, 1);
         assert_eq!(chain.tx_depth(&txid), Some(1));
-        assert!(!chain.tx_is_stable(&txid), "needs 6 confirmations");
+        assert!(chain.tx_depth(&txid) < Some(chain.params().stable_depth), "needs 6 confirmations");
     }
 
     #[test]
@@ -1101,7 +1097,7 @@ mod tests {
 
         // Build a longer empty fork from genesis: the payment is reorged out.
         chain.mine_block_on(genesis, miner, 1_500).unwrap();
-        let fork_tip = chain.tip_header();
+        let fork_tip = chain.store().header(&chain.tip()).unwrap();
         // The fork of equal length may or may not win the tie; extend it so
         // it is strictly longer and must win.
         let fork_hash = if chain.balance_of(&bob) == 30 {
@@ -1136,6 +1132,34 @@ mod tests {
             chain_a.accept_block(foreign_genesis).unwrap_err(),
             ChainError::WrongChain { .. }
         ));
+    }
+
+    #[test]
+    fn a_proof_of_work_chain_refuses_a_block_with_no_work() {
+        let alice = addr(b"alice");
+        let miner = addr(b"miner");
+        let mut params = ChainParams::test("pow");
+        params.seal = SealPolicy::ProofOfWork { difficulty_bits: 20 };
+        let mut chain = Blockchain::new(ChainId(3), params, Arc::new(EchoVm), &[(alice, 10)]);
+        let genesis = chain.tip();
+        // A coinbase-only block that claims the easiest target: its hash
+        // meets that target with no search at all.
+        let transactions = vec![coinbase(miner, chain.params().block_reward, 1)];
+        let header = BlockHeader {
+            chain: chain.id(),
+            parent: genesis,
+            tx_root: Block::compute_tx_root(&transactions),
+            height: 1,
+            timestamp: 1_000,
+            target: Hash256::MAX,
+            nonce: 0,
+        };
+        assert!(header.meets_target());
+        assert_eq!(
+            chain.accept_block(Block { header, transactions }).unwrap_err(),
+            ChainError::WrongTarget { expected: chain.params().target(), got: Hash256::MAX }
+        );
+        assert_eq!((chain.tip(), chain.height()), (genesis, 0));
     }
 
     #[test]
@@ -1359,6 +1383,6 @@ mod tests {
         let mut chain = Blockchain::new(ChainId(3), params, Arc::new(EchoVm), &[(alice, 10)]);
         let block = chain.mine_block(miner, 1_000).unwrap();
         assert!(block.header.meets_target());
-        assert!(block.hash().0.leading_zero_bits() >= 8);
+        assert_eq!(block.hash().0.as_bytes()[0], 0, "8 leading zero bits");
     }
 }

@@ -15,8 +15,9 @@
 //!   transactions ([`transaction`]) and smart-contract deploy/call messages
 //!   ([`contracts`]) through a client library (the [`chain::Blockchain`]
 //!   API);
-//! * **light clients and cross-chain evidence** ([`light`]) implementing the
-//!   Section 4.3 header-relay validation used by AC3WN.
+//! * **header chains** ([`chain::Blockchain::headers_since`]) and Merkle
+//!   inclusion proofs, the parts of the Section 4.3 cross-chain evidence
+//!   that `ac3-contracts` verifies.
 //!
 //! Each chain is configured by [`params::ChainParams`] — block interval,
 //! throughput cap (Table 1), fee schedule (Section 6.2) and stable depth
@@ -29,7 +30,6 @@
 pub mod block;
 pub mod chain;
 pub mod contracts;
-pub mod light;
 pub mod mempool;
 pub mod params;
 pub mod storage;
@@ -44,7 +44,6 @@ pub use contracts::{
     CallContext, CallOutcome, ContractRecord, ContractVm, DeployContext, EchoVm, Payout, VmError,
     VmHandle,
 };
-pub use light::{LightClient, LightClientError};
 pub use mempool::{Mempool, MempoolError};
 pub use params::{BaseFeeSchedule, ChainParams, SealPolicy};
 pub use storage::{

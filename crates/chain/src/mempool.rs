@@ -225,11 +225,6 @@ impl Mempool {
         self.txs.contains_key(txid)
     }
 
-    /// The fee of a pending transaction.
-    pub fn fee_of(&self, txid: &TxId) -> Option<Amount> {
-        self.txs.get(txid).map(|tx| tx.fee)
-    }
-
     /// The smallest fee among pending transactions.
     pub fn min_fee(&self) -> Option<Amount> {
         self.order.iter().next_back().map(|(key, _)| (-key.neg_fee) as Amount)
@@ -812,7 +807,6 @@ mod tests {
         assert_eq!(pool.len(), 1);
         assert!(pool.contains(&rebid.id()));
         assert!(!pool.contains(&original.id()));
-        assert_eq!(pool.fee_of(&new_id), Some(5));
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl ChainParams {
         (per_block.max(1)) as usize
     }
 
-    /// Expected blocks per hour (`dh` in the Section 6.3 inequality).
-    pub fn blocks_per_hour(&self) -> f64 {
-        3_600_000.0 / self.block_interval_ms as f64
-    }
-
     /// The PoW target for this chain.
     pub fn target(&self) -> Hash256 {
         self.seal.target()
@@ -350,7 +345,8 @@ mod tests {
     #[test]
     fn blocks_per_hour_matches_paper_bitcoin() {
         let btc = ChainParams::bitcoin_like();
-        assert!((btc.blocks_per_hour() - 6.0).abs() < 1e-9);
+        // Six blocks an hour: `dh` in the Section 6.3 inequality.
+        assert_eq!(3_600_000 / btc.block_interval_ms, 6);
     }
 
     #[test]
@@ -362,7 +358,9 @@ mod tests {
     #[test]
     fn pow_target_has_requested_leading_zeros() {
         let t = SealPolicy::ProofOfWork { difficulty_bits: 12 }.target();
-        assert_eq!(t.leading_zero_bits(), 12);
+        let mut want = [0xffu8; 32];
+        want[..2].copy_from_slice(&[0x00, 0x0f]);
+        assert_eq!(t, Hash256::from_bytes(want));
         let instant = SealPolicy::Instant.target();
         assert_eq!(instant, Hash256::MAX);
     }
@@ -370,7 +368,9 @@ mod tests {
     #[test]
     fn pow_target_handles_byte_aligned_difficulty() {
         let t = SealPolicy::ProofOfWork { difficulty_bits: 16 }.target();
-        assert_eq!(t.leading_zero_bits(), 16);
+        let mut want = [0xffu8; 32];
+        want[..2].fill(0);
+        assert_eq!(t, Hash256::from_bytes(want));
     }
 
     #[test]

@@ -149,6 +149,7 @@ pub enum StoreConfig {
 
 impl StoreConfig {
     /// The paged backend with default page size and pool.
+    // lint: api-ok(the paged backend's default shape, shared by the store suites)
     pub fn paged() -> Self {
         StoreConfig::Paged {
             pool_pages: DEFAULT_POOL_PAGES,

@@ -156,6 +156,17 @@ mod tests {
     use ac3_crypto::KeyPair;
 
     #[test]
+    fn an_address_outside_the_key_group_does_not_decode() {
+        // 0, the modulus 2^61 - 1 and u64::MAX are no group element.
+        for text in ["0", "2305843009213693951", "18446744073709551615"] {
+            assert!(serde_json::from_str::<Address>(text).is_err(), "{text} decoded");
+        }
+        let alice = Address::from(KeyPair::from_seed(b"alice").public());
+        let json = serde_json::to_string(&alice).unwrap();
+        assert_eq!(serde_json::from_str::<Address>(&json).unwrap(), alice);
+    }
+
+    #[test]
     fn chain_id_display() {
         assert_eq!(ChainId(7).to_string(), "chain#7");
         assert_eq!(ChainId(7).as_u32(), 7);

@@ -98,11 +98,6 @@ impl UtxoSet {
         self.utxos.values().filter(|o| o.owner == *address).map(|o| o.value).sum()
     }
 
-    /// Total value of every unspent output (the "money supply").
-    pub fn total_value(&self) -> Amount {
-        self.utxos.values().map(|o| o.value).sum()
-    }
-
     /// All unspent outpoints owned by `address`, in deterministic order.
     pub fn outputs_of(&self, address: &Address) -> Vec<(OutPoint, TxOutput)> {
         self.utxos.iter().filter(|(_, o)| o.owner == *address).map(|(k, v)| (*k, *v)).collect()
@@ -224,6 +219,11 @@ mod tests {
         TxBuilder::new(KeyPair::from_seed(seed), 0)
     }
 
+    /// Total value of every unspent output (the "money supply").
+    fn total_value(set: &UtxoSet) -> Amount {
+        set.utxos.values().map(|o| o.value).sum()
+    }
+
     /// Give `owner` a single UTXO of `value` and return its outpoint.
     fn fund(set: &mut UtxoSet, owner: Address, value: Amount, tag: u8) -> OutPoint {
         let op = OutPoint::new(TxId(Hash256::digest(&[tag])), 0);
@@ -237,7 +237,7 @@ mod tests {
         let miner = addr(b"miner");
         set.apply(&coinbase(miner, 50, 0)).unwrap();
         assert_eq!(set.balance_of(&miner), 50);
-        assert_eq!(set.total_value(), 50);
+        assert_eq!(total_value(&set), 50);
     }
 
     #[test]
@@ -366,7 +366,7 @@ mod tests {
             let alice = addr(b"alice");
             let mut b = builder(b"alice");
             fund(&mut set, alice, 1_000, 1);
-            let supply = set.total_value();
+            let supply = total_value(&set);
 
             for parts in splits {
                 // Spend everything Alice owns into `parts` equal-ish outputs.
@@ -379,7 +379,7 @@ mod tests {
                 outputs.push(TxOutput::new(alice, total - share * (parts - 1)));
                 let tx = b.transfer(inputs, outputs, 0);
                 set.apply(&tx).unwrap();
-                prop_assert_eq!(set.total_value(), supply);
+                prop_assert_eq!(total_value(&set), supply);
             }
         }
 
@@ -391,7 +391,7 @@ mod tests {
             for (i, a) in amounts.iter().enumerate() {
                 fund(&mut set, alice, *a, i as u8);
             }
-            prop_assert!(set.balance_of(&alice) <= set.total_value());
+            prop_assert!(set.balance_of(&alice) <= total_value(&set));
             prop_assert_eq!(set.balance_of(&alice), amounts.iter().sum::<u64>());
         }
     }

@@ -28,11 +28,6 @@ impl SwapProposal {
         SwapProposal { graph }
     }
 
-    /// The proposed graph.
-    pub fn graph(&self) -> &SwapGraph {
-        &self.graph
-    }
-
     /// The canonical bytes of `(D, t)` every participant signs.
     pub fn message(&self) -> Vec<u8> {
         self.graph.canonical_bytes()
@@ -99,11 +94,6 @@ impl Negotiation {
         self.proposal.expected_signers().into_iter().filter(|pk| !signed.contains(pk)).collect()
     }
 
-    /// Whether every participant has signed.
-    pub fn is_complete(&self) -> bool {
-        self.missing_signers().is_empty()
-    }
-
     /// Verify the assembled multisignature and produce the [`SignedSwap`].
     pub fn finalize(self) -> Result<SignedSwap, ClientError> {
         self.multisig.verify(&self.proposal.expected_signers())?;
@@ -132,13 +122,13 @@ mod tests {
         let alice = Wallet::new("alice");
         let bob = Wallet::new("bob");
         let mut negotiation = Negotiation::new(graph.clone());
-        assert!(!negotiation.is_complete());
+        assert!(!negotiation.missing_signers().is_empty());
         assert_eq!(negotiation.missing_signers().len(), 2);
 
         negotiation.submit(alice.sign_proposal(negotiation.proposal())).unwrap();
         assert_eq!(negotiation.missing_signers().len(), 1);
         negotiation.submit(bob.sign_proposal(negotiation.proposal())).unwrap();
-        assert!(negotiation.is_complete());
+        assert!(negotiation.missing_signers().is_empty());
 
         let signed = negotiation.finalize().unwrap();
         assert_eq!(signed.graph, graph);

@@ -23,7 +23,6 @@
 use crate::codec;
 use crate::runtime::{ContractCall, ContractSpec};
 use crate::witness::WitnessCall;
-use ac3_chain::light::verify_header_chain;
 use ac3_chain::{
     Address, Amount, BlockHash, BlockHeader, ChainId, ContractId, Transaction, TxKind, VmError,
 };
@@ -77,8 +76,7 @@ impl TxInclusionEvidence {
                 anchor.hash
             )));
         }
-        verify_header_chain(anchor.chain, anchor.hash, anchor.height, &self.headers)
-            .map_err(|e| VmError::RequirementFailed(format!("header chain invalid: {e}")))?;
+        verify_header_chain(anchor, &self.headers)?;
 
         let first_height = self.headers[0].height;
         let idx =
@@ -126,6 +124,42 @@ impl TxInclusionEvidence {
     pub fn chain(&self) -> Option<ChainId> {
         self.headers.first().map(|h| h.chain)
     }
+}
+
+/// Check that `headers` extend `anchor`: same chain, heights consecutive,
+/// each linked to the previous and satisfying its own proof-of-work target.
+fn verify_header_chain(anchor: &ChainAnchor, headers: &[BlockHeader]) -> Result<(), VmError> {
+    let invalid =
+        |why: String| Err(VmError::RequirementFailed(format!("header chain invalid: {why}")));
+    let mut prev_hash = anchor.hash;
+    let mut prev_height = anchor.height;
+    for header in headers {
+        if header.chain != anchor.chain {
+            return invalid(format!("header from {}, expected {}", header.chain, anchor.chain));
+        }
+        if header.parent != prev_hash {
+            return invalid(format!("broken header link at height {}", header.height));
+        }
+        // The anchor height is deployer-chosen: no height follows
+        // `u64::MAX`, so no header can extend an anchor there.
+        let expected = prev_height.checked_add(1);
+        if expected != Some(header.height) {
+            return invalid(format!(
+                "non-consecutive height: expected {}, got {}",
+                expected.unwrap_or(u64::MAX),
+                header.height
+            ));
+        }
+        // Hash once per header: the same digest answers the proof-of-work
+        // check and becomes the next link target.
+        let hash = header.hash();
+        if !hash.0.meets_target(&header.target) {
+            return invalid(format!("invalid proof of work in {hash}"));
+        }
+        prev_hash = hash;
+        prev_height = header.height;
+    }
+    Ok(())
 }
 
 /// What the witness contract expects each asset contract's deployment to
@@ -498,6 +532,105 @@ mod tests {
         );
         assert_eq!(ev.verify(&foreign, 6), Err(VmError::RequirementFailed(want)));
         ev.verify(&anchor, 6).unwrap();
+    }
+
+    /// A real chain with a funded Alice, a payment to Bob mined at height 1
+    /// and `extra` empty blocks on top; returns its genesis as the anchor
+    /// and the payment's inclusion evidence since then.
+    fn real_chain_with_payment(extra: u64) -> (ChainAnchor, TxInclusionEvidence) {
+        use ac3_chain::{Blockchain, ChainParams, EchoVm};
+        let alice = addr(b"alice");
+        let miner = addr(b"miner");
+        let mut chain = Blockchain::new(
+            ChainId(0),
+            ChainParams::test("validated"),
+            std::sync::Arc::new(EchoVm),
+            &[(alice, 100)],
+        );
+        let mut builder = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
+        let (inputs, outputs) = chain.plan_payment(&alice, &addr(b"bob"), 10, 1).unwrap();
+        let tx = builder.transfer(inputs, outputs, 1);
+        chain.submit(tx.clone()).unwrap();
+        for i in 0..=extra {
+            chain.mine_block(miner, 1_000 + i).unwrap();
+        }
+        let genesis = chain.store().canonical_block_at_height(0).unwrap();
+        let inclusion = chain.tx_inclusion(&tx.id()).unwrap();
+        let evidence = TxInclusionEvidence {
+            tx,
+            tx_height: inclusion.header.height,
+            headers: chain.headers_since(&genesis).unwrap(),
+            proof: inclusion.proof,
+        };
+        (ChainAnchor { chain: chain.id(), hash: genesis, height: 0 }, evidence)
+    }
+
+    /// The error `TxInclusionEvidence::verify` reports for a header chain
+    /// that does not extend its anchor.
+    fn header_chain_invalid(why: &str) -> Result<(), VmError> {
+        Err(VmError::RequirementFailed(format!("header chain invalid: {why}")))
+    }
+
+    #[test]
+    fn header_evidence_verifies_end_to_end() {
+        let (anchor, ev) = real_chain_with_payment(6);
+        assert_eq!(ev.headers.len(), 7);
+        verify_header_chain(&anchor, &ev.headers).unwrap();
+        ev.verify(&anchor, 6).unwrap();
+        // Demanding more depth than the chain has fails.
+        assert_eq!(
+            ev.verify(&anchor, 7),
+            Err(VmError::RequirementFailed(
+                "transaction buried under 6 blocks, 7 required".to_string()
+            ))
+        );
+    }
+
+    #[test]
+    fn header_evidence_rejects_wrong_anchor() {
+        let (anchor, ev) = real_chain_with_payment(3);
+        let bogus = ChainAnchor { hash: BlockHash(Hash256::digest(b"other")), ..anchor };
+        assert_eq!(
+            verify_header_chain(&bogus, &ev.headers),
+            header_chain_invalid("broken header link at height 1")
+        );
+        // A gap in the run breaks the link at the header after it.
+        let mut gapped = ev.headers;
+        gapped.remove(1);
+        assert_eq!(
+            verify_header_chain(&anchor, &gapped),
+            header_chain_invalid("broken header link at height 3")
+        );
+    }
+
+    #[test]
+    fn a_header_that_misses_its_target_is_invalid_work() {
+        let (anchor, mut ev) = fabricate_evidence(sample_transfer(), 2);
+        // No hash meets the zero target; the header still links and counts.
+        ev.headers[0].target = Hash256::ZERO;
+        let hash = ev.headers[0].hash();
+        let want = header_chain_invalid(&format!("invalid proof of work in {hash}"));
+        assert_eq!(verify_header_chain(&anchor, &ev.headers), want);
+        assert_eq!(ev.verify(&anchor, 0), want);
+    }
+
+    #[test]
+    fn an_anchor_at_the_last_height_has_no_successor() {
+        // A deployer-chosen anchor height: the next height must neither
+        // overflow (debug builds panic) nor wrap to 0 (release builds).
+        let (anchor, ev) = fabricate_evidence(sample_transfer(), 0);
+        let anchor = ChainAnchor { height: u64::MAX, ..anchor };
+        let mut header = ev.headers[0];
+        for height in [0, 1, u64::MAX] {
+            header.height = height;
+            assert_eq!(
+                verify_header_chain(&anchor, &[header]),
+                header_chain_invalid(&format!(
+                    "non-consecutive height: expected {}, got {height}",
+                    u64::MAX
+                ))
+            );
+        }
     }
 
     #[test]

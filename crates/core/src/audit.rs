@@ -113,11 +113,6 @@ impl AtomicityVerdict {
     pub fn is_committed(&self) -> bool {
         matches!(self, AtomicityVerdict::AllRedeemed)
     }
-
-    /// Whether the swap aborted cleanly.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, AtomicityVerdict::AllRefunded)
-    }
 }
 
 impl fmt::Display for AtomicityVerdict {
@@ -171,7 +166,7 @@ mod tests {
         assert_eq!(v, AtomicityVerdict::AllRedeemed);
         assert!(v.is_atomic());
         assert!(v.is_committed());
-        assert!(!v.is_aborted());
+        assert_ne!(v, AtomicityVerdict::AllRefunded);
     }
 
     #[test]
@@ -182,7 +177,7 @@ mod tests {
         ]);
         assert_eq!(v, AtomicityVerdict::AllRefunded);
         assert!(v.is_atomic());
-        assert!(v.is_aborted());
+        assert_eq!(v, AtomicityVerdict::AllRefunded);
     }
 
     #[test]
@@ -231,7 +226,7 @@ mod tests {
         ]);
         assert_eq!(v, AtomicityVerdict::Incomplete { refunded: 1, locked: 1, unpublished: 0 });
         assert!(v.is_atomic());
-        assert!(!v.is_aborted());
+        assert_ne!(v, AtomicityVerdict::AllRefunded);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! bitwise identical at any worker count and across store backends.
 
 use crate::driver::{MachineFootprint, Step, SwapMachine};
-use crate::evidence::TestimonyLog;
 use crate::fee::{is_soft_submit_error, BidBook, FeePolicy};
 use crate::protocol::{ProtocolConfig, ProtocolError, ProtocolKind, SwapReport};
 use crate::scenario::MultiSwapScenario;
@@ -177,6 +176,7 @@ impl Default for CampaignSpace {
 
 impl CampaignSpace {
     /// A space with no faults at all (the baseline campaign).
+    // lint: api-ok(the fault-free baseline the campaign tests build on)
     pub fn quiet() -> Self {
         CampaignSpace {
             crashes: 0,
@@ -211,6 +211,7 @@ pub struct CampaignPlan {
 
 impl CampaignPlan {
     /// An empty plan.
+    // lint: api-ok(the fault-free baseline the campaign tests build on)
     pub fn quiet(seed: u64) -> Self {
         CampaignPlan { seed, name: format!("campaign-{seed:#018x}-quiet"), events: Vec::new() }
     }
@@ -594,6 +595,70 @@ impl SwapMachine for FaultInjector {
         chains.sort();
         chains.dedup();
         MachineFootprint { chains, actors: self.victims.clone() }
+    }
+}
+
+/// An honest party's append-only log of witness-operator attestations —
+/// the testimony side of the Byzantine fault model (DESIGN.md §12).
+///
+/// Watchdogs feed every [`SignedDecision`] they see (gossip, mempools,
+/// bribed-operator side channels) into the log. The log discards forgeries,
+/// and the moment two validly signed attestations by the same key over the
+/// same graph contradict each other it hands back the
+/// [`EquivocationProof`] ready for on-chain submission
+/// (`WitnessCall::ReportEquivocation`). Attestations that merely contradict
+/// *observed chain state* — a bribed operator signing a decision the
+/// witness contract never reached — are not slashable (one signature is
+/// not self-incriminating) but are surfaced by
+/// [`TestimonyLog::unsupported_by`] so honest parties can refuse to act on
+/// them.
+#[derive(Debug, Default)]
+pub struct TestimonyLog {
+    decisions: Vec<SignedDecision>,
+}
+
+impl TestimonyLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        TestimonyLog::default()
+    }
+
+    /// Record an attestation. Forgeries (invalid signatures) are dropped.
+    /// Returns a fraud proof the first time the attestation contradicts an
+    /// earlier validly signed one.
+    pub fn observe(&mut self, decision: SignedDecision) -> Option<EquivocationProof> {
+        if decision.verify().is_err() {
+            return None;
+        }
+        let conflict = self.decisions.iter().find(|prior| prior.conflicts_with(&decision)).copied();
+        self.decisions.push(decision);
+        conflict.map(|first| EquivocationProof { first, second: decision })
+    }
+
+    /// Attestations not supported by the on-chain state of the given
+    /// witness contract: a `Redeem` attestation while the contract is not
+    /// `RDauth`, or a `Refund` attestation while it is not `RFauth`. These
+    /// are the bribed-witness testimonies — evidence of misbehavior an
+    /// honest party records and refuses to act on, even though no stake can
+    /// be slashed for them.
+    pub fn unsupported_by(
+        &self,
+        world: &dyn ChainApi,
+        chain: ChainId,
+        contract: ContractId,
+    ) -> Vec<SignedDecision> {
+        let tag = world.contract_state(chain, contract).map(|(tag, _)| tag);
+        self.decisions
+            .iter()
+            .filter(|d| {
+                let required = match d.decision {
+                    WitnessDecision::Redeem => "RDauth",
+                    WitnessDecision::Refund => "RFauth",
+                };
+                tag.as_deref() != Some(required)
+            })
+            .copied()
+            .collect()
     }
 }
 
@@ -1338,5 +1403,67 @@ mod tests {
         chains.sort();
         chains.dedup();
         assert_eq!(chains.len(), 3, "each equivocation targets its own bond");
+    }
+
+    #[test]
+    fn testimony_log_detects_equivocation_and_discards_forgeries() {
+        let op = KeyPair::from_seed(b"operator");
+        let digest = Hash256::digest(b"ms(D)");
+        let mut log = TestimonyLog::new();
+
+        let rd = SignedDecision::sign(&op, digest, WitnessDecision::Redeem);
+        assert!(log.observe(rd).is_none(), "a single decision is not a conflict");
+        // A forged conflicting attestation is dropped, not treated as fraud.
+        let mut forged = SignedDecision::sign(&op, digest, WitnessDecision::Refund);
+        forged.signature = KeyPair::from_seed(b"mallory").sign(b"junk");
+        assert!(log.observe(forged).is_none());
+        assert_eq!(log.decisions.len(), 1);
+        // A decision about a *different* graph does not conflict.
+        let other = SignedDecision::sign(&op, Hash256::digest(b"other"), WitnessDecision::Refund);
+        assert!(log.observe(other).is_none());
+
+        // The genuine conflicting signature yields a verifying fraud proof.
+        let rf = SignedDecision::sign(&op, digest, WitnessDecision::Refund);
+        let proof = log.observe(rf).expect("conflict detected");
+        proof.verify(&op.public(), &digest).unwrap();
+    }
+
+    #[test]
+    fn testimony_log_flags_decisions_unsupported_by_chain_state() {
+        use crate::actions::deploy_contract;
+        use ac3_chain::ChainParams;
+        use ac3_contracts::{ContractSpec, ExpectedContract, WitnessSpec};
+        use ac3_sim::World;
+
+        let mut participants = ParticipantSet::new();
+        let alice = participants.add("alice");
+        let mut world = World::new();
+        let chain = world.add_chain(ChainParams::test("w"), &[(alice, 100)]);
+        let anchor = world.anchor(chain).unwrap();
+        let op = KeyPair::from_seed(b"operator");
+        let digest = Hash256::digest(b"ms(D)");
+        let spec = ContractSpec::Witness(WitnessSpec {
+            participants: vec![alice],
+            graph_digest: digest,
+            expected_contracts: vec![ExpectedContract {
+                chain,
+                sender: alice,
+                recipient: Address::from(KeyPair::from_seed(b"bob").public()),
+                amount: 10,
+                anchor,
+                required_depth: 0,
+            }],
+            operator: Some(op.public()),
+            stake: 0,
+        });
+        let (_, contract) = deploy_contract(&mut world, &mut participants, &alice, chain, &spec, 0)
+            .unwrap()
+            .expect("alice is available");
+        world.advance(2 * world.chain(chain).unwrap().params().block_interval_ms);
+
+        // The contract sits in P: *any* decision attestation is unsupported.
+        let mut log = TestimonyLog::new();
+        log.observe(SignedDecision::sign(&op, digest, WitnessDecision::Redeem));
+        assert_eq!(log.unsupported_by(&world, chain, contract).len(), 1);
     }
 }

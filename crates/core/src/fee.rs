@@ -145,11 +145,6 @@ pub struct Bid {
 }
 
 impl Bid {
-    /// The current transaction id of this bid.
-    pub fn txid(&self) -> TxId {
-        self.txid
-    }
-
     /// The current fee this bid offers.
     pub fn fee(&self) -> Amount {
         self.fee
@@ -283,11 +278,6 @@ impl BidBook {
     /// An empty book bidding under `policy`.
     pub fn new(policy: FeePolicy) -> Self {
         BidBook { policy, bids: Vec::new() }
-    }
-
-    /// The policy this book bids under.
-    pub fn policy(&self) -> FeePolicy {
-        self.policy
     }
 
     /// Total fees currently bid across every transaction the book is on
@@ -841,9 +831,9 @@ mod tests {
         // At the cap the ladder ends.
         world.advance(1_000);
         assert!(book.poll(&mut world, &mut participants).unwrap().is_empty());
-        assert_ne!(
-            world.chain(chain).unwrap().mempool_fee_of(&txid),
-            Some(0),
+        // A txid commits to its fee: the zero bid is gone, not repriced.
+        assert!(
+            !world.chain(chain).unwrap().mempool_contains(&txid),
             "the original zero bid was superseded"
         );
     }
@@ -1016,7 +1006,7 @@ mod tests {
         // re-bid inadmissible: the book must go quiet, not churn.
         let changes = book.poll(&mut world, &mut participants).unwrap();
         assert!(changes.is_empty(), "no doomed replace-by-fee attempts");
-        assert_eq!(world.chain(chain).unwrap().mempool_fee_of(&txid), Some(2), "bid untouched");
+        assert!(world.chain(chain).unwrap().mempool_contains(&txid), "bid untouched");
         assert_eq!(book.total_fees(), 2);
 
         // Demand gone, the base fee decays back under the cap: escalation

@@ -10,6 +10,7 @@
 
 use ac3_chain::{Address, Amount, ChainId};
 use ac3_crypto::{GraphMultisig, Hash256, KeyPair, MultisigError, PublicKey, Sha256};
+use serde::de::Decoder;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -32,8 +33,8 @@ pub struct SwapEdge {
 pub enum GraphError {
     /// The graph has no edges.
     Empty,
-    /// An edge references a participant that is not in the vertex set.
-    UnknownParticipant(Address),
+    /// A stored participant set is not the one the edges define.
+    ParticipantsMismatch,
     /// An edge transfers a zero-valued asset.
     ZeroAmount,
     /// A self-loop (a participant transferring to itself).
@@ -46,8 +47,8 @@ impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::Empty => write!(f, "graph has no edges"),
-            GraphError::UnknownParticipant(a) => {
-                write!(f, "edge references unknown participant {a}")
+            GraphError::ParticipantsMismatch => {
+                write!(f, "stored participants differ from the edges' participants")
             }
             GraphError::ZeroAmount => write!(f, "edge transfers a zero-valued asset"),
             GraphError::SelfLoop(a) => write!(f, "self-loop at {a}"),
@@ -76,7 +77,7 @@ pub enum GraphShape {
 }
 
 /// The AC2T graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SwapGraph {
     /// The participants `V`, in deterministic order.
     participants: Vec<Address>,
@@ -85,6 +86,28 @@ pub struct SwapGraph {
     /// The agreement timestamp `t` that distinguishes otherwise-identical
     /// AC2Ts among the same participants (Equation 1).
     timestamp: u64,
+}
+
+/// A [`SwapGraph`] as encoded, before [`SwapGraph::new`] validates it.
+#[derive(Deserialize)]
+struct EncodedSwapGraph {
+    participants: Vec<Address>,
+    edges: Vec<SwapEdge>,
+    timestamp: u64,
+}
+
+/// Decoding rebuilds the graph through [`SwapGraph::new`], so a decoded
+/// graph holds the same invariants as a constructed one.
+impl Deserialize for SwapGraph {
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, serde::Error> {
+        let encoded = EncodedSwapGraph::deserialize(d)?;
+        let invalid = |e: GraphError| serde::Error::custom(e.to_string());
+        let graph = SwapGraph::new(encoded.edges, encoded.timestamp).map_err(invalid)?;
+        if graph.participants != encoded.participants {
+            return Err(invalid(GraphError::ParticipantsMismatch));
+        }
+        Ok(graph)
+    }
 }
 
 impl SwapGraph {
@@ -110,6 +133,7 @@ impl SwapGraph {
 
     /// The paper's running example (Figure 4): Alice swaps `x` on `chain_a`
     /// for Bob's `y` on `chain_b`.
+    // lint: api-ok(the two-party graph many suites start from)
     pub fn two_party(
         alice: Address,
         bob: Address,
@@ -141,11 +165,6 @@ impl SwapGraph {
     /// The edges.
     pub fn edges(&self) -> &[SwapEdge] {
         &self.edges
-    }
-
-    /// The agreement timestamp.
-    pub fn timestamp(&self) -> u64 {
-        self.timestamp
     }
 
     /// Number of edges `N = |E|` (the number of smart contracts to deploy).
@@ -408,41 +427,6 @@ impl SwapGraph {
     }
 }
 
-/// Construct the cyclic three-party example of Figure 7a:
-/// A → B → C → A, each edge on its own chain.
-pub fn figure7_cyclic(a: Address, b: Address, c: Address, chains: [ChainId; 3]) -> SwapGraph {
-    SwapGraph::new(
-        vec![
-            SwapEdge { from: a, to: b, amount: 10, chain: chains[0] },
-            SwapEdge { from: b, to: c, amount: 20, chain: chains[1] },
-            SwapEdge { from: c, to: a, amount: 30, chain: chains[2] },
-        ],
-        1,
-    )
-    .expect("valid graph")
-}
-
-/// Construct the disconnected example of Figure 7b: two independent pairs
-/// (A ⇄ B and C ⇄ D) committed as one atomic transaction.
-pub fn figure7_disconnected(
-    a: Address,
-    b: Address,
-    c: Address,
-    d: Address,
-    chains: [ChainId; 4],
-) -> SwapGraph {
-    SwapGraph::new(
-        vec![
-            SwapEdge { from: a, to: b, amount: 10, chain: chains[0] },
-            SwapEdge { from: b, to: a, amount: 20, chain: chains[1] },
-            SwapEdge { from: c, to: d, amount: 30, chain: chains[2] },
-            SwapEdge { from: d, to: c, amount: 40, chain: chains[3] },
-        ],
-        1,
-    )
-    .expect("valid graph")
-}
-
 /// Build a ring graph of `n` participants (P0 → P1 → ... → Pn-1 → P0), each
 /// edge on its own chain — the workload used to sweep the graph diameter in
 /// the Figure 10 reproduction.
@@ -469,6 +453,41 @@ mod tests {
         Address::from(KeyPair::from_seed(seed).public())
     }
 
+    /// Construct the cyclic three-party example of Figure 7a:
+    /// A → B → C → A, each edge on its own chain.
+    fn figure7_cyclic(a: Address, b: Address, c: Address, chains: [ChainId; 3]) -> SwapGraph {
+        SwapGraph::new(
+            vec![
+                SwapEdge { from: a, to: b, amount: 10, chain: chains[0] },
+                SwapEdge { from: b, to: c, amount: 20, chain: chains[1] },
+                SwapEdge { from: c, to: a, amount: 30, chain: chains[2] },
+            ],
+            1,
+        )
+        .expect("valid graph")
+    }
+
+    /// Construct the disconnected example of Figure 7b: two independent pairs
+    /// (A ⇄ B and C ⇄ D) committed as one atomic transaction.
+    fn figure7_disconnected(
+        a: Address,
+        b: Address,
+        c: Address,
+        d: Address,
+        chains: [ChainId; 4],
+    ) -> SwapGraph {
+        SwapGraph::new(
+            vec![
+                SwapEdge { from: a, to: b, amount: 10, chain: chains[0] },
+                SwapEdge { from: b, to: a, amount: 20, chain: chains[1] },
+                SwapEdge { from: c, to: d, amount: 30, chain: chains[2] },
+                SwapEdge { from: d, to: c, amount: 40, chain: chains[3] },
+            ],
+            1,
+        )
+        .expect("valid graph")
+    }
+
     fn names(n: usize) -> Vec<Address> {
         (0..n).map(|i| addr(format!("p{i}").as_bytes())).collect()
     }
@@ -483,6 +502,32 @@ mod tests {
         assert_eq!(g.diameter(), 2);
         assert_eq!(g.shape(), GraphShape::Cyclic);
         assert_eq!(g.chains(), vec![ChainId(0), ChainId(1)]);
+    }
+
+    #[test]
+    fn a_decoded_graph_is_validated_like_a_constructed_one() {
+        let s = crate::scenario::ring_scenario(3, 10, &crate::scenario::ScenarioConfig::default());
+        let json = serde_json::to_string(&s.graph).unwrap();
+        assert_eq!(serde_json::from_str::<SwapGraph>(&json).unwrap(), s.graph);
+
+        // A stored participant list missing one the edges name.
+        let all = serde_json::to_string(&s.graph.participants().to_vec()).unwrap();
+        let fewer = serde_json::to_string(&s.graph.participants()[1..].to_vec()).unwrap();
+        let lacking = json.replacen(&all, &fewer, 1);
+        assert_ne!(lacking, json);
+        assert_eq!(
+            serde_json::from_str::<SwapGraph>(&lacking).unwrap_err(),
+            serde::Error::custom(GraphError::ParticipantsMismatch.to_string())
+        );
+
+        // An edge `new` refuses.
+        let mut zero = s.graph.clone();
+        zero.edges[0].amount = 0;
+        let json = serde_json::to_string(&zero).unwrap();
+        assert_eq!(
+            serde_json::from_str::<SwapGraph>(&json).unwrap_err(),
+            serde::Error::custom(GraphError::ZeroAmount.to_string())
+        );
     }
 
     #[test]

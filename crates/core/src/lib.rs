@@ -3,8 +3,9 @@
 //! The heart of the reproduction of *Atomic Commitment Across Blockchains*
 //! (Zakhary, Agrawal, El Abbadi — VLDB 2020): the AC3WN protocol, the AC3TW
 //! centralized-witness variant, the Nolan and Herlihy hashlock/timelock
-//! baselines, the transaction-graph model, the cross-chain evidence
-//! validation strategies and the paper's analytical models.
+//! baselines, the transaction-graph model and the paper's analytical
+//! models. Section 4.3's in-contract evidence validation is
+//! `ac3_contracts::TxInclusionEvidence`, which the AC3WN contracts run.
 //!
 //! | Paper | Module |
 //! |---|---|
@@ -12,7 +13,6 @@
 //! | Sections 4.1 / 4.2 — the AC3 commit sequence, one machine over a coordinator | [`ac3`] |
 //! | Section 4.1 — AC3TW driver and the centralized trusted witness, Trent | [`ac3tw`] |
 //! | Section 4.2 — AC3WN driver and the contents of every AC3WN transaction | [`ac3wn`] |
-//! | Section 4.3 — cross-chain evidence validation strategies | [`evidence`] |
 //! | Section 1 / \[23\] — Nolan's two-party atomic swap | [`nolan`] |
 //! | \[16\] / Section 5.3 — Herlihy's multi-party atomic swap, single- and multi-leader (baseline) | [`herlihy`] |
 //! | Section 5 — atomicity audit | [`audit`] |
@@ -63,7 +63,6 @@ pub mod audit;
 pub mod campaign;
 pub mod campaign_run;
 pub mod driver;
-pub mod evidence;
 pub mod fee;
 pub mod graph;
 pub mod herlihy;
@@ -84,13 +83,8 @@ pub use campaign::{
 };
 pub use campaign_run::{build_campaign, run_campaign};
 pub use driver::{drive, drive_until, MachineFootprint, Step, SwapMachine};
-pub use evidence::{
-    validate_tx, validate_with_all, ValidationCost, ValidationReport, ValidationStrategy,
-};
 pub use fee::{BidBook, BidChange, FeePolicy};
-pub use graph::{
-    figure7_cyclic, figure7_disconnected, ring_graph, GraphShape, SwapEdge, SwapGraph,
-};
+pub use graph::{ring_graph, GraphShape, SwapEdge, SwapGraph};
 pub use herlihy::{Herlihy, HerlihyMachine, HerlihyMulti};
 pub use nolan::Nolan;
 pub use partition::{partition_batch, Shard};

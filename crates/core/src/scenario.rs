@@ -166,6 +166,7 @@ impl MultiSwapScenario {
     /// each swap's witness chain at launch time (ignoring the static
     /// round-robin pre-assignment in [`SwapSpec::witness`]) and hands it to
     /// `make`.
+    // lint: api-ok(the input of `Scheduler::run_assigned`, shared by its tests)
     pub fn seeds_with<F>(&self, make: F) -> Vec<(SwapId, crate::scheduler::MachineSeed)>
     where
         F: Fn(&SwapSpec, ChainId) -> Box<dyn crate::driver::SwapMachine> + 'static,

@@ -149,6 +149,7 @@ impl BatchReport {
     }
 
     /// The report of one swap, if it finished without error.
+    // lint: api-ok(per-swap lookup shared by the scheduler, determinism and fault suites)
     pub fn report_for(&self, id: SwapId) -> Option<&SwapReport> {
         self.outcomes.iter().find(|o| o.id == id).and_then(|o| o.result.as_ref().ok())
     }
@@ -156,11 +157,6 @@ impl BatchReport {
     /// Number of swaps that committed (decision `Some(true)`).
     pub fn committed(&self) -> usize {
         self.reports().filter(|(_, r)| r.decision == Some(true)).count()
-    }
-
-    /// Number of swaps that aborted cleanly (decision `Some(false)`).
-    pub fn aborted(&self) -> usize {
-        self.reports().filter(|(_, r)| r.decision == Some(false)).count()
     }
 
     /// Number of swaps that ended in a protocol error.
@@ -218,6 +214,7 @@ impl BatchReport {
 
     /// Witness chains assigned by [`Scheduler::run_assigned`], with how
     /// many swaps each received.
+    // lint: api-ok(what `Scheduler::run_assigned` chose; the fee-market tests read it)
     pub fn witness_assignments(&self) -> BTreeMap<ChainId, usize> {
         let mut counts = BTreeMap::new();
         for outcome in &self.outcomes {
@@ -364,6 +361,7 @@ impl Scheduler {
 
     /// This scheduler with the footprint-audit sanitizer forced on or off
     /// (see [`Scheduler::audit`]), overriding the environment default.
+    // lint: api-ok(the footprint audit's switch, DESIGN.md §14)
     pub fn with_footprint_audit(mut self, audit: bool) -> Self {
         self.audit = audit;
         self
@@ -426,6 +424,7 @@ impl Scheduler {
     /// Always runs as one unsplit shard on the calling thread, whatever
     /// [`Scheduler::workers`] says: a launch-time assignment needs the
     /// global view of every witness mempool that splitting takes away.
+    // lint: api-ok(fee-aware witness assignment, DESIGN.md §8)
     pub fn run_assigned(
         &self,
         world: &mut World,

@@ -11,7 +11,8 @@ use ac3_core::scenario::{
     custom_scenario, two_party_scenario, ScenarioConfig,
 };
 use ac3_core::{
-    Ac3tw, Ac3wn, Herlihy, HerlihyMulti, MultiSwapScenario, ProtocolConfig, Scheduler, SwapMachine,
+    Ac3tw, Ac3wn, AtomicityVerdict, Herlihy, HerlihyMulti, MultiSwapScenario, ProtocolConfig,
+    Scheduler, SwapMachine,
 };
 use ac3_sim::{CrashWindow, SwapId};
 use proptest::Gen;
@@ -135,7 +136,10 @@ fn property_random_fate_mix_stays_atomic() {
                         Some(false),
                         "case {case}: swap {i} with a crashed sender must abort"
                     );
-                    assert!(report.verdict().is_aborted() || report.verdict().is_atomic());
+                    assert!(
+                        report.verdict() == AtomicityVerdict::AllRefunded
+                            || report.verdict().is_atomic()
+                    );
                 }
                 Fate::LateRecipient => assert!(
                     report.is_atomic(),

@@ -38,25 +38,9 @@ impl Hash256 {
         &self.0
     }
 
-    /// Consume and return the raw bytes.
-    pub fn into_bytes(self) -> [u8; 32] {
-        self.0
-    }
-
     /// Hex representation (64 lowercase hex characters).
     pub fn to_hex(&self) -> String {
         hex::encode(&self.0)
-    }
-
-    /// Parse a 64-character hex string.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        let bytes = hex::decode(s)?;
-        if bytes.len() != 32 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&bytes);
-        Some(Hash256(out))
     }
 
     /// Whether this hash is numerically (big-endian) below `target`.
@@ -65,21 +49,6 @@ impl Hash256 {
     /// chains: a block is valid if `hash(header) <= target`.
     pub fn meets_target(&self, target: &Hash256) -> bool {
         self <= target
-    }
-
-    /// Count of leading zero bits; a convenient human-readable measure of
-    /// proof-of-work difficulty.
-    pub fn leading_zero_bits(&self) -> u32 {
-        let mut count = 0;
-        for byte in self.0.iter() {
-            if *byte == 0 {
-                count += 8;
-            } else {
-                count += byte.leading_zeros();
-                break;
-            }
-        }
-        count
     }
 
     /// Truncate to the first 8 bytes interpreted as a big-endian `u64`.
@@ -124,20 +93,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hex_round_trip() {
-        let h = Hash256::digest(b"round trip");
-        let parsed = Hash256::from_hex(&h.to_hex()).expect("parse");
-        assert_eq!(h, parsed);
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_input() {
-        assert!(Hash256::from_hex("abc").is_none(), "too short");
-        assert!(Hash256::from_hex(&"zz".repeat(32)).is_none(), "non-hex");
-        assert!(Hash256::from_hex(&"ab".repeat(33)).is_none(), "too long");
-    }
-
-    #[test]
     fn ordering_is_big_endian_numeric() {
         let mut small = [0u8; 32];
         small[31] = 1;
@@ -152,15 +107,6 @@ mod tests {
         assert!(t.meets_target(&t), "equal hash meets target");
         assert!(Hash256::ZERO.meets_target(&t));
         assert!(!Hash256::MAX.meets_target(&t));
-    }
-
-    #[test]
-    fn leading_zero_bits_counts() {
-        assert_eq!(Hash256::ZERO.leading_zero_bits(), 256);
-        assert_eq!(Hash256::MAX.leading_zero_bits(), 0);
-        let mut one = [0u8; 32];
-        one[0] = 0x0f;
-        assert_eq!(Hash256::from_bytes(one).leading_zero_bits(), 4);
     }
 
     #[test]

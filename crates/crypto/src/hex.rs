@@ -1,4 +1,4 @@
-//! Minimal hex encoding/decoding helpers (no external dependency).
+//! Minimal hex encoding (no external dependency).
 
 /// Encode bytes as a lowercase hex string.
 pub fn encode(bytes: &[u8]) -> String {
@@ -10,40 +10,19 @@ pub fn encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Decode a hex string (case-insensitive). Returns `None` on odd length or
-/// non-hex characters.
-pub fn decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let chars: Vec<u32> = s.chars().map(|c| c.to_digit(16)).collect::<Option<_>>()?;
-    Some(chars.chunks_exact(2).map(|pair| ((pair[0] << 4) | pair[1]) as u8).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trip() {
-        let data: Vec<u8> = (0..=255u8).collect();
-        assert_eq!(decode(&encode(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn decode_uppercase() {
-        assert_eq!(decode("DEADBEEF").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
-    }
-
-    #[test]
-    fn decode_rejects_odd_and_invalid() {
-        assert!(decode("abc").is_none());
-        assert!(decode("zz").is_none());
-    }
-
-    #[test]
     fn encode_empty() {
         assert_eq!(encode(&[]), "");
-        assert_eq!(decode("").unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn encode_writes_two_lowercase_digits_per_byte() {
+        assert_eq!(encode(&[0x00, 0x0f, 0xde, 0xad]), "000fdead");
+        let all: Vec<u8> = (0..=255u8).collect();
+        assert_eq!(encode(&all).len(), 512);
     }
 }

@@ -125,11 +125,6 @@ impl GraphMultisig {
         Ok(())
     }
 
-    /// Boolean convenience wrapper around [`GraphMultisig::verify`].
-    pub fn is_complete_for(&self, expected: &[PublicKey]) -> bool {
-        self.verify(expected).is_ok()
-    }
-
     /// A digest committing to the message and every collected signature.
     /// This is the value registered with the witness (`ms(D)` used as a
     /// key in Trent's key/value store, or stored in `SC_w`).
@@ -178,7 +173,6 @@ mod tests {
             ms.verify(&expected).unwrap_err(),
             MultisigError::MissingSigner(parts[1].public())
         );
-        assert!(!ms.is_complete_for(&expected));
     }
 
     #[test]

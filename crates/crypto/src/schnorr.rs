@@ -26,6 +26,7 @@
 
 use crate::hash::Hash256;
 use crate::sha256::Sha256;
+use serde::de::Decoder;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -90,7 +91,7 @@ fn hash_to_exponent(h: &Hash256) -> u64 {
 }
 
 /// A secret signing key (an exponent in `[1, ORDER)`).
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SecretKey(u64);
 
 impl SecretKey {
@@ -118,6 +119,15 @@ impl SecretKey {
     }
 }
 
+/// Decoding goes through [`SecretKey::from_scalar`], so an out-of-range
+/// exponent is refused.
+impl Deserialize for SecretKey {
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, serde::Error> {
+        SecretKey::from_scalar(u64::deserialize(d)?)
+            .map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
+
 impl fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Never print the scalar.
@@ -127,7 +137,7 @@ impl fmt::Debug for SecretKey {
 
 /// A public verification key (a group element), also used as the on-chain
 /// identity / address of end users (Section 2.2 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct PublicKey(u64);
 
 impl PublicKey {
@@ -137,11 +147,6 @@ impl PublicKey {
             return Err(SignatureError::InvalidPublicKey);
         }
         Ok(PublicKey(y))
-    }
-
-    /// The raw group element.
-    pub fn element(&self) -> u64 {
-        self.0
     }
 
     /// Canonical byte encoding used inside hashes and on-chain addresses.
@@ -174,6 +179,15 @@ impl PublicKey {
     /// Boolean convenience wrapper around [`PublicKey::verify`].
     pub fn verifies(&self, msg: &[u8], sig: &Signature) -> bool {
         self.verify(msg, sig).is_ok()
+    }
+}
+
+/// Decoding goes through [`PublicKey::from_element`], so a value outside
+/// the group is refused.
+impl Deserialize for PublicKey {
+    fn deserialize(d: &mut Decoder<'_>) -> Result<Self, serde::Error> {
+        PublicKey::from_element(u64::deserialize(d)?)
+            .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -259,11 +273,6 @@ impl KeyPair {
         self.public
     }
 
-    /// The secret half.
-    pub fn secret(&self) -> SecretKey {
-        self.secret
-    }
-
     /// Sign `msg` with a deterministic nonce.
     pub fn sign(&self, msg: &[u8]) -> Signature {
         // Deterministic nonce: k = H(domain || sk || msg) mod n.
@@ -283,6 +292,21 @@ impl KeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decoding_applies_the_constructors_range_checks() {
+        let secret = |text: &str| SecretKey::deserialize(&mut Decoder::new(text));
+        let public = |text: &str| PublicKey::deserialize(&mut Decoder::new(text));
+        for bad in ["0".to_string(), ORDER.to_string(), u64::MAX.to_string()] {
+            assert_eq!(secret(&bad), Err(serde::Error::custom("invalid secret key")), "{bad}");
+        }
+        for bad in ["0".to_string(), MODULUS.to_string(), u64::MAX.to_string()] {
+            assert_eq!(public(&bad), Err(serde::Error::custom("invalid public key")), "{bad}");
+        }
+        assert_eq!(secret(&(ORDER - 1).to_string()), Ok(SecretKey(ORDER - 1)));
+        let kp = KeyPair::from_seed(b"alice");
+        assert_eq!(public(&format!("{}", kp.public().0)), Ok(kp.public()));
+    }
 
     #[test]
     fn sign_verify_round_trip() {

@@ -36,16 +36,6 @@ impl Section {
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.strings.keys().chain(self.arrays.keys()).chain(self.bools.keys()).map(String::as_str)
     }
-
-    /// Insert a string-array key (used by tests building configs in code).
-    pub fn set_array<S: Into<String>>(&mut self, key: &str, values: Vec<S>) {
-        self.arrays.insert(key.to_string(), values.into_iter().map(Into::into).collect());
-    }
-
-    /// Insert a string key (used by tests building configs in code).
-    pub fn set_string(&mut self, key: &str, value: &str) {
-        self.strings.insert(key.to_string(), value.to_string());
-    }
 }
 
 /// The parsed configuration: one [`Section`] per `[rule]` header.
@@ -110,11 +100,6 @@ impl Config {
     /// A section by rule name.
     pub fn section(&self, name: &str) -> Option<&Section> {
         self.sections.get(name)
-    }
-
-    /// Insert or replace a section (used by tests building configs in code).
-    pub fn set_section(&mut self, name: &str, section: Section) {
-        self.sections.insert(name.to_string(), section);
     }
 
     /// Every configured section name.

@@ -18,6 +18,8 @@
 //!   `// lint: ordered-ok(<why>)` justification.
 //! * **no-unsafe** — the `unsafe` keyword is banned workspace-wide, and
 //!   listed crate roots must carry `#![forbid(unsafe_code)]`.
+//! * **test-only-pub** — a `pub` item that no non-test code names needs an
+//!   inline `// lint: api-ok(<why>)` justification; otherwise delete it.
 //!
 //! There is no `syn` in `vendor/`, so the linter ships its own
 //! comment/string/raw-string-aware lexer ([`lexer`]) and a
@@ -40,12 +42,23 @@ pub use config::Config;
 pub use report::{Finding, Report};
 
 use rules::FileCtx;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// The rule names the engine understands, in execution order.
-pub const RULE_NAMES: [&str; 5] =
-    ["wall-clock", "ambient-entropy", "chainapi-seam", "unordered-iteration", "no-unsafe"];
+pub const RULE_NAMES: [&str; 6] = [
+    "wall-clock",
+    "ambient-entropy",
+    "chainapi-seam",
+    "unordered-iteration",
+    "no-unsafe",
+    "test-only-pub",
+];
+
+/// Code that calls into the `test-only-pub` scope without being checked by
+/// it: the examples, and the benchmark, which is a binary of its own. A
+/// root missing from the scanned tree is skipped.
+const CALLER_ONLY_ROOTS: [&str; 2] = ["examples", "crates/bench/perf/src"];
 
 /// Keys each rule section accepts (anything else is a config error).
 fn allowed_keys(rule: &str) -> &'static [&'static str] {
@@ -55,6 +68,7 @@ fn allowed_keys(rule: &str) -> &'static [&'static str] {
         "chainapi-seam" => &["crates", "banned-type", "from-crates"],
         "unordered-iteration" => &["crates", "iter-methods"],
         "no-unsafe" => &["crates", "require-forbid"],
+        "test-only-pub" => &["crates"],
         _ => &[],
     }
 }
@@ -131,6 +145,20 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
         }
         files.sort();
         let rels = prepare_paths(&files, &mut cache)?;
+        // Every name the non-test code in scope, or calling into it, uses.
+        let mut callers = BTreeSet::new();
+        if rule == "test-only-pub" {
+            let mut caller_files = Vec::new();
+            for caller_root in CALLER_ONLY_ROOTS.iter().map(|r| root.join(r)) {
+                if caller_root.exists() {
+                    collect_rs_files(&caller_root, &mut caller_files)?;
+                }
+            }
+            let caller_rels = prepare_paths(&caller_files, &mut cache)?;
+            for rel in rels.iter().chain(&caller_rels) {
+                rules::collect_names(&cache.get(rel).expect("prepared above").tokens, &mut callers);
+            }
+        }
         for rel in &rels {
             let file = cache.get(rel).expect("prepared above");
             let ctx = file.ctx();
@@ -185,6 +213,7 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
                     let require = section.array("require-forbid").iter().any(|f| f == rel.as_str());
                     rules::no_unsafe(&ctx, require)
                 }
+                "test-only-pub" => rules::test_only_pub(&ctx, &callers),
                 _ => unreachable!("validated above"),
             };
             report.findings.extend(findings);

@@ -9,7 +9,7 @@
 
 use crate::lexer::{Lexed, Spanned, Tok, Waiver};
 use crate::report::Finding;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One parsed `use` import: the full path and the name it binds locally
 /// (the leaf segment, an `as` rename, or `*` for a glob).
@@ -55,23 +55,17 @@ pub fn parse_imports(tokens: &[Spanned]) -> Vec<Import> {
     let mut imports = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        if let Tok::Ident(id) = &tokens[i].tok {
-            // `use` at item position: not part of a path or a field access.
-            let prev = i.checked_sub(1).map(|p| &tokens[p].tok);
-            let is_item =
-                id == "use" && !matches!(prev, Some(Tok::PathSep) | Some(Tok::Punct('.')));
-            if is_item {
-                let line = tokens[i].line;
-                let end = tokens[i + 1..]
-                    .iter()
-                    .position(|s| s.tok == Tok::Punct(';'))
-                    .map(|p| i + 1 + p)
-                    .unwrap_or(tokens.len());
-                let mut cursor = i + 1;
-                parse_use_tree(tokens, &mut cursor, end, &mut Vec::new(), line, &mut imports);
-                i = end + 1;
-                continue;
-            }
+        if is_use_decl(tokens, i) {
+            let line = tokens[i].line;
+            let end = tokens[i + 1..]
+                .iter()
+                .position(|s| s.tok == Tok::Punct(';'))
+                .map(|p| i + 1 + p)
+                .unwrap_or(tokens.len());
+            let mut cursor = i + 1;
+            parse_use_tree(tokens, &mut cursor, end, &mut Vec::new(), line, &mut imports);
+            i = end + 1;
+            continue;
         }
         i += 1;
     }
@@ -548,6 +542,82 @@ pub fn no_unsafe(ctx: &FileCtx, require_forbid: bool) -> Vec<Finding> {
     findings
 }
 
+/// Keywords whose next identifier is the name being defined, not a use.
+const DEFINING_KEYWORDS: [&str; 8] =
+    ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+
+/// The item kinds the `test-only-pub` rule checks.
+const PUB_ITEM_KINDS: [&str; 6] = ["fn", "struct", "enum", "trait", "const", "type"];
+
+/// Whether the `use` at `i` starts a declaration, not a path segment or a
+/// field.
+fn is_use_decl(tokens: &[Spanned], i: usize) -> bool {
+    matches!(&tokens[i].tok, Tok::Ident(id) if id == "use")
+        && !matches!(i.checked_sub(1).map(|p| &tokens[p].tok), Some(Tok::PathSep | Tok::Punct('.')))
+}
+
+/// Add to `names` every identifier the code in `tokens` names. The name a
+/// definition introduces and the paths of `use` declarations are left out:
+/// neither defining nor re-exporting an item calls it.
+pub fn collect_names(tokens: &[Spanned], names: &mut BTreeSet<String>) {
+    let mut i = 0;
+    while i < tokens.len() {
+        if is_use_decl(tokens, i) {
+            while i < tokens.len() && tokens[i].tok != Tok::Punct(';') {
+                i += 1;
+            }
+            continue;
+        }
+        if let Tok::Ident(id) = &tokens[i].tok {
+            let defined = i > 0
+                && matches!(&tokens[i - 1].tok, Tok::Ident(kw) if DEFINING_KEYWORDS.contains(&kw.as_str()));
+            if !defined {
+                names.insert(id.clone());
+            }
+        }
+        i += 1;
+    }
+}
+
+/// The `test-only-pub` rule: a plain-`pub` fn, struct, enum, trait, const or
+/// type that no non-test code names (`callers`, from [`collect_names`] over
+/// every caller) is surface only tests hold up. Delete it, or justify it as
+/// intended API with `// lint: api-ok(<why>)`.
+pub fn test_only_pub(ctx: &FileCtx, callers: &BTreeSet<String>) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (i, s) in ctx.tokens.iter().enumerate() {
+        if !matches!(&s.tok, Tok::Ident(id) if id == "pub") {
+            continue;
+        }
+        let ident = |k: usize| match ctx.tokens.get(k).map(|t| &t.tok) {
+            Some(Tok::Ident(id)) => Some(id.as_str()),
+            _ => None,
+        };
+        // `pub const fn name` and `pub async fn name` define a fn.
+        let mut k = i + 1;
+        if matches!(ident(k), Some("const" | "async")) && ident(k + 1) == Some("fn") {
+            k += 1;
+        }
+        let (Some(kind), Some(name)) = (ident(k), ident(k + 1)) else { continue };
+        if !PUB_ITEM_KINDS.contains(&kind)
+            || callers.contains(name)
+            || ctx.waived("api", s.line).is_some()
+        {
+            continue;
+        }
+        findings.push(Finding::new(
+            "test-only-pub",
+            ctx.path,
+            s.line,
+            format!(
+                "`pub {kind} {name}` is named by no non-test code — delete it, or justify it \
+                 with `// lint: api-ok(<why>)`"
+            ),
+        ));
+    }
+    findings
+}
+
 /// Build a [`FileCtx`]-ready bundle from lexed source.
 pub fn prepare(lexed: Lexed) -> (Vec<Spanned>, Vec<Waiver>, Vec<Import>) {
     let tokens = crate::lexer::strip_cfg_test(lexed.tokens);
@@ -673,6 +743,24 @@ mod tests {
         let f = unordered_iteration(&ctx, &[]);
         assert_eq!(f.len(), 1, "empty-reason waiver does not suppress");
         assert_eq!(f[0].line, 6);
+    }
+
+    #[test]
+    fn test_only_pub_counts_callers_not_definitions_or_reexports() {
+        let src = "pub use self::{called, unused};\n\
+                   pub fn called() {}\n\
+                   pub fn unused() {}\n\
+                   pub(crate) fn internal() {}\n\
+                   pub const fn only_tested() {}\n\
+                   fn shipped() { called(); }\n\
+                   #[cfg(test)]\n\
+                   mod tests { fn t() { super::only_tested(); } }";
+        let (tokens, waivers, imports) = prepare(lex(src));
+        let mut callers = BTreeSet::new();
+        collect_names(&tokens, &mut callers);
+        let ctx = ctx_of("x.rs", &tokens, &waivers, &imports);
+        let f = test_only_pub(&ctx, &callers);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [3, 5]);
     }
 
     #[test]

@@ -6,41 +6,43 @@
 //! built programmatically so the corpus is independent of the workspace's
 //! real rule scope.
 
-use ac3_lint::config::Section;
 use ac3_lint::{run, Config};
 use std::path::Path;
 
-/// A config whose five rules all point at the fixture corpus.
+/// A config whose six rules all point at the fixture corpus.
 fn fixture_config() -> Config {
-    let mut config = Config::default();
+    Config::parse(
+        r#"
+        [wall-clock]
+        crates = ["tests/fixtures"]
+        banned-modules = ["std::time"]
 
-    let mut wall_clock = Section::default();
-    wall_clock.set_array("crates", vec!["tests/fixtures"]);
-    wall_clock.set_array("banned-modules", vec!["std::time"]);
-    config.set_section("wall-clock", wall_clock);
+        [ambient-entropy]
+        crates = ["tests/fixtures"]
+        banned-idents = ["thread_rng", "OsRng", "from_entropy"]
+        allow-in-fns = ["from_seed"]
 
-    let mut entropy = Section::default();
-    entropy.set_array("crates", vec!["tests/fixtures"]);
-    entropy.set_array("banned-idents", vec!["thread_rng", "OsRng", "from_entropy"]);
-    entropy.set_array("allow-in-fns", vec!["from_seed"]);
-    config.set_section("ambient-entropy", entropy);
+        [chainapi-seam]
+        crates = ["tests/fixtures"]
+        banned-type = "World"
+        from-crates = ["ac3_sim"]
 
-    let mut seam = Section::default();
-    seam.set_array("crates", vec!["tests/fixtures"]);
-    seam.set_string("banned-type", "World");
-    seam.set_array("from-crates", vec!["ac3_sim"]);
-    config.set_section("chainapi-seam", seam);
+        [unordered-iteration]
+        crates = ["tests/fixtures"]
 
-    let mut iteration = Section::default();
-    iteration.set_array("crates", vec!["tests/fixtures"]);
-    config.set_section("unordered-iteration", iteration);
+        [no-unsafe]
+        crates = ["tests/fixtures"]
+        require-forbid = ["tests/fixtures/no_unsafe_violation.rs"]
 
-    let mut no_unsafe = Section::default();
-    no_unsafe.set_array("crates", vec!["tests/fixtures"]);
-    no_unsafe.set_array("require-forbid", vec!["tests/fixtures/no_unsafe_violation.rs"]);
-    config.set_section("no-unsafe", no_unsafe);
-
-    config
+        # Every other fixture's public items have no callers by design.
+        [test-only-pub]
+        crates = [
+            "tests/fixtures/test_only_pub_clean.rs",
+            "tests/fixtures/test_only_pub_violation.rs",
+        ]
+        "#,
+    )
+    .expect("the fixture config parses")
 }
 
 #[test]
@@ -60,6 +62,7 @@ fn fixture_corpus_produces_exact_findings() {
         ("chainapi-seam", "tests/fixtures/chainapi_seam_violation.rs", 5),
         ("no-unsafe", "tests/fixtures/no_unsafe_violation.rs", 1),
         ("no-unsafe", "tests/fixtures/no_unsafe_violation.rs", 4),
+        ("test-only-pub", "tests/fixtures/test_only_pub_violation.rs", 3),
         ("unordered-iteration", "tests/fixtures/unordered_iteration_violation.rs", 12),
         ("unordered-iteration", "tests/fixtures/unordered_iteration_violation.rs", 22),
         ("wall-clock", "tests/fixtures/wall_clock_violation.rs", 3),
@@ -71,8 +74,8 @@ fn fixture_corpus_produces_exact_findings() {
     for f in &report.findings {
         assert!(!f.file.ends_with("_clean.rs"), "clean fixture flagged: {f}");
     }
-    assert_eq!(report.files_scanned, 10);
-    assert_eq!(report.rules_run.len(), 5);
+    assert_eq!(report.files_scanned, 12);
+    assert_eq!(report.rules_run.len(), 6);
 }
 
 #[test]
@@ -104,8 +107,8 @@ fn json_report_round_trips_fixture_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = run(root, &fixture_config()).expect("lint run succeeds");
     let json = report.to_json();
-    assert!(json.contains("\"finding_count\": 10"));
-    assert!(json.contains("\"files_scanned\": 10"));
+    assert!(json.contains("\"finding_count\": 11"));
+    assert!(json.contains("\"files_scanned\": 12"));
     assert!(json.contains("\"rule\": \"chainapi-seam\""));
     assert!(json.contains("\"file\": \"tests/fixtures/wall_clock_violation.rs\""));
 }

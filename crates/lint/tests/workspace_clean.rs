@@ -20,7 +20,7 @@ fn committed_config_parses_and_validates() {
         .expect("lint.toml exists at the workspace root");
     let config = Config::parse(&text).expect("lint.toml parses");
     validate_config(&config).expect("lint.toml names only known rules and keys");
-    // All five rules must be configured — dropping a section silently
+    // All six rules must be configured — dropping a section silently
     // disables the rule, and that must be a deliberate, reviewed change.
     for rule in ac3_lint::RULE_NAMES {
         assert!(config.section(rule).is_some(), "rule [{rule}] missing from lint.toml");

@@ -27,6 +27,7 @@ pub struct CrashWindow {
 
 impl CrashWindow {
     /// A crash from `from` that never recovers.
+    // lint: api-ok(the crash most fault tests inject)
     pub fn permanent(from: Timestamp) -> Self {
         CrashWindow { from, until: Timestamp::MAX }
     }
@@ -182,11 +183,6 @@ impl ParticipantSet {
         Some(p)
     }
 
-    /// The name of the participant owning `address`.
-    pub fn name_of(&self, address: &Address) -> Option<&str> {
-        self.by_address(address).map(|p| p.name.as_str())
-    }
-
     /// Names in deterministic order.
     pub fn names(&self) -> Vec<String> {
         self.participants.keys().cloned().collect()
@@ -294,7 +290,7 @@ mod tests {
     fn address_lookup_follows_split_and_absorb() {
         let mut set = ParticipantSet::new();
         let [alice, bob, carol] = ["alice", "bob", "carol"].map(|name| set.add(name));
-        assert_eq!(set.name_of(&bob), Some("bob"));
+        assert_eq!(set.by_address(&bob).map(|p| p.name.as_str()), Some("bob"));
         assert!(set.by_address(&Participant::new("nobody").address()).is_none());
 
         // Asking for an address twice, or for one the set does not hold,
@@ -303,7 +299,7 @@ mod tests {
         assert_eq!(shard.names(), vec!["alice".to_string(), "carol".to_string()]);
         assert_eq!(shard.addresses(), vec![alice, carol]);
         assert!(set.by_address(&alice).is_none() && set.by_address_mut(&carol).is_none());
-        assert_eq!(set.name_of(&bob), Some("bob"));
+        assert_eq!(set.by_address(&bob).map(|p| p.name.as_str()), Some("bob"));
 
         // The moved participant is the same object: nonces travel with it.
         let first =
@@ -313,6 +309,6 @@ mod tests {
             set.by_address_mut(&alice).unwrap().builder(ChainId(0)).transfer(vec![], vec![], 0);
         assert_ne!(first.id(), second.id());
         assert_eq!(set.addresses(), vec![alice, bob, carol]);
-        assert_eq!(set.name_of(&carol), Some("carol"));
+        assert_eq!(set.by_address(&carol).map(|p| p.name.as_str()), Some("carol"));
     }
 }

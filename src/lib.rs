@@ -5,15 +5,14 @@
 //! * [`crypto`] — SHA-256, Schnorr signatures, Merkle trees, commitment
 //!   schemes and the graph multisignature `ms(D)`;
 //! * [`chain`] — the permissionless blockchain simulator (UTXO assets,
-//!   proof-of-work blocks, longest-chain fork choice, light clients);
+//!   proof-of-work blocks, longest-chain fork choice);
 //! * [`contracts`] — the paper's Algorithms 1–4 plus HTLCs, executed by the
-//!   `SwapVm`;
+//!   `SwapVm`, and the Section 4.3 cross-chain evidence they verify;
 //! * [`sim`] — the discrete-event multi-chain world with crash/partition
 //!   fault injection;
 //! * [`core`] — the AC3WN and AC3TW protocols, the Nolan/Herlihy baselines
-//!   (single- and multi-leader), the AC2T graph model, evidence validation,
-//!   the Section 6 analytical models and the executed Section 6.3 fork
-//!   attack;
+//!   (single- and multi-leader), the AC2T graph model, the Section 6
+//!   analytical models and the executed Section 6.3 fork attack;
 //! * [`client`] — the end-user layer: wallets, swap negotiation
 //!   (assembling `ms(D)`) and persistent, crash-recoverable swap sessions.
 //!
@@ -53,7 +52,7 @@ pub mod prelude {
         run_campaign, Ac3tw, Ac3wn, AtomicityVerdict, BatchReport, CampaignConfig, CampaignPlan,
         CampaignReport, CampaignSpace, EdgeDisposition, FeePolicy, GraphShape, Herlihy,
         HerlihyMulti, Nolan, ProtocolConfig, ProtocolKind, ProtocolLane, Scheduler, SwapEdge,
-        SwapGraph, SwapMachine, SwapReport, ValidationStrategy, WitnessAssignment,
+        SwapGraph, SwapMachine, SwapReport, WitnessAssignment,
     };
     pub use ac3_crypto::{Hash256, Hashlock, KeyPair};
     pub use ac3_sim::{ChainCongestion, CrashWindow, OutageWindow, ParticipantSet, SwapId, World};

@@ -1,7 +1,6 @@
 //! Integration tests for complex transaction graphs (Figure 7 / Section 5.3)
-//! and the cross-chain evidence validation strategies (Section 4.3).
+//! and the in-contract cross-chain evidence validation (Section 4.3).
 
-use ac3wn::core::evidence::{validate_with_all, ValidationStrategy};
 use ac3wn::core::scenario::custom_scenario;
 use ac3wn::prelude::*;
 
@@ -42,9 +41,10 @@ fn larger_supply_chain_graph_commits_atomically() {
 }
 
 #[test]
-fn all_validation_strategies_agree_on_real_swap_evidence() {
-    // Run a swap, then validate the deployment transaction of the first
-    // asset contract under all three Section 4.3 strategies.
+fn contract_evidence_verifies_a_real_swap_deployment() {
+    // Run a swap, then check the deployment transaction of the first asset
+    // contract the way a validator contract does (Section 4.3): evidence
+    // built from the stable anchor it stored, verified at a burial depth.
     let mut s = two_party_scenario(50, 80, &ScenarioConfig::default());
     let chain = s.asset_chains[0];
     let anchor = s.world.anchor(chain).unwrap();
@@ -53,17 +53,11 @@ fn all_validation_strategies_agree_on_real_swap_evidence() {
 
     // Find the deployment transaction of the contract on chain A.
     let contract = report.edges[0].contract.expect("deployed");
-    let deploy_txid = TxId(contract.0);
-    let reports = validate_with_all(&s.world, chain, deploy_txid, &anchor, 3).unwrap();
-    assert_eq!(reports.len(), 3);
-    for r in &reports {
-        assert!(r.valid, "{} rejected a real deployment", r.strategy);
-    }
-    // The paper's proposal is the cheapest in persistent storage.
-    let contract_based =
-        reports.iter().find(|r| r.strategy == ValidationStrategy::ContractBased).unwrap();
-    let full = reports.iter().find(|r| r.strategy == ValidationStrategy::FullReplication).unwrap();
-    assert!(contract_based.cost.blocks_stored < full.cost.blocks_stored);
+    let evidence = s.world.tx_evidence_since(chain, &anchor, TxId(contract.0)).unwrap();
+    evidence.verify(&anchor, 3).unwrap();
+    // No depth beyond the evidence's last header can be proven.
+    let past_headers = evidence.headers.last().unwrap().height - evidence.tx_height + 1;
+    assert!(evidence.verify(&anchor, past_headers).is_err());
 }
 
 #[test]
@@ -76,7 +70,7 @@ fn graph_multisignature_binds_all_participants_of_a_complex_graph() {
         .map(|a| s.participants.by_address(a).unwrap().keypair())
         .collect();
     let ms = s.graph.multisign(&keypairs).unwrap();
-    assert!(ms.is_complete_for(&s.graph.participant_keys()));
+    ms.verify(&s.graph.participant_keys()).unwrap();
     // Dropping any one signature breaks completeness.
     let partial = {
         let mut m = s.graph.start_multisig();
@@ -85,5 +79,5 @@ fn graph_multisignature_binds_all_participants_of_a_complex_graph() {
         }
         m
     };
-    assert!(!partial.is_complete_for(&s.graph.participant_keys()));
+    assert!(partial.verify(&s.graph.participant_keys()).is_err());
 }
