@@ -115,7 +115,7 @@ mod tests {
     use super::*;
     use crate::transaction::{coinbase, TxBuilder};
     use crate::types::Address;
-    use ac3_crypto::KeyPair;
+    use ac3_crypto::{merkle, KeyPair};
 
     fn sample_block(n_txs: usize) -> Block {
         let miner = Address::from(KeyPair::from_seed(b"miner").public());
@@ -197,7 +197,9 @@ mod tests {
         let tree = MerkleTree::from_leaves(block.transactions.iter().map(|t| t.canonical_bytes()));
         for (i, tx) in block.transactions.iter().enumerate() {
             let proof = tree.prove(i).unwrap();
-            assert!(proof.verify(&block.header.tx_root, &tx.canonical_bytes()));
+            assert!(
+                proof.verify_hash(&block.header.tx_root, &merkle::leaf_hash(&tx.canonical_bytes()))
+            );
         }
     }
 }

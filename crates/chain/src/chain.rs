@@ -930,7 +930,7 @@ mod tests {
     use super::*;
     use crate::contracts::EchoVm;
     use crate::transaction::TxBuilder;
-    use ac3_crypto::KeyPair;
+    use ac3_crypto::{merkle, KeyPair};
     use std::sync::Arc;
 
     fn addr(seed: &[u8]) -> Address {
@@ -1074,7 +1074,9 @@ mod tests {
         chain.mine_block(miner, 2_000).unwrap();
 
         let inclusion = chain.tx_inclusion(&txid).unwrap();
-        assert!(inclusion.proof.verify(&inclusion.header.tx_root, &tx.canonical_bytes()));
+        assert!(inclusion
+            .proof
+            .verify_hash(&inclusion.header.tx_root, &merkle::leaf_hash(&tx.canonical_bytes())));
         assert_eq!(inclusion.depth, 1);
         assert_eq!(chain.tx_depth(&txid), Some(1));
         assert!(chain.tx_depth(&txid) < Some(chain.params().stable_depth), "needs 6 confirmations");

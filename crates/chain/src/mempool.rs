@@ -510,6 +510,7 @@ mod tests {
     use crate::transaction::{coinbase, TxBuilder, TxOutput};
     use crate::types::{Address, ContractId, OutPoint, TxId};
     use ac3_crypto::{Hash256, KeyPair};
+    use ac3_seeded::check;
 
     fn builder(seed: &[u8]) -> TxBuilder {
         TxBuilder::new(KeyPair::from_seed(seed), 0)
@@ -977,31 +978,31 @@ mod tests {
         // (pending ones may be the pool-wide eviction candidate), a child
         // of each transaction seen, and a double-spend. Every bid under
         // `fee_floor()` is refused on price and leaves the pool untouched.
-        let mut gen = proptest::Gen::deterministic("mempool::below_floor_refused");
         let mut next_tag = 0u32;
         let mut fresh = || {
             next_tag += 1;
             OutPoint::new(TxId(Hash256::digest(&next_tag.to_le_bytes())), 0)
         };
-        for case in 0..48 {
+        check("mempool::below_floor_refused", 48, |g| {
+            let case = g.case();
             let base_fee = [0, 3, 9][case % 3];
-            let mut pool = Mempool::with_capacity(1 + gen.below(4) as usize);
+            let mut pool = Mempool::with_capacity(1 + g.below(4) as usize);
             pool.set_base_fee(base_fee);
             let mut alice = builder(b"alice");
             let mut seen: Vec<Transaction> = Vec::new();
             let mut vout = 1u32;
-            for _ in 0..gen.below(9) {
-                let fee = base_fee + gen.below(8);
-                let tx = match (gen.below(4), seen.len()) {
+            for _ in 0..g.below(9) {
+                let fee = base_fee + g.below(8);
+                let tx = match (g.below(4), seen.len()) {
                     (0, _) | (_, 0) => alice.transfer(vec![fresh()], vec![], fee),
                     (1, _) => alice.deploy(vec![fresh()], 1, vec![], b"c".to_vec(), fee),
                     (2, n) => {
-                        let target = ContractId(seen[gen.below(n as u64) as usize].id().0);
+                        let target = ContractId(seen[g.below(n as u64) as usize].id().0);
                         alice.call(target, b"redeem".to_vec(), fee)
                     }
                     (_, n) => {
                         vout += 1;
-                        let parent = seen[gen.below(n as u64) as usize].id();
+                        let parent = seen[g.below(n as u64) as usize].id();
                         alice.transfer(vec![OutPoint::new(parent, vout)], vec![], fee)
                     }
                 };
@@ -1034,7 +1035,7 @@ mod tests {
                     assert_eq!((pool.len(), pool.revision()), (len, revision), "case {case}");
                 }
             }
-        }
+        });
 
         // The pinned instance of the caveat: the cheapest pending
         // transaction is the deployment the probe calls, so the quote is

@@ -171,11 +171,6 @@ impl BlockStore {
         self.meta.is_empty()
     }
 
-    /// The genesis block hash, if a genesis has been inserted.
-    pub fn genesis(&self) -> Option<BlockHash> {
-        self.genesis
-    }
-
     /// The canonical tip.
     pub fn best_tip(&self) -> Option<BlockHash> {
         self.best_tip
@@ -187,6 +182,7 @@ impl BlockStore {
     }
 
     /// All current tips (canonical and fork tips).
+    // lint: api-ok(the fork set: the differential reorg and backend suites grow competing branches from it)
     pub fn tips(&self) -> Vec<BlockHash> {
         self.tips.keys().copied().collect()
     }
@@ -218,11 +214,6 @@ impl BlockStore {
     /// in-memory backend).
     pub fn stats(&self) -> StoreStats {
         self.bodies.stats()
-    }
-
-    /// The body backend's name: `"memory"` or `"paged"`.
-    pub fn backend(&self) -> &'static str {
-        self.bodies.stats().backend
     }
 
     /// Write any buffered dirty pages back to the backing file.

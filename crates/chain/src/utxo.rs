@@ -209,7 +209,7 @@ mod tests {
     use super::*;
     use crate::transaction::{coinbase, TxBuilder};
     use ac3_crypto::{Hash256, KeyPair};
-    use proptest::prelude::*;
+    use ac3_seeded::check;
 
     fn addr(seed: &[u8]) -> Address {
         Address::from(KeyPair::from_seed(seed).public())
@@ -356,12 +356,13 @@ mod tests {
         assert_eq!(set.len(), 2);
     }
 
-    proptest! {
-        /// Value conservation: applying any sequence of random valid
-        /// merge/split transfers never changes the total supply (fees are 0
-        /// in this property).
-        #[test]
-        fn prop_value_conserved_under_merge_split(splits in proptest::collection::vec(1u64..5, 1..12)) {
+    /// Value conservation: applying any sequence of random valid
+    /// merge/split transfers never changes the total supply (fees are 0 in
+    /// this property).
+    #[test]
+    fn prop_value_conserved_under_merge_split() {
+        check("ac3_chain::utxo::tests::prop_value_conserved_under_merge_split", 96, |g| {
+            let splits: Vec<u64> = (0..1 + g.below(11)).map(|_| 1 + g.below(4)).collect();
             let mut set = UtxoSet::new();
             let alice = addr(b"alice");
             let mut b = builder(b"alice");
@@ -379,20 +380,23 @@ mod tests {
                 outputs.push(TxOutput::new(alice, total - share * (parts - 1)));
                 let tx = b.transfer(inputs, outputs, 0);
                 set.apply(&tx).unwrap();
-                prop_assert_eq!(total_value(&set), supply);
+                assert_eq!(total_value(&set), supply);
             }
-        }
+        });
+    }
 
-        /// Balances are never negative and never exceed the supply.
-        #[test]
-        fn prop_balance_bounded_by_supply(amounts in proptest::collection::vec(1u64..1000, 1..10)) {
+    /// Balances are never negative and never exceed the supply.
+    #[test]
+    fn prop_balance_bounded_by_supply() {
+        check("ac3_chain::utxo::tests::prop_balance_bounded_by_supply", 96, |g| {
+            let amounts: Vec<u64> = (0..1 + g.below(9)).map(|_| 1 + g.below(999)).collect();
             let mut set = UtxoSet::new();
             let alice = addr(b"alice");
             for (i, a) in amounts.iter().enumerate() {
                 fund(&mut set, alice, *a, i as u8);
             }
-            prop_assert!(set.balance_of(&alice) <= total_value(&set));
-            prop_assert_eq!(set.balance_of(&alice), amounts.iter().sum::<u64>());
-        }
+            assert!(set.balance_of(&alice) <= total_value(&set));
+            assert_eq!(set.balance_of(&alice), amounts.iter().sum::<u64>());
+        });
     }
 }

@@ -18,7 +18,7 @@ use ac3_chain::{
     TxBuilder, TxOutput,
 };
 use ac3_crypto::KeyPair;
-use proptest::Gen;
+use ac3_seeded::check;
 use std::sync::Arc;
 
 fn addr(seed: &[u8]) -> Address {
@@ -64,14 +64,14 @@ fn submit_demand(
 fn base_fee_moves_within_bounds_under_random_demand() {
     // Random schedules × random per-block demand: the per-block movement
     // bound and the floor hold at every canonical extension.
-    let mut rng = Gen::deterministic("base_fee::bounds");
-    for case in 0..8 {
+    check("base_fee::bounds", 8, |g| {
+        let case = g.case();
         let schedule = BaseFeeSchedule {
-            floor: rng.below(4),
-            target_utilisation_pct: 25 + 25 * rng.below(3) as u32, // 25/50/75
-            max_change_pct: rng.below(30) as u32,                  // 0 disables
+            floor: g.below(4),
+            target_utilisation_pct: 25 + 25 * g.below(3) as u32, // 25/50/75
+            max_change_pct: g.below(30) as u32,                  // 0 disables
         };
-        let budget = 2 + rng.below(5); // 2..=6 txs per block
+        let budget = 2 + g.below(5); // 2..=6 txs per block
         let (mut chain, alice) = chain_with(schedule, budget, 512);
         let mut builder = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
         let miner = addr(b"miner");
@@ -79,7 +79,7 @@ fn base_fee_moves_within_bounds_under_random_demand() {
 
         for block in 0..40u64 {
             let before = chain.base_fee();
-            let demand = rng.below(budget + 2); // sometimes overfull, sometimes idle
+            let demand = g.below(budget + 2); // sometimes overfull, sometimes idle
             submit_demand(&mut chain, &mut builder, alice, &mut spent, demand);
             chain.mine_block(miner, 1_000 * (block + 1)).unwrap();
             let after = chain.base_fee();
@@ -97,7 +97,7 @@ fn base_fee_moves_within_bounds_under_random_demand() {
         // The mempool's admission gate always mirrors the canonical state.
         assert_eq!(chain.mempool_fee_floor().max(chain.base_fee()), chain.mempool_fee_floor());
         assert_eq!(chain.state(), &chain.replay_state_from_genesis(), "case {case}: oracle");
-    }
+    });
 }
 
 #[test]
@@ -107,50 +107,56 @@ fn random_reorgs_replay_the_base_fee_from_the_fork_point() {
     // mining (which reorgs onto emptier branches), comparing the full
     // materialized state — base fee included — against the from-genesis
     // replay oracle after every step.
-    let schedule = BaseFeeSchedule::eip1559_like();
-    let (mut chain, alice) = chain_with(schedule, 4, 1024);
-    let mut builder = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
-    let miner = addr(b"miner");
-    let mut rng = Gen::deterministic("base_fee::reorgs");
-    let mut spent = 0u64;
-    let mut reorgs_seen = 0u32;
+    check("base_fee::reorgs", 1, |g| {
+        let schedule = BaseFeeSchedule::eip1559_like();
+        let (mut chain, alice) = chain_with(schedule, 4, 1024);
+        let mut builder = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
+        let miner = addr(b"miner");
+        let mut spent = 0u64;
+        let mut reorgs_seen = 0u32;
 
-    for step in 0..120u64 {
-        let now = 1_000 * (step + 1);
-        let roll = rng.below(10);
-        if roll < 5 {
-            // Extend the tip with random demand (often full blocks, so the
-            // base fee climbs and the branches genuinely disagree on it).
-            submit_demand(&mut chain, &mut builder, alice, &mut spent, rng.below(6));
-            chain.mine_block(miner, now).unwrap();
-        } else {
-            // Mine on an ancestor or — more often than not — a competing
-            // fork tip, so side branches grow long enough to win: the
-            // winning branch carries different fullness history, and its
-            // base fee must be re-derived from the fork point.
-            let tip_before = chain.tip();
-            let parent = if roll >= 7 {
-                chain.store().tips().into_iter().find(|t| *t != tip_before).unwrap_or(tip_before)
+        for step in 0..120u64 {
+            let now = 1_000 * (step + 1);
+            let roll = g.below(10);
+            if roll < 5 {
+                // Extend the tip with random demand (often full blocks, so the
+                // base fee climbs and the branches genuinely disagree on it).
+                submit_demand(&mut chain, &mut builder, alice, &mut spent, g.below(6));
+                chain.mine_block(miner, now).unwrap();
             } else {
-                let depth = 1 + rng.below(4);
-                let height = chain.height().saturating_sub(depth);
-                chain.store().canonical_block_at_height(height).unwrap()
-            };
-            chain.mine_block_on(parent, miner, now).unwrap();
-            if chain.tip() != tip_before && !chain.store().is_canonical(&tip_before) {
-                reorgs_seen += 1;
+                // Mine on an ancestor or — more often than not — a competing
+                // fork tip, so side branches grow long enough to win: the
+                // winning branch carries different fullness history, and its
+                // base fee must be re-derived from the fork point.
+                let tip_before = chain.tip();
+                let parent = if roll >= 7 {
+                    chain
+                        .store()
+                        .tips()
+                        .into_iter()
+                        .find(|t| *t != tip_before)
+                        .unwrap_or(tip_before)
+                } else {
+                    let depth = 1 + g.below(4);
+                    let height = chain.height().saturating_sub(depth);
+                    chain.store().canonical_block_at_height(height).unwrap()
+                };
+                chain.mine_block_on(parent, miner, now).unwrap();
+                if chain.tip() != tip_before && !chain.store().is_canonical(&tip_before) {
+                    reorgs_seen += 1;
+                }
             }
+            let oracle = chain.replay_state_from_genesis();
+            assert_eq!(
+                chain.state(),
+                &oracle,
+                "step {step}: incremental state (incl. base fee) diverged from full replay"
+            );
+            assert_eq!(chain.base_fee(), oracle.base_fee, "step {step}: base fee diverged");
         }
-        let oracle = chain.replay_state_from_genesis();
-        assert_eq!(
-            chain.state(),
-            &oracle,
-            "step {step}: incremental state (incl. base fee) diverged from full replay"
-        );
-        assert_eq!(chain.base_fee(), oracle.base_fee, "step {step}: base fee diverged");
-    }
-    assert!(reorgs_seen > 0, "interleaving never produced a reorg — test lost its teeth");
-    assert!(chain.base_fee() >= schedule.floor);
+        assert!(reorgs_seen > 0, "interleaving never produced a reorg — test lost its teeth");
+        assert!(chain.base_fee() >= schedule.floor);
+    });
 }
 
 #[test]

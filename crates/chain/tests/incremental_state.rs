@@ -13,6 +13,7 @@ use ac3_chain::{
     Address, Amount, BlockHash, Blockchain, ChainId, ChainParams, ContractId, EchoVm, TxBuilder,
 };
 use ac3_crypto::KeyPair;
+use ac3_seeded::Seeded;
 use std::sync::Arc;
 
 fn addr(seed: &[u8]) -> Address {
@@ -21,23 +22,6 @@ fn addr(seed: &[u8]) -> Address {
 
 fn test_chain(allocs: &[(Address, Amount)]) -> Blockchain {
     Blockchain::new(ChainId(0), ChainParams::test("diff"), Arc::new(EchoVm), allocs)
-}
-
-/// Deterministic pseudo-random sequence (splitmix64) so failures reproduce.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
 }
 
 /// The highest tip off the canonical chain, if the store holds a fork.
@@ -82,7 +66,7 @@ fn random_interleaving_of_extends_and_reorgs_matches_oracle() {
     let miner = addr(b"miner");
     let mut chain = test_chain(&[(alice, 100_000), (bob, 50_000)]);
     let mut alice_b = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
-    let mut rng = Rng(0xac3);
+    let mut rng = Seeded::new(0xac3);
     let mut reorgs_seen = 0u32;
 
     for step in 0..120u64 {
@@ -276,7 +260,7 @@ fn canonical_indexes_agree_with_parent_walk() {
     let miner = addr(b"miner");
     let mut chain = test_chain(&[(alice, 50_000)]);
     let mut builder = TxBuilder::new(KeyPair::from_seed(b"alice"), 0);
-    let mut rng = Rng(7);
+    let mut rng = Seeded::new(7);
     let mut submitted = Vec::new();
 
     for step in 0..60u64 {

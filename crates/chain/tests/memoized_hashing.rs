@@ -19,8 +19,8 @@ use ac3_chain::{
     coinbase, Address, Amount, Block, BlockHeader, Blockchain, ChainError, ChainId, ChainParams,
     ContractId, EchoVm, OutPoint, Transaction, TxBuilder, TxId, TxKind, TxOutput, UtxoError,
 };
-use ac3_crypto::{Hash256, KeyPair, MerkleTree, Signature};
-use proptest::prelude::*;
+use ac3_crypto::{merkle, Hash256, KeyPair, MerkleTree, Signature};
+use ac3_seeded::check;
 use std::sync::Arc;
 
 fn addr(seed: &[u8]) -> Address {
@@ -59,13 +59,11 @@ fn arbitrary_tx(builder: &mut TxBuilder, shape: u8, seed: u64, warm: bool) -> Tr
     }
 }
 
-proptest! {
-    #[test]
-    fn memoized_roots_and_proofs_match_canonical_bytes(
-        shapes in proptest::collection::vec(any::<u8>(), 0..24),
-        seed in any::<u64>(),
-        warm in any::<bool>(),
-    ) {
+#[test]
+fn memoized_roots_and_proofs_match_canonical_bytes() {
+    check("memoized_hashing::memoized_roots_and_proofs_match_canonical_bytes", 96, |g| {
+        let shapes: Vec<u8> = (0..g.below(24)).map(|_| g.next_u64() as u8).collect();
+        let (seed, warm) = (g.next_u64(), g.below(2) == 1);
         let mut builder = TxBuilder::new(KeyPair::from_seed(b"prop-signer"), seed);
         let txs: Vec<Transaction> = shapes
             .iter()
@@ -75,9 +73,9 @@ proptest! {
         // The reference: leaves from the canonical bytes of cold copies.
         let leaves: Vec<Vec<u8>> = txs.iter().map(|t| t.clone().canonical_bytes()).collect();
         let expected = MerkleTree::from_leaves(&leaves).root();
-        prop_assert_eq!(Block::compute_tx_root(&txs), expected);
+        assert_eq!(Block::compute_tx_root(&txs), expected);
         // Asking again (now from whatever the first call memoized) agrees.
-        prop_assert_eq!(Block::compute_tx_root(&txs), expected);
+        assert_eq!(Block::compute_tx_root(&txs), expected);
 
         let header = BlockHeader {
             chain: ChainId(0),
@@ -89,17 +87,22 @@ proptest! {
             nonce: 0,
         };
         let block = Block { header, transactions: txs };
-        prop_assert_eq!(Block::compute_tx_root(&block.transactions), block.header.tx_root);
+        assert_eq!(Block::compute_tx_root(&block.transactions), block.header.tx_root);
         // The tree over the memoized leaves — what the block store keeps
         // for proofs — equals the tree over the canonical bytes.
         let memo_leaves = block.transactions.iter().map(Transaction::leaf_hash).collect();
         let tree = MerkleTree::from_leaf_hashes(memo_leaves);
-        prop_assert_eq!(tree.root(), expected);
+        assert_eq!(tree.root(), expected);
         for (i, leaf) in leaves.iter().enumerate() {
             let proof = tree.prove(i).expect("index in range");
-            prop_assert!(proof.verify(&block.header.tx_root, leaf), "leaf {} of {}", i, leaves.len());
+            assert!(
+                proof.verify_hash(&block.header.tx_root, &merkle::leaf_hash(leaf)),
+                "leaf {} of {}",
+                i,
+                leaves.len()
+            );
         }
-    }
+    });
 }
 
 /// One transaction of kind `kind % 4` — transfer, deploy, call or coinbase —
@@ -189,32 +192,31 @@ fn body_mutations(tx: &Transaction) -> Vec<(&'static str, Transaction)> {
     out
 }
 
-proptest! {
-    #[test]
-    fn identity_is_one_body_digest(
-        kinds in proptest::collection::vec(any::<u8>(), 1..5),
-        len in 0usize..16_385,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn identity_is_one_body_digest() {
+    check("memoized_hashing::identity_is_one_body_digest", 96, |g| {
+        let kinds: Vec<u8> = (0..1 + g.below(4)).map(|_| g.next_u64() as u8).collect();
+        let (len, seed) = (g.below(16_385) as usize, g.next_u64());
         let mut builder = TxBuilder::new(KeyPair::from_seed(b"prop-signer"), seed);
         for (i, kind) in kinds.iter().enumerate() {
             let tx = tx_of_kind(&mut builder, *kind, len, seed.wrapping_add(i as u64));
             let (digest, id, leaf) = (tx.digest(), tx.id(), tx.leaf_hash());
-            prop_assert!(tx.signature_valid(), "a built or coinbase transaction verifies");
-            prop_assert_eq!(digest, Hash256::digest(&tx.signing_bytes()));
-            prop_assert!(tx.canonical_bytes().len() <= 49, "{} bytes", tx.canonical_bytes().len());
+            assert!(tx.signature_valid(), "a built or coinbase transaction verifies");
+            assert_eq!(digest, Hash256::digest(&tx.signing_bytes()));
+            assert!(tx.canonical_bytes().len() <= 49, "{} bytes", tx.canonical_bytes().len());
 
             // A decoded copy starts cold and reaches the same identity.
-            let cold: Transaction = serde_json::from_str(&serde_json::to_string(&tx).unwrap()).unwrap();
-            prop_assert_eq!((cold.digest(), cold.id(), cold.leaf_hash()), (digest, id, leaf));
-            prop_assert!(cold.signature_valid());
+            let cold: Transaction =
+                serde_json::from_str(&serde_json::to_string(&tx).unwrap()).unwrap();
+            assert_eq!((cold.digest(), cold.id(), cold.leaf_hash()), (digest, id, leaf));
+            assert!(cold.signature_valid());
 
             for (field, forged) in body_mutations(&tx) {
-                prop_assert_ne!(forged.digest(), digest, "{} left the digest", field);
-                prop_assert_ne!(forged.id(), id, "{} left the id", field);
-                prop_assert_ne!(forged.leaf_hash(), leaf, "{} left the leaf", field);
+                assert_ne!(forged.digest(), digest, "{} left the digest", field);
+                assert_ne!(forged.id(), id, "{} left the id", field);
+                assert_ne!(forged.leaf_hash(), leaf, "{} left the leaf", field);
                 if tx.signature.is_some() {
-                    prop_assert!(!forged.signature_valid(), "{} kept the signature valid", field);
+                    assert!(!forged.signature_valid(), "{} kept the signature valid", field);
                 }
             }
             // The signature is not part of the body: changing it keeps the
@@ -222,12 +224,12 @@ proptest! {
             if let Some(sig) = tx.signature {
                 let mut forged = tx.clone();
                 forged.signature = Some(Signature { s: sig.s ^ 1, ..sig });
-                prop_assert_eq!(forged.digest(), digest);
-                prop_assert_ne!(forged.id(), id);
-                prop_assert!(!forged.signature_valid());
+                assert_eq!(forged.digest(), digest);
+                assert_ne!(forged.id(), id);
+                assert!(!forged.signature_valid());
             }
         }
-    }
+    });
 }
 
 fn chain_pair(allocs: &[(Address, Amount)]) -> (Blockchain, Blockchain) {
@@ -274,7 +276,9 @@ fn mined_blocks_revalidate_on_a_fresh_chain() {
         for tx in &block.transactions {
             let inclusion = chain.tx_inclusion(&tx.id()).unwrap();
             let leaf = tx.clone().canonical_bytes();
-            assert!(inclusion.proof.verify(&inclusion.header.tx_root, &leaf));
+            assert!(inclusion
+                .proof
+                .verify_hash(&inclusion.header.tx_root, &merkle::leaf_hash(&leaf)));
         }
     }
 }

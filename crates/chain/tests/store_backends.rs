@@ -15,8 +15,8 @@ use ac3_chain::{
     Address, Amount, BlockHash, Blockchain, ChainId, ChainParams, EchoVm, PolicyKind, StoreConfig,
     TxBuilder, TxId,
 };
-use ac3_crypto::{KeyPair, MerkleTree};
-use proptest::prelude::*;
+use ac3_crypto::{merkle, KeyPair, MerkleTree};
+use ac3_seeded::{check, Gen};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -151,48 +151,49 @@ fn random_fork_histories_are_identical_across_backends() {
     let bob = addr(b"bob");
 
     for policy in PolicyKind::all() {
-        let mut gen = Gen::deterministic(&format!("store_backends::{}", policy.name()));
-        let (mut memory, mut paged) = twin_chains(policy, &[(alice, 100_000), (bob, 50_000)]);
-        let History { submitted, reorgs: reorgs_seen } =
-            random_fork_history(&mut gen, &mut memory, &mut paged, 100, policy.name());
+        check(&format!("store_backends::{}", policy.name()), 1, |gen| {
+            let (mut memory, mut paged) = twin_chains(policy, &[(alice, 100_000), (bob, 50_000)]);
+            let History { submitted, reorgs: reorgs_seen } =
+                random_fork_history(gen, &mut memory, &mut paged, 100, policy.name());
 
-        // The transaction index agrees for every transaction ever submitted
-        // (canonical location or absence alike).
-        for txid in &submitted {
+            // The transaction index agrees for every transaction ever submitted
+            // (canonical location or absence alike).
+            for txid in &submitted {
+                assert_eq!(
+                    memory.store().find_canonical_tx(txid),
+                    paged.store().find_canonical_tx(txid),
+                    "tx index diverged under {}",
+                    policy.name()
+                );
+            }
+            // Header evidence from genesis agrees.
+            let genesis = memory.store().canonical_block_at_height(0).unwrap();
             assert_eq!(
-                memory.store().find_canonical_tx(txid),
-                paged.store().find_canonical_tx(txid),
-                "tx index diverged under {}",
+                memory.headers_since(&genesis),
+                paged.headers_since(&genesis),
+                "header evidence diverged under {}",
                 policy.name()
             );
-        }
-        // Header evidence from genesis agrees.
-        let genesis = memory.store().genesis().unwrap();
-        assert_eq!(
-            memory.headers_since(&genesis),
-            paged.headers_since(&genesis),
-            "header evidence diverged under {}",
-            policy.name()
-        );
-        assert!(
-            reorgs_seen > 0,
-            "history under {} never reorged — test lost its teeth",
-            policy.name()
-        );
+            assert!(
+                reorgs_seen > 0,
+                "history under {} never reorged — test lost its teeth",
+                policy.name()
+            );
 
-        // The tiny pool really was under pressure: the chain outgrew it by
-        // an order of magnitude and eviction ran.
-        let stats = paged.store_stats();
-        assert_eq!(stats.backend, "paged");
-        assert!(
-            stats.bytes_stored > 10 * 4 * 512,
-            "chain must outgrow the pool ≥10×, got {} bytes under {}",
-            stats.bytes_stored,
-            policy.name()
-        );
-        assert!(stats.evictions > 0, "eviction never ran under {}", policy.name());
-        assert!(stats.hits + stats.misses > 0);
-        assert_eq!(memory.store_stats().backend, "memory");
+            // The tiny pool really was under pressure: the chain outgrew it by
+            // an order of magnitude and eviction ran.
+            let stats = paged.store_stats();
+            assert_eq!(stats.backend, "paged");
+            assert!(
+                stats.bytes_stored > 10 * 4 * 512,
+                "chain must outgrow the pool ≥10×, got {} bytes under {}",
+                stats.bytes_stored,
+                policy.name()
+            );
+            assert!(stats.evictions > 0, "eviction never ran under {}", policy.name());
+            assert!(stats.hits + stats.misses > 0);
+            assert_eq!(memory.store_stats().backend, "memory");
+        });
     }
 }
 
@@ -212,7 +213,9 @@ fn assert_evidence_matches_bodies(chain: &Blockchain, context: &str) {
             let inclusion = chain.tx_inclusion(&tx.id()).expect("a canonical tx has evidence");
             assert_eq!(inclusion.header, block.header, "evidence header ({context})");
             assert_eq!(Some(&inclusion.proof), tree.prove(index).as_ref(), "proof ({context})");
-            assert!(inclusion.proof.verify(&inclusion.header.tx_root, &leaves[index]));
+            assert!(inclusion
+                .proof
+                .verify_hash(&inclusion.header.tx_root, &merkle::leaf_hash(&leaves[index])));
             assert_eq!(inclusion.depth, chain.height() - block.header.height);
         }
     }
@@ -235,20 +238,21 @@ fn assert_evidence_matches_bodies(chain: &Blockchain, context: &str) {
     assert_eq!(seen.len(), store.len(), "every stored block was checked ({context})");
 }
 
-proptest! {
-    #[test]
-    fn inclusion_evidence_and_tx_index_match_the_canonical_bodies(
-        seed in any::<u64>(),
-        steps in 10u64..40,
-    ) {
+#[test]
+fn inclusion_evidence_and_tx_index_match_the_canonical_bodies() {
+    let name = "store_backends::inclusion_evidence_and_tx_index_match_the_canonical_bodies";
+    check(name, 96, |g| {
+        let (seed, steps) = (g.next_u64(), 10 + g.below(30));
         let policy = PolicyKind::all()[(seed % 3) as usize];
-        let mut gen = Gen::deterministic(&format!("evidence::{seed}"));
         let (mut memory, mut paged) =
             twin_chains(policy, &[(addr(b"alice"), 100_000), (addr(b"bob"), 50_000)]);
         let context = format!("seed {seed}, {}", policy.name());
-        random_fork_history(&mut gen, &mut memory, &mut paged, steps, &context);
+        random_fork_history(g, &mut memory, &mut paged, steps, &context);
         for chain in [&memory, &paged] {
-            assert_evidence_matches_bodies(chain, &format!("{context}, {}", chain.store().backend()));
+            assert_evidence_matches_bodies(
+                chain,
+                &format!("{context}, {}", chain.store().stats().backend),
+            );
         }
-    }
+    });
 }

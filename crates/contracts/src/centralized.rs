@@ -8,7 +8,7 @@
 //! signatures is ever issued, which is what makes the scheme's two instances
 //! mutually exclusive.
 
-use crate::swap::{SwapCore, SwapPhase};
+use crate::swap::SwapCore;
 use ac3_chain::{Address, Amount, Payout, VmError};
 use ac3_crypto::{CommitmentScheme, Hash256, PublicKey, Signature, SignatureLock, WitnessDecision};
 use serde::{Deserialize, Serialize};
@@ -86,16 +86,12 @@ impl CentralizedState {
         let ok = self.is_refundable(signature);
         self.core.refund(ok)
     }
-
-    /// The contract phase.
-    pub fn phase(&self) -> SwapPhase {
-        self.core.phase
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swap::SwapPhase;
     use ac3_crypto::KeyPair;
 
     fn addr(seed: &[u8]) -> Address {
@@ -123,7 +119,7 @@ mod tests {
         let sig = decision_sig(&trent, &graph, WitnessDecision::Redeem);
         let payout = sc.redeem(&sig).unwrap();
         assert_eq!(payout.to, addr(b"bob"));
-        assert_eq!(sc.phase(), SwapPhase::Redeemed);
+        assert_eq!(sc.core.phase, SwapPhase::Redeemed);
     }
 
     #[test]
@@ -132,7 +128,7 @@ mod tests {
         let sig = decision_sig(&trent, &graph, WitnessDecision::Refund);
         let payout = sc.refund(&sig).unwrap();
         assert_eq!(payout.to, addr(b"alice"));
-        assert_eq!(sc.phase(), SwapPhase::Refunded);
+        assert_eq!(sc.core.phase, SwapPhase::Refunded);
     }
 
     #[test]
@@ -142,7 +138,7 @@ mod tests {
         let rf = decision_sig(&trent, &graph, WitnessDecision::Refund);
         assert!(sc.refund(&rd).is_err());
         assert!(sc.redeem(&rf).is_err());
-        assert_eq!(sc.phase(), SwapPhase::Published);
+        assert_eq!(sc.core.phase, SwapPhase::Published);
     }
 
     #[test]

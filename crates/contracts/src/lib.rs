@@ -47,7 +47,7 @@ mod htlc {
         use crate::swap::SwapPhase;
         use ac3_chain::{Address, Timestamp, VmError};
         use ac3_crypto::{Hashlock, KeyPair};
-        use proptest::prelude::*;
+        use ac3_seeded::check;
 
         fn addr(seed: &[u8]) -> Address {
             Address::from(KeyPair::from_seed(seed).public())
@@ -72,7 +72,7 @@ mod htlc {
             let payout = c.redeem(addr(b"bob"), one(b"secret")).unwrap();
             assert_eq!(payout.to, addr(b"bob"));
             assert_eq!(payout.amount, 100);
-            assert_eq!(c.phase(), SwapPhase::Redeemed);
+            assert_eq!(c.core.phase, SwapPhase::Redeemed);
             assert_eq!(c.revealed_preimages, Some(one(b"secret")));
         }
 
@@ -80,7 +80,7 @@ mod htlc {
         fn wrong_preimage_rejected() {
             let mut c = htlc(b"secret", 10_000);
             assert!(c.redeem(addr(b"bob"), one(b"guess")).is_err());
-            assert_eq!(c.phase(), SwapPhase::Published);
+            assert_eq!(c.core.phase, SwapPhase::Published);
             assert!(c.revealed_preimages.is_none());
         }
 
@@ -99,7 +99,7 @@ mod htlc {
             assert!(c.refund(addr(b"alice"), 9_999).is_err());
             let payout = c.refund(addr(b"alice"), 10_000).unwrap();
             assert_eq!(payout.to, addr(b"alice"));
-            assert_eq!(c.phase(), SwapPhase::Refunded);
+            assert_eq!(c.core.phase, SwapPhase::Refunded);
         }
 
         #[test]
@@ -135,22 +135,26 @@ mod htlc {
             assert!(sc1.redeem(addr(b"bob"), one(b"alice-secret")).is_err());
         }
 
-        proptest! {
-            #[test]
-            fn prop_refundable_iff_past_timelock(timelock in 0u64..100_000, now in 0u64..200_000) {
+        #[test]
+        fn prop_refundable_iff_past_timelock() {
+            let name = "ac3_contracts::htlc::tests::prop_refundable_iff_past_timelock";
+            check(name, 96, |g| {
+                let (timelock, now) = (g.below(100_000), g.below(200_000));
                 let c = htlc(b"s", timelock);
-                prop_assert_eq!(c.is_refundable(now), now >= timelock);
-            }
+                assert_eq!(c.is_refundable(now), now >= timelock);
+            });
+        }
 
-            #[test]
-            fn prop_only_exact_preimage_redeems(
-                secret in proptest::collection::vec(any::<u8>(), 1..32),
-                guess in proptest::collection::vec(any::<u8>(), 1..32),
-            ) {
+        #[test]
+        fn prop_only_exact_preimage_redeems() {
+            let name = "ac3_contracts::htlc::tests::prop_only_exact_preimage_redeems";
+            check(name, 96, |g| {
+                let secret: Vec<u8> = (0..1 + g.below(31)).map(|_| g.next_u64() as u8).collect();
+                let guess: Vec<u8> = (0..1 + g.below(31)).map(|_| g.next_u64() as u8).collect();
                 let mut c = htlc(&secret, 1_000);
                 let result = c.redeem(addr(b"bob"), vec![guess.clone()]);
-                prop_assert_eq!(result.is_ok(), guess == secret);
-            }
+                assert_eq!(result.is_ok(), guess == secret);
+            });
         }
     }
 }

@@ -18,7 +18,7 @@
 //! the sender refunds and atomicity is violated. The simulation reproduces
 //! that behaviour faithfully (experiment E6).
 
-use crate::swap::{SwapCore, SwapPhase};
+use crate::swap::SwapCore;
 use ac3_chain::{Address, Amount, Payout, Timestamp, VmError};
 use ac3_crypto::{CommitmentScheme, Hash256, Hashlock};
 use serde::{Deserialize, Serialize};
@@ -128,18 +128,14 @@ impl MultiHtlcState {
         }
         self.core.refund(true)
     }
-
-    /// The contract phase.
-    pub fn phase(&self) -> SwapPhase {
-        self.core.phase
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swap::SwapPhase;
     use ac3_crypto::KeyPair;
-    use proptest::prelude::*;
+    use ac3_seeded::check;
 
     fn addr(seed: &[u8]) -> Address {
         Address::from(KeyPair::from_seed(seed).public())
@@ -167,13 +163,13 @@ mod tests {
         assert!(c
             .redeem(addr(b"bob"), vec![b"s1".to_vec(), b"oops".to_vec(), b"s3".to_vec()])
             .is_err());
-        assert_eq!(c.phase(), SwapPhase::Published);
+        assert_eq!(c.core.phase, SwapPhase::Published);
         // The full ordered set succeeds.
         let payout =
             c.redeem(addr(b"bob"), vec![b"s1".to_vec(), b"s2".to_vec(), b"s3".to_vec()]).unwrap();
         assert_eq!(payout.to, addr(b"bob"));
         assert_eq!(payout.amount, 100);
-        assert_eq!(c.phase(), SwapPhase::Redeemed);
+        assert_eq!(c.core.phase, SwapPhase::Redeemed);
         assert_eq!(c.revealed_preimages.as_ref().unwrap().len(), 3);
     }
 
@@ -199,7 +195,7 @@ mod tests {
         assert!(c.refund(addr(b"alice"), 9_999).is_err());
         let payout = c.refund(addr(b"alice"), 10_000).unwrap();
         assert_eq!(payout.to, addr(b"alice"));
-        assert_eq!(c.phase(), SwapPhase::Refunded);
+        assert_eq!(c.core.phase, SwapPhase::Refunded);
         // Redemption after refund is impossible (mutual exclusion).
         assert!(c.redeem(addr(b"bob"), vec![b"s1".to_vec(), b"s2".to_vec()]).is_err());
     }
@@ -221,22 +217,24 @@ mod tests {
         assert!(c.is_redeemable(&[b"only".to_vec()]));
         assert!(!c.is_redeemable(&[b"nope".to_vec()]));
         assert!(c.redeem(addr(b"bob"), vec![b"nope".to_vec()]).is_err());
-        assert_eq!(c.phase(), SwapPhase::Published);
+        assert_eq!(c.core.phase, SwapPhase::Published);
         assert!(c.revealed_preimages.is_none());
         let payout = c.redeem(addr(b"bob"), vec![b"only".to_vec()]).unwrap();
         assert_eq!((payout.to, payout.amount), (addr(b"bob"), 100));
-        assert_eq!(c.phase(), SwapPhase::Redeemed);
+        assert_eq!(c.core.phase, SwapPhase::Redeemed);
         assert_eq!(c.revealed_preimages, Some(vec![b"only".to_vec()]));
         // Redeemed is terminal: the sender cannot refund it afterwards.
         assert!(c.refund(addr(b"alice"), 20_000).is_err());
     }
 
-    proptest! {
-        #[test]
-        fn prop_redeemable_iff_all_preimages_match(
-            secrets in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..16), 1..5),
-            flip in proptest::option::of(0usize..5),
-        ) {
+    #[test]
+    fn prop_redeemable_iff_all_preimages_match() {
+        let name = "ac3_contracts::multihtlc::tests::prop_redeemable_iff_all_preimages_match";
+        check(name, 96, |g| {
+            let secrets: Vec<Vec<u8>> = (0..1 + g.below(4))
+                .map(|_| (0..1 + g.below(15)).map(|_| g.next_u64() as u8).collect())
+                .collect();
+            let flip = (g.below(4) != 0).then(|| g.below(5) as usize);
             let refs: Vec<&[u8]> = secrets.iter().map(|s| s.as_slice()).collect();
             let c = contract(&refs, 1_000);
             let mut guess: Vec<Vec<u8>> = secrets.clone();
@@ -246,13 +244,16 @@ mod tests {
                 }
             }
             let expect_ok = flip.is_none_or(|i| i >= secrets.len());
-            prop_assert_eq!(c.is_redeemable(&guess), expect_ok);
-        }
+            assert_eq!(c.is_redeemable(&guess), expect_ok);
+        });
+    }
 
-        #[test]
-        fn prop_refundable_iff_past_timelock(timelock in 0u64..100_000, now in 0u64..200_000) {
+    #[test]
+    fn prop_refundable_iff_past_timelock() {
+        check("ac3_contracts::multihtlc::tests::prop_refundable_iff_past_timelock", 96, |g| {
+            let (timelock, now) = (g.below(100_000), g.below(200_000));
             let c = contract(&[b"s"], timelock);
-            prop_assert_eq!(c.is_refundable(now), now >= timelock);
-        }
+            assert_eq!(c.is_refundable(now), now >= timelock);
+        });
     }
 }

@@ -10,7 +10,7 @@
 //! depth requirement is the fork-safety rule of Section 4.2/6.3.
 
 use crate::evidence::{ChainAnchor, WitnessStateEvidence};
-use crate::swap::{SwapCore, SwapPhase};
+use crate::swap::SwapCore;
 use ac3_chain::{Address, Amount, ChainId, ContractId, Payout, VmError};
 use ac3_crypto::{StateLock, WitnessState};
 use serde::{Deserialize, Serialize};
@@ -124,16 +124,12 @@ impl PermissionlessState {
         self.is_refundable(evidence)?;
         self.core.refund(true)
     }
-
-    /// The contract phase.
-    pub fn phase(&self) -> SwapPhase {
-        self.core.phase
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swap::SwapPhase;
     use ac3_chain::BlockHash;
     use ac3_crypto::{Hash256, KeyPair};
 
@@ -159,7 +155,7 @@ mod tests {
     #[test]
     fn publish_wires_both_locks_to_the_witness() {
         let s = sample_state();
-        assert_eq!(s.phase(), SwapPhase::Published);
+        assert_eq!(s.core.phase, SwapPhase::Published);
         assert_eq!(s.rd.witness_chain, 9);
         assert_eq!(s.rf.witness_chain, 9);
         assert_eq!(s.rd.required_state, WitnessState::RedeemAuthorized);
@@ -188,6 +184,6 @@ mod tests {
         // The call fails with the verifier's own error.
         assert_eq!(s.redeem(&bogus), Err(s.is_redeemable(&bogus).unwrap_err()));
         assert_eq!(s.refund(&bogus), Err(s.is_refundable(&bogus).unwrap_err()));
-        assert_eq!(s.phase(), SwapPhase::Published);
+        assert_eq!(s.core.phase, SwapPhase::Published);
     }
 }

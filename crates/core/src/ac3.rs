@@ -891,8 +891,8 @@ mod tests {
     use crate::{build_campaign, Ac3tw, Ac3wn};
     use ac3_chain::{Amount, BlockHash, Blockchain, Transaction, TxKind};
     use ac3_contracts::TxInclusionEvidence;
+    use ac3_seeded::check;
     use ac3_sim::{ChainCongestion, CrashWindow, NetworkProfile, OutageWindow, SwapId, WorldError};
-    use proptest::prelude::*;
     use std::sync::{Arc, Mutex};
 
     type Execute = fn(&mut Scenario) -> Result<SwapReport, ProtocolError>;
@@ -1379,18 +1379,20 @@ mod tests {
         assert!(matches!(report.verdict(), AtomicityVerdict::Incomplete { .. }));
     }
 
-    proptest! {
-        /// The differential oracle the fold makes cheap: over every ring
-        /// size and every set of participants down from `t = 0`, the two
-        /// coordinators reach the same decision and leave every edge in the
-        /// same disposition, atomically. The one divergence is by
-        /// construction: with *everyone* down nobody can register `SC_w`,
-        /// so AC3WN ends at once, undecided and with no edge outcomes,
-        /// where Trent — who needs no participant to be registered with —
-        /// waits out the grace period and issues an abort over nothing.
-        #[test]
-        fn prop_coordinators_agree_under_permanent_crashes(n in 2usize..6, crashed in 0u32..32) {
-            let crashed = crashed & ((1 << n) - 1);
+    /// The differential oracle the fold makes cheap: over every ring
+    /// size and every set of participants down from `t = 0`, the two
+    /// coordinators reach the same decision and leave every edge in the
+    /// same disposition, atomically. The one divergence is by
+    /// construction: with *everyone* down nobody can register `SC_w`,
+    /// so AC3WN ends at once, undecided and with no edge outcomes,
+    /// where Trent — who needs no participant to be registered with —
+    /// waits out the grace period and issues an abort over nothing.
+    #[test]
+    fn prop_coordinators_agree_under_permanent_crashes() {
+        let name = "ac3_core::ac3::tests::prop_coordinators_agree_under_permanent_crashes";
+        check(name, 96, |g| {
+            let n = 2 + g.below(4) as usize;
+            let crashed = g.below(32) as u32 & ((1 << n) - 1);
             let [wn, tw] = both().map(|(_, execute, ..)| {
                 let mut s = ring_scenario(n, 10, &ScenarioConfig::default());
                 for i in (0..n).filter(|i| crashed & (1 << i) != 0) {
@@ -1401,19 +1403,18 @@ mod tests {
                 }
                 execute(&mut s).unwrap()
             });
-            prop_assert!(wn.is_atomic() && tw.is_atomic());
-            let dispositions = |r: &SwapReport| -> Vec<_> {
-                r.edges.iter().map(|e| e.disposition).collect()
-            };
+            assert!(wn.is_atomic() && tw.is_atomic());
+            let dispositions =
+                |r: &SwapReport| -> Vec<_> { r.edges.iter().map(|e| e.disposition).collect() };
             if crashed == (1 << n) - 1 {
-                prop_assert_eq!((wn.decision, tw.decision), (None, Some(false)));
-                prop_assert!(wn.edges.is_empty());
-                prop_assert_eq!(dispositions(&tw), vec![EdgeDisposition::Unpublished; n]);
+                assert_eq!((wn.decision, tw.decision), (None, Some(false)));
+                assert!(wn.edges.is_empty());
+                assert_eq!(dispositions(&tw), vec![EdgeDisposition::Unpublished; n]);
             } else {
-                prop_assert_eq!(wn.decision, Some(crashed == 0));
-                prop_assert_eq!(wn.decision, tw.decision);
-                prop_assert_eq!(dispositions(&wn), dispositions(&tw));
+                assert_eq!(wn.decision, Some(crashed == 0));
+                assert_eq!(wn.decision, tw.decision);
+                assert_eq!(dispositions(&wn), dispositions(&tw));
             }
-        }
+        });
     }
 }

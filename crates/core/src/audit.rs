@@ -145,7 +145,7 @@ mod tests {
     use crate::graph::SwapEdge;
     use ac3_chain::{Address, ChainId};
     use ac3_crypto::KeyPair;
-    use proptest::prelude::*;
+    use ac3_seeded::check;
 
     fn outcome(d: EdgeDisposition) -> EdgeOutcome {
         let a = Address::from(KeyPair::from_seed(b"a").public());
@@ -235,22 +235,28 @@ mod tests {
         assert_eq!(v, AtomicityVerdict::Incomplete { refunded: 0, locked: 0, unpublished: 0 });
     }
 
-    proptest! {
-        #[test]
-        fn prop_verdict_is_atomic_iff_not_mixed(dispositions in proptest::collection::vec(0u8..4, 1..12)) {
-            let outcomes: Vec<EdgeOutcome> = dispositions.iter().map(|d| outcome(match d {
-                0 => EdgeDisposition::Unpublished,
-                1 => EdgeDisposition::Locked,
-                2 => EdgeDisposition::Redeemed,
-                _ => EdgeDisposition::Refunded,
-            })).collect();
+    #[test]
+    fn prop_verdict_is_atomic_iff_not_mixed() {
+        check("ac3_core::audit::tests::prop_verdict_is_atomic_iff_not_mixed", 96, |g| {
+            let dispositions: Vec<u64> = (0..1 + g.below(11)).map(|_| g.below(4)).collect();
+            let outcomes: Vec<EdgeOutcome> = dispositions
+                .iter()
+                .map(|d| {
+                    outcome(match d {
+                        0 => EdgeDisposition::Unpublished,
+                        1 => EdgeDisposition::Locked,
+                        2 => EdgeDisposition::Redeemed,
+                        _ => EdgeDisposition::Refunded,
+                    })
+                })
+                .collect();
             let redeemed = dispositions.iter().filter(|d| **d == 2).count();
             let refunded = dispositions.iter().filter(|d| **d == 3).count();
             let v = AtomicityVerdict::from_outcomes(&outcomes);
             // A violation is exactly the coexistence of conflicting terminal
             // outcomes: something redeemed AND something refunded.
             let expected_atomic = redeemed == 0 || refunded == 0;
-            prop_assert_eq!(v.is_atomic(), expected_atomic);
-        }
+            assert_eq!(v.is_atomic(), expected_atomic);
+        });
     }
 }

@@ -34,7 +34,7 @@
 //!   unit of adversary spend.
 //!
 //! **Determinism.** A campaign is a pure function of its seed. The plan is
-//! drawn by a [`CampaignRng`] (SplitMix64); every adversary is a
+//! drawn from a [`Seeded`] stream at the campaign's seed; every adversary is a
 //! [`SwapMachine`] polled by the scheduler in submission order with a
 //! conservative [`MachineFootprint`], so the parallel scheduler's shard
 //! merge barrier serializes an injected fault with every machine that could
@@ -49,6 +49,7 @@ use crate::{Ac3tw, Ac3wn, Herlihy, HerlihyMulti};
 use ac3_chain::{Address, Amount, ChainId, ContractId, OutPoint, Timestamp, TxId, TxOutput};
 use ac3_contracts::{ContractCall, EquivocationProof, SignedDecision, WitnessCall};
 use ac3_crypto::{Hash256, KeyPair, WitnessDecision};
+use ac3_seeded::Seeded;
 use ac3_sim::{
     ChainApi, CrashWindow, EventKind, Fault, NetworkProfile, OutageWindow, ParticipantSet, SwapId,
     Timeline,
@@ -68,46 +69,6 @@ const RETRY_MS: u64 = 1_000;
 /// Hard cap on how long an equivocator waits for its fraud proof to be
 /// included before declaring the campaign world broken.
 const SLASH_INCLUSION_CAP_MS: u64 = 600_000;
-
-// ---------------------------------------------------------------------------
-// Seeded randomness
-// ---------------------------------------------------------------------------
-
-/// A SplitMix64 generator: tiny, seedable, and fully deterministic — the
-/// campaign's only source of randomness, so a plan is reproducible from its
-/// `u64` seed alone.
-#[derive(Debug, Clone)]
-pub struct CampaignRng(u64);
-
-impl CampaignRng {
-    /// A generator at `seed`.
-    pub fn new(seed: u64) -> Self {
-        CampaignRng(seed)
-    }
-
-    /// The next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A value in `[0, bound)`; 0 when `bound` is 0.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-
-    /// A fair coin.
-    pub fn coin(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Plans
@@ -228,9 +189,9 @@ impl CampaignPlan {
         witness_chains: &[ChainId],
         crash_candidates: &[String],
     ) -> Self {
-        let mut rng = CampaignRng::new(seed);
+        let mut rng = Seeded::new(seed);
         let mut events = Vec::new();
-        let window = |rng: &mut CampaignRng, from: Timestamp| {
+        let window = |rng: &mut Seeded, from: Timestamp| {
             let spread = space.max_window_ms.saturating_sub(space.min_window_ms);
             OutageWindow { from, until: from + space.min_window_ms + rng.below(spread) }
         };
@@ -284,14 +245,14 @@ impl CampaignPlan {
             let witness_chain = witness_chains[rng.below(witness_chains.len() as u64) as usize];
             events.push(CampaignEvent {
                 at: start + rng.below(space.horizon_ms),
-                fault: Fault::Bribe { witness_chain, commit: rng.coin() },
+                fault: Fault::Bribe { witness_chain, commit: rng.below(2) == 1 },
             });
         }
         // Griefing bursts run longer as the budget grows (half a
         // millisecond of extra window per budgeted fee unit, capped at the
         // horizon): a richer adversary sustains the attack, it does not
         // merely bid into the same short window.
-        let grief_window = |rng: &mut CampaignRng, from: Timestamp| {
+        let grief_window = |rng: &mut Seeded, from: Timestamp| {
             let w = window(rng, from);
             let stretch = (space.griefing_budget / 2).min(space.horizon_ms);
             OutageWindow { from: w.from, until: w.until + stretch }
@@ -1346,24 +1307,6 @@ pub(crate) fn adversary_machines(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_bounded() {
-        let a: Vec<u64> = {
-            let mut rng = CampaignRng::new(42);
-            (0..8).map(|_| rng.next_u64()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut rng = CampaignRng::new(42);
-            (0..8).map(|_| rng.next_u64()).collect()
-        };
-        assert_eq!(a, b);
-        let mut rng = CampaignRng::new(7);
-        for _ in 0..100 {
-            assert!(rng.below(13) < 13);
-        }
-        assert_eq!(CampaignRng::new(9).below(0), 0);
-    }
 
     #[test]
     fn random_plans_are_seed_deterministic() {

@@ -78,8 +78,8 @@ pub use ac3wn::Ac3wn;
 pub use attack::{execute_fork_attack, ForkAttackConfig, ForkAttackReport};
 pub use audit::AtomicityVerdict;
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignEvent, CampaignPlan, CampaignReport, CampaignRng,
-    CampaignSpace, ProtocolLane, WitnessBond,
+    Campaign, CampaignConfig, CampaignEvent, CampaignPlan, CampaignReport, CampaignSpace,
+    ProtocolLane, WitnessBond,
 };
 pub use campaign_run::{build_campaign, run_campaign};
 pub use driver::{drive, drive_until, MachineFootprint, Step, SwapMachine};

@@ -12,9 +12,6 @@
 //!    profile fingerprints identically at 1, 2 and 4 workers: link RNG
 //!    state moves with its chain slot when the world is sharded, so
 //!    per-message sampling replays the serial stream verbatim.
-//!
-//! The CI thread matrix extends the default worker set through the
-//! `AC3_DETERMINISM_WORKERS` environment variable (comma-separated counts).
 
 use ac3_core::scenario::{clustered_swaps_scenario, MultiSwapScenario, ScenarioConfig};
 use ac3_core::{Ac3tw, Ac3wn, Herlihy, HerlihyMulti, ProtocolConfig, Scheduler, SwapMachine};
@@ -138,22 +135,6 @@ fn counter(stats: &serde_json::Value, key: &str) -> u64 {
     stats.as_object().and_then(|o| o.get(key)).and_then(|v| v.as_u64()).expect("counter present")
 }
 
-/// Worker counts under test: 1 (the unsplit reference run), 2 and 4, plus
-/// anything the CI matrix injects via `AC3_DETERMINISM_WORKERS`.
-fn worker_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4];
-    if let Ok(extra) = std::env::var("AC3_DETERMINISM_WORKERS") {
-        for w in extra.split(',') {
-            if let Ok(w) = w.trim().parse::<usize>() {
-                counts.push(w);
-            }
-        }
-    }
-    counts.sort();
-    counts.dedup();
-    counts
-}
-
 /// The API-redesign acceptance test, part 1: a batch routed through links
 /// under a zero profile is not merely equivalent to one with no network —
 /// it is bitwise identical, timeline, ledger and chain state included, at
@@ -175,7 +156,7 @@ fn zero_profile_networked_batch_matches_direct_bitwise() {
         serde_json::to_string(&serde_json::Value::Object(kept)).unwrap()
     };
     let direct = strip(&fingerprint(1, None));
-    for &w in &worker_counts() {
+    for w in [1, 2, 4] {
         let networked = fingerprint(w, Some(NetworkProfile::zero(0xAC3)));
         assert_eq!(
             strip(&networked),
@@ -189,9 +170,9 @@ fn zero_profile_networked_batch_matches_direct_bitwise() {
 }
 
 /// The API-redesign acceptance test, part 2: a seeded lossy, high-latency
-/// batch fingerprints bitwise-identically at 1, 2 and 4 workers (+ CI
-/// matrix) — network counters included — and the profile demonstrably did
-/// something (messages were delayed and dropped).
+/// batch fingerprints bitwise-identically at 1, 2 and 4 workers — network
+/// counters included — and the profile demonstrably did something
+/// (messages were delayed and dropped).
 #[test]
 fn seeded_lossy_batch_is_bitwise_identical_at_every_worker_count() {
     let profile = NetworkProfile {
@@ -200,14 +181,12 @@ fn seeded_lossy_batch_is_bitwise_identical_at_every_worker_count() {
         latency_max_ms: 400,
         drop_per_mille: 60,
     };
-    let counts = worker_counts();
-    let reference = fingerprint(counts[0], Some(profile));
-    for &w in &counts[1..] {
+    let reference = fingerprint(1, Some(profile));
+    for w in [2, 4] {
         assert_eq!(
             fingerprint(w, Some(profile)),
             reference,
-            "workers={w} diverged from workers={} under the lossy profile",
-            counts[0]
+            "workers={w} diverged from workers=1 under the lossy profile"
         );
     }
     let stats = network_counters(&reference);

@@ -4,9 +4,6 @@
 //! state. Within a shard the parallel scheduler replays the serial
 //! instruction stream verbatim; across shards there is no shared state —
 //! so these tests compare *bitwise*, not approximately.
-//!
-//! The CI thread matrix extends the default worker set through the
-//! `AC3_DETERMINISM_WORKERS` environment variable (comma-separated counts).
 
 use ac3_core::scenario::{clustered_swaps_scenario, MultiSwapScenario, ScenarioConfig};
 use ac3_core::{Ac3tw, Ac3wn, Herlihy, HerlihyMulti, ProtocolConfig, Scheduler, SwapMachine};
@@ -114,46 +111,23 @@ fn fingerprint(workers: usize) -> (String, Vec<String>) {
     (serde_json::to_string(&fp).unwrap(), raw_timeline)
 }
 
-/// Worker counts under test: 1 (the unsplit reference run), 2, 4, 8, plus
-/// anything the CI matrix injects via `AC3_DETERMINISM_WORKERS`.
-fn worker_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4, 8];
-    if let Ok(extra) = std::env::var("AC3_DETERMINISM_WORKERS") {
-        for w in extra.split(',') {
-            if let Ok(w) = w.trim().parse::<usize>() {
-                counts.push(w);
-            }
-        }
-    }
-    counts.sort();
-    counts.dedup();
-    counts
-}
-
 /// The tentpole acceptance test: the same seeded batch run serially and at
-/// 2/4/8 (+ CI matrix) worker threads yields bitwise-identical swap
+/// 2/4/8 worker threads yields bitwise-identical swap
 /// timelines, fee ledgers, chain state and `BatchReport`s.
 #[test]
 fn same_batch_is_bitwise_identical_at_every_worker_count() {
-    let counts = worker_counts();
-    let (reference, _) = fingerprint(counts[0]);
+    let (reference, _) = fingerprint(1);
     let mut parallel_raw: Option<(usize, Vec<String>)> = None;
-    for &w in &counts[1..] {
+    for w in [2, 4, 8] {
         let (fp, raw) = fingerprint(w);
-        assert_eq!(
-            fp, reference,
-            "workers={w} diverged from workers={} on the same batch",
-            counts[0]
-        );
+        assert_eq!(fp, reference, "workers={w} diverged from workers=1 on the same batch");
         // Among *parallel* runs even the raw global timeline is identical:
         // shards are always absorbed in first-machine order, regardless of
         // which thread finished first.
-        if w > 1 {
-            if let Some((w0, ref raw0)) = parallel_raw {
-                assert_eq!(&raw, raw0, "raw timelines of workers={w} and workers={w0} diverged");
-            } else {
-                parallel_raw = Some((w, raw));
-            }
+        if let Some((w0, ref raw0)) = parallel_raw {
+            assert_eq!(&raw, raw0, "raw timelines of workers={w} and workers={w0} diverged");
+        } else {
+            parallel_raw = Some((w, raw));
         }
     }
 }
@@ -211,7 +185,7 @@ fn parallel_budget_exhaustion_matches_serial() {
 /// campaign — crashes, partitions, forks, an equivocating witness, a
 /// bribed attestation, a mempool flood and a base-fee spike, all injected
 /// mid-batch through the scheduler — fingerprints bitwise-identically at
-/// 1, 2 and 4 workers (+ the CI matrix). The campaign fingerprint folds in
+/// 1, 2 and 4 workers. The campaign fingerprint folds in
 /// the slash count and final chain state on top of the batch observables,
 /// and CI re-runs this test under both `AC3_STORE_BACKEND` values.
 #[test]
@@ -232,16 +206,9 @@ fn adversarial_campaign_is_bitwise_identical_at_every_worker_count() {
         );
         report.fingerprint
     };
-    let mut counts = worker_counts();
-    counts.retain(|w| *w <= 4);
-    let reference = run(counts[0]);
-    for &w in &counts[1..] {
-        assert_eq!(
-            run(w),
-            reference,
-            "workers={w} diverged from workers={} on the same campaign",
-            counts[0]
-        );
+    let reference = run(1);
+    for w in [2, 4] {
+        assert_eq!(run(w), reference, "workers={w} diverged from workers=1 on the same campaign");
     }
 }
 

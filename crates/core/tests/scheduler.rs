@@ -14,8 +14,8 @@ use ac3_core::{
     Ac3tw, Ac3wn, AtomicityVerdict, Herlihy, HerlihyMulti, MultiSwapScenario, ProtocolConfig,
     Scheduler, SwapMachine,
 };
+use ac3_seeded::check;
 use ac3_sim::{CrashWindow, SwapId};
-use proptest::Gen;
 
 fn protocol_cfg() -> ProtocolConfig {
     ProtocolConfig { witness_depth: 3, deployment_depth: 3, ..Default::default() }
@@ -81,12 +81,11 @@ enum Fate {
 /// Concurrent-scheduler property test: a random mix of committing, aborting
 /// and crash-recovering swaps runs concurrently; every swap must pass the
 /// atomicity audit and the incremental chain state must survive intact.
-/// Uses the deterministic proptest generator directly so the number of
-/// simulated batches stays bounded.
+/// Runs 12 cases so the number of simulated batches stays bounded.
 #[test]
 fn property_random_fate_mix_stays_atomic() {
-    let mut gen = Gen::deterministic("scheduler::property_random_fate_mix_stays_atomic");
-    for case in 0..12 {
+    check("scheduler::property_random_fate_mix_stays_atomic", 12, |gen| {
+        let case = gen.case();
         let swaps = 2 + gen.below(5) as usize; // 2..=6
         let chains = 2 + gen.below(3) as usize; // 2..=4
         let fates: Vec<Fate> = (0..swaps)
@@ -149,7 +148,7 @@ fn property_random_fate_mix_stays_atomic() {
             }
         }
         s.world.assert_state_integrity();
-    }
+    });
 }
 
 /// The acceptance workload: 64 concurrent AC2Ts over 4 shared asset chains

@@ -201,7 +201,7 @@ impl CommitmentScheme for StateLock {
 mod tests {
     use super::*;
     use crate::schnorr::KeyPair;
-    use proptest::prelude::*;
+    use ac3_seeded::check;
 
     #[test]
     fn hashlock_opens_with_correct_secret_only() {
@@ -272,22 +272,26 @@ mod tests {
         assert_ne!(WitnessDecision::Redeem.tag(), WitnessDecision::Refund.tag());
     }
 
-    proptest! {
-        #[test]
-        fn prop_hashlock_rejects_non_preimages(secret in proptest::collection::vec(any::<u8>(), 0..64),
-                                               other in proptest::collection::vec(any::<u8>(), 0..64)) {
+    #[test]
+    fn prop_hashlock_rejects_non_preimages() {
+        check("ac3_crypto::commitment::tests::prop_hashlock_rejects_non_preimages", 96, |g| {
+            let secret: Vec<u8> = (0..g.below(64)).map(|_| g.next_u64() as u8).collect();
+            let other: Vec<u8> = (0..g.below(64)).map(|_| g.next_u64() as u8).collect();
             let lock = Hashlock::from_secret(&secret);
-            prop_assert!(lock.verify(&secret));
+            assert!(lock.verify(&secret));
             if other != secret {
-                prop_assert!(!lock.verify(&other));
+                assert!(!lock.verify(&other));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn prop_state_lock_depth_monotone(min_depth in 0u64..100, depth in 0u64..200) {
+    #[test]
+    fn prop_state_lock_depth_monotone() {
+        check("ac3_crypto::commitment::tests::prop_state_lock_depth_monotone", 96, |g| {
+            let (min_depth, depth) = (g.below(100), g.below(200));
             let lock = StateLock::new(0, Hash256::ZERO, WitnessState::RedeemAuthorized, min_depth);
             let obs = ObservedWitnessState { state: WitnessState::RedeemAuthorized, depth };
-            prop_assert_eq!(lock.verify(&obs), depth >= min_depth);
-        }
+            assert_eq!(lock.verify(&obs), depth >= min_depth);
+        });
     }
 }

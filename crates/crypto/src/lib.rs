@@ -53,17 +53,12 @@ pub use multisig::{GraphMultisig, MultisigError};
 pub use schnorr::{KeyPair, PublicKey, SecretKey, Signature, SignatureError};
 pub use sha256::{sha256, Sha256};
 
-/// Convenience function: hash arbitrary bytes and return a [`Hash256`].
-pub fn hash_bytes(data: &[u8]) -> Hash256 {
-    Hash256::from(sha256(data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn hash_bytes_matches_sha256() {
-        assert_eq!(hash_bytes(b"abc").as_bytes(), &sha256(b"abc"));
+        assert_eq!(Hash256::digest(b"abc").as_bytes(), &sha256(b"abc"));
     }
 }

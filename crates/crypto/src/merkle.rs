@@ -125,12 +125,8 @@ pub struct MerkleProof {
 }
 
 impl MerkleProof {
-    /// Verify that `leaf_data` is included under `root` at the proof's index.
-    pub fn verify(&self, root: &Hash256, leaf_data: &[u8]) -> bool {
-        self.verify_hash(root, &leaf_hash(leaf_data))
-    }
-
-    /// Verify against an already-hashed leaf.
+    /// Verify that the leaf hashed to `leaf` (see [`leaf_hash`]) is included
+    /// under `root` at the proof's index.
     pub fn verify_hash(&self, root: &Hash256, leaf: &Hash256) -> bool {
         let mut acc = *leaf;
         let mut idx = self.leaf_index;
@@ -149,7 +145,7 @@ impl MerkleProof {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use ac3_seeded::check;
 
     fn leaves(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("tx-{i}").into_bytes()).collect()
@@ -178,7 +174,7 @@ mod tests {
             let tree = MerkleTree::from_leaves(&data);
             for (i, leaf) in data.iter().enumerate() {
                 let proof = tree.prove(i).expect("in range");
-                assert!(proof.verify(&tree.root(), leaf), "n={n} i={i}");
+                assert!(proof.verify_hash(&tree.root(), &leaf_hash(leaf)), "n={n} i={i}");
             }
         }
     }
@@ -188,9 +184,9 @@ mod tests {
         let data = leaves(8);
         let tree = MerkleTree::from_leaves(&data);
         let proof = tree.prove(3).unwrap();
-        assert!(!proof.verify(&tree.root(), b"not-a-tx"));
+        assert!(!proof.verify_hash(&tree.root(), &leaf_hash(b"not-a-tx")));
         let other = MerkleTree::from_leaves(leaves(9));
-        assert!(!proof.verify(&other.root(), &data[3]));
+        assert!(!proof.verify_hash(&other.root(), &leaf_hash(&data[3])));
     }
 
     #[test]
@@ -199,7 +195,7 @@ mod tests {
         let tree = MerkleTree::from_leaves(&data);
         let mut proof = tree.prove(3).unwrap();
         proof.leaf_index = 4;
-        assert!(!proof.verify(&tree.root(), &data[3]));
+        assert!(!proof.verify_hash(&tree.root(), &leaf_hash(&data[3])));
     }
 
     #[test]
@@ -225,36 +221,41 @@ mod tests {
         assert_ne!(a.root(), b.root());
     }
 
-    proptest! {
-        #[test]
-        fn prop_all_proofs_verify(n in 1usize..40, seed in any::<u64>()) {
-            let data: Vec<Vec<u8>> = (0..n)
-                .map(|i| format!("leaf-{seed}-{i}").into_bytes())
-                .collect();
+    #[test]
+    fn prop_all_proofs_verify() {
+        check("ac3_crypto::merkle::tests::prop_all_proofs_verify", 96, |g| {
+            let (n, seed) = (1 + g.below(39), g.next_u64());
+            let data: Vec<Vec<u8>> =
+                (0..n).map(|i| format!("leaf-{seed}-{i}").into_bytes()).collect();
             let tree = MerkleTree::from_leaves(&data);
             for (i, leaf) in data.iter().enumerate() {
                 let proof = tree.prove(i).unwrap();
-                prop_assert!(proof.verify(&tree.root(), leaf));
+                assert!(proof.verify_hash(&tree.root(), &leaf_hash(leaf)));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn prop_cross_leaf_proofs_fail(n in 2usize..24) {
-            let data = leaves(n);
+    #[test]
+    fn prop_cross_leaf_proofs_fail() {
+        check("ac3_crypto::merkle::tests::prop_cross_leaf_proofs_fail", 96, |g| {
+            let data = leaves(2 + g.below(22) as usize);
             let tree = MerkleTree::from_leaves(&data);
             let proof = tree.prove(0).unwrap();
             // Proof for leaf 0 must not validate leaf 1.
-            prop_assert!(!proof.verify(&tree.root(), &data[1]));
-        }
+            assert!(!proof.verify_hash(&tree.root(), &leaf_hash(&data[1])));
+        });
+    }
 
-        #[test]
-        fn prop_root_changes_when_any_leaf_changes(n in 1usize..24, idx in 0usize..24) {
-            let idx = idx % n;
+    #[test]
+    fn prop_root_changes_when_any_leaf_changes() {
+        check("ac3_crypto::merkle::tests::prop_root_changes_when_any_leaf_changes", 96, |g| {
+            let n = 1 + g.below(23) as usize;
+            let idx = g.below(24) as usize % n;
             let mut data = leaves(n);
             let before = MerkleTree::from_leaves(&data).root();
             data[idx] = b"mutated".to_vec();
             let after = MerkleTree::from_leaves(&data).root();
-            prop_assert_ne!(before, after);
-        }
+            assert_ne!(before, after);
+        });
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The linter is dependency-free, so this module implements the small TOML
 //! subset the committed configuration actually uses: `[section]` headers,
-//! `key = "string"`, `key = true|false`, and (possibly multi-line) arrays
-//! of strings. Unknown sections and keys are hard errors — a typo in the
-//! rule configuration must not silently disable a rule.
+//! `key = "string"` and (possibly multi-line) arrays of strings. Unknown
+//! sections and keys are hard errors — a typo in the rule configuration
+//! must not silently disable a rule.
 
 use std::collections::BTreeMap;
 
@@ -13,7 +13,6 @@ use std::collections::BTreeMap;
 pub struct Section {
     strings: BTreeMap<String, String>,
     arrays: BTreeMap<String, Vec<String>>,
-    bools: BTreeMap<String, bool>,
 }
 
 impl Section {
@@ -27,14 +26,9 @@ impl Section {
         self.arrays.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// A boolean value.
-    pub fn bool(&self, key: &str) -> Option<bool> {
-        self.bools.get(key).copied()
-    }
-
     /// Every key present in this section (for validation).
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.strings.keys().chain(self.arrays.keys()).chain(self.bools.keys()).map(String::as_str)
+        self.strings.keys().chain(self.arrays.keys()).map(String::as_str)
     }
 }
 
@@ -86,8 +80,6 @@ impl Config {
                 let items = parse_string_array(&value)
                     .map_err(|e| format!("line {lineno}: array for `{key}`: {e}"))?;
                 config.sections.get_mut(section).unwrap().arrays.insert(key, items);
-            } else if value == "true" || value == "false" {
-                config.sections.get_mut(section).unwrap().bools.insert(key, value == "true");
             } else if let Some(s) = parse_string(&value) {
                 config.sections.get_mut(section).unwrap().strings.insert(key, s);
             } else {
@@ -189,7 +181,6 @@ mod tests {
             ]
             [no-unsafe]
             require-forbid = ["src/lib.rs"]
-            strict = true
             label = "forbid"
             "#,
         )
@@ -198,8 +189,9 @@ mod tests {
         assert_eq!(wc.array("crates"), ["crates/core/src", "crates/sim/src"]);
         assert_eq!(wc.array("banned-modules"), ["std::time"]);
         let nu = config.section("no-unsafe").unwrap();
-        assert_eq!(nu.bool("strict"), Some(true));
         assert_eq!(nu.string("label"), Some("forbid"));
+        // No rule key is boolean, so a bare `true` is an unsupported value.
+        assert!(Config::parse("[no-unsafe]\nstrict = true").is_err());
     }
 
     #[test]

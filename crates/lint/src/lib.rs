@@ -42,7 +42,7 @@ pub use config::Config;
 pub use report::{Finding, Report};
 
 use rules::FileCtx;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The rule names the engine understands, in execution order.
@@ -146,7 +146,7 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
         files.sort();
         let rels = prepare_paths(&files, &mut cache)?;
         // Every name the non-test code in scope, or calling into it, uses.
-        let mut callers = BTreeSet::new();
+        let mut callers = rules::Callers::default();
         if rule == "test-only-pub" {
             let mut caller_files = Vec::new();
             for caller_root in CALLER_ONLY_ROOTS.iter().map(|r| root.join(r)) {
@@ -156,7 +156,7 @@ pub fn run(root: &Path, config: &Config) -> Result<Report, String> {
             }
             let caller_rels = prepare_paths(&caller_files, &mut cache)?;
             for rel in rels.iter().chain(&caller_rels) {
-                rules::collect_names(&cache.get(rel).expect("prepared above").tokens, &mut callers);
+                callers.collect(&cache.get(rel).expect("prepared above").tokens);
             }
         }
         for rel in &rels {

@@ -556,34 +556,54 @@ fn is_use_decl(tokens: &[Spanned], i: usize) -> bool {
         && !matches!(i.checked_sub(1).map(|p| &tokens[p].tok), Some(Tok::PathSep | Tok::Punct('.')))
 }
 
-/// Add to `names` every identifier the code in `tokens` names. The name a
-/// definition introduces and the paths of `use` declarations are left out:
-/// neither defining nor re-exporting an item calls it.
-pub fn collect_names(tokens: &[Spanned], names: &mut BTreeSet<String>) {
-    let mut i = 0;
-    while i < tokens.len() {
-        if is_use_decl(tokens, i) {
-            while i < tokens.len() && tokens[i].tok != Tok::Punct(';') {
-                i += 1;
+/// The names non-test code uses, for the `test-only-pub` rule.
+#[derive(Debug, Default)]
+pub struct Callers {
+    /// Every identifier named.
+    names: BTreeSet<String>,
+    /// The identifiers named in call shape: `name(`, `name::<` or `::name`.
+    /// Only these reach a fn: a type, local or field (`.name` without a
+    /// call) of the same name does not.
+    calls: BTreeSet<String>,
+}
+
+impl Callers {
+    /// Add every identifier the code in `tokens` names. The name a
+    /// definition introduces and the paths of `use` declarations are left
+    /// out: neither defining nor re-exporting an item calls it.
+    pub fn collect(&mut self, tokens: &[Spanned]) {
+        let mut i = 0;
+        while i < tokens.len() {
+            if is_use_decl(tokens, i) {
+                while i < tokens.len() && tokens[i].tok != Tok::Punct(';') {
+                    i += 1;
+                }
+                continue;
             }
-            continue;
-        }
-        if let Tok::Ident(id) = &tokens[i].tok {
-            let defined = i > 0
-                && matches!(&tokens[i - 1].tok, Tok::Ident(kw) if DEFINING_KEYWORDS.contains(&kw.as_str()));
-            if !defined {
-                names.insert(id.clone());
+            if let Tok::Ident(id) = &tokens[i].tok {
+                let before = i.checked_sub(1).map(|p| &tokens[p].tok);
+                if !matches!(before, Some(Tok::Ident(kw)) if DEFINING_KEYWORDS.contains(&kw.as_str()))
+                {
+                    self.names.insert(id.clone());
+                    let after = |k: usize| tokens.get(i + k).map(|t| &t.tok);
+                    let called = before == Some(&Tok::PathSep)
+                        || after(1) == Some(&Tok::Punct('('))
+                        || (after(1) == Some(&Tok::PathSep) && after(2) == Some(&Tok::Punct('<')));
+                    if called {
+                        self.calls.insert(id.clone());
+                    }
+                }
             }
+            i += 1;
         }
-        i += 1;
     }
 }
 
 /// The `test-only-pub` rule: a plain-`pub` fn, struct, enum, trait, const or
-/// type that no non-test code names (`callers`, from [`collect_names`] over
-/// every caller) is surface only tests hold up. Delete it, or justify it as
+/// type that no non-test code names (`callers`; a fn only counts as named
+/// when called) is surface only tests hold up. Delete it, or justify it as
 /// intended API with `// lint: api-ok(<why>)`.
-pub fn test_only_pub(ctx: &FileCtx, callers: &BTreeSet<String>) -> Vec<Finding> {
+pub fn test_only_pub(ctx: &FileCtx, callers: &Callers) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (i, s) in ctx.tokens.iter().enumerate() {
         if !matches!(&s.tok, Tok::Ident(id) if id == "pub") {
@@ -599,8 +619,9 @@ pub fn test_only_pub(ctx: &FileCtx, callers: &BTreeSet<String>) -> Vec<Finding> 
             k += 1;
         }
         let (Some(kind), Some(name)) = (ident(k), ident(k + 1)) else { continue };
+        let named = if kind == "fn" { &callers.calls } else { &callers.names };
         if !PUB_ITEM_KINDS.contains(&kind)
-            || callers.contains(name)
+            || named.contains(name)
             || ctx.waived("api", s.line).is_some()
         {
             continue;
@@ -756,8 +777,8 @@ mod tests {
                    #[cfg(test)]\n\
                    mod tests { fn t() { super::only_tested(); } }";
         let (tokens, waivers, imports) = prepare(lex(src));
-        let mut callers = BTreeSet::new();
-        collect_names(&tokens, &mut callers);
+        let mut callers = Callers::default();
+        callers.collect(&tokens);
         let ctx = ctx_of("x.rs", &tokens, &waivers, &imports);
         let f = test_only_pub(&ctx, &callers);
         assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [3, 5]);

@@ -63,6 +63,7 @@ fn fixture_corpus_produces_exact_findings() {
         ("no-unsafe", "tests/fixtures/no_unsafe_violation.rs", 1),
         ("no-unsafe", "tests/fixtures/no_unsafe_violation.rs", 4),
         ("test-only-pub", "tests/fixtures/test_only_pub_violation.rs", 3),
+        ("test-only-pub", "tests/fixtures/test_only_pub_violation.rs", 20),
         ("unordered-iteration", "tests/fixtures/unordered_iteration_violation.rs", 12),
         ("unordered-iteration", "tests/fixtures/unordered_iteration_violation.rs", 22),
         ("wall-clock", "tests/fixtures/wall_clock_violation.rs", 3),
@@ -107,7 +108,7 @@ fn json_report_round_trips_fixture_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = run(root, &fixture_config()).expect("lint run succeeds");
     let json = report.to_json();
-    assert!(json.contains("\"finding_count\": 11"));
+    assert!(json.contains("\"finding_count\": 12"));
     assert!(json.contains("\"files_scanned\": 12"));
     assert!(json.contains("\"rule\": \"chainapi-seam\""));
     assert!(json.contains("\"file\": \"tests/fixtures/wall_clock_violation.rs\""));

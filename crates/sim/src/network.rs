@@ -19,6 +19,7 @@
 use crate::faults::OutageWindow;
 use crate::metrics::{FeeKind, SwapId};
 use ac3_chain::{Amount, ChainId, Timestamp, Transaction, TxId};
+use ac3_seeded::Seeded;
 use serde::{Deserialize, Serialize};
 
 /// A seeded description of one world's network conditions: every link
@@ -132,9 +133,9 @@ pub(crate) enum FeeEvent {
 /// message sampling continues exactly where the serial run would have.
 #[derive(Debug)]
 pub(crate) struct Link {
-    /// SplitMix64 state, seeded from the profile seed mixed with the chain
-    /// id so sibling chains draw independent streams.
-    rng: u64,
+    /// Seeded from the profile seed mixed with the chain id so sibling
+    /// chains draw independent streams.
+    rng: Seeded,
     /// Next send-order sequence number.
     seq: u64,
     /// In-flight messages, kept sorted by `(deliver_at, seq)`.
@@ -154,8 +155,9 @@ impl Link {
         // Decorrelate per-chain streams: hash the chain id into the seed
         // with the SplitMix64 increment so chain 0 does not replay the raw
         // profile seed.
-        let rng =
-            profile.seed.wrapping_add((chain.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let rng = Seeded::new(
+            profile.seed.wrapping_add((chain.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        );
         Link {
             rng,
             seq: 0,
@@ -166,23 +168,14 @@ impl Link {
         }
     }
 
-    /// The next raw SplitMix64 value.
-    fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Sample one message's fate at send time: `(delay_ms, dropped)`.
-    /// Always draws exactly twice so the stream is independent of the
-    /// profile's parameters.
+    /// Draws once for the drop and, unless the latency range is a single
+    /// value, once for the delay.
     pub fn sample(&mut self, profile: &NetworkProfile) -> (u64, bool) {
         let span = profile.latency_max_ms.saturating_sub(profile.latency_min_ms);
         let delay =
-            profile.latency_min_ms + if span == 0 { 0 } else { self.next_u64() % (span + 1) };
-        let dropped = (self.next_u64() % 1_000) < profile.drop_per_mille as u64;
+            profile.latency_min_ms + if span == 0 { 0 } else { self.rng.next_u64() % (span + 1) };
+        let dropped = (self.rng.next_u64() % 1_000) < profile.drop_per_mille as u64;
         (delay, dropped)
     }
 

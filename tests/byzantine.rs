@@ -6,16 +6,16 @@
 //! past its wait cap), and every slashable Byzantine act leaves exactly one
 //! accepted on-chain evidence object.
 //!
-//! The vendored `proptest` has no shrinking, so failures shrink at the
-//! *plan* level: a greedy pass zeroes and halves the campaign space's fault
-//! classes, keeping each move only if the property still fails, and reports
-//! the minimal failing `(seed, space, swaps)` triple as the panic message.
+//! Trials are drawn through `ac3_seeded::check`, so a failure shrinks: the
+//! harness deletes, zeroes and halves the trial's recorded draws while the
+//! property still fails, and panics with the minimal failing
+//! `(seed, swaps, space)` trial.
 
+use ac3_seeded::{check, Gen};
 use ac3wn::prelude::*;
-use proptest::Gen;
 
 /// One sampled campaign: everything needed to reproduce a failure.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Trial {
     seed: u64,
     swaps: usize,
@@ -97,75 +97,17 @@ fn holds(trial: &Trial) -> Result<(), String> {
     Ok(())
 }
 
-/// Greedy plan-level shrinking: try to zero each fault class, then halve
-/// the griefing budget and the batch size, keeping each move only if the
-/// trial still fails `check`. Runs to a fixpoint (bounded by `budget`
-/// re-executions) and returns the minimal failing trial.
-fn shrink<F: Fn(&Trial) -> Result<(), String>>(mut trial: Trial, check: F, budget: usize) -> Trial {
-    let mut runs = 0usize;
-    let still_fails = |t: &Trial, runs: &mut usize| {
-        *runs += 1;
-        check(t).is_err()
-    };
-    loop {
-        let mut improved = false;
-        type Move = fn(&mut CampaignSpace);
-        let moves: &[Move] = &[
-            |s| s.crashes = 0,
-            |s| s.partitions = 0,
-            |s| s.forks = 0,
-            |s| s.equivocations = 0,
-            |s| s.bribes = 0,
-            |s| s.floods = 0,
-            |s| s.spikes = 0,
-            |s| s.griefing_budget /= 2,
-        ];
-        for mv in moves {
-            let mut candidate = trial.clone();
-            mv(&mut candidate.space);
-            if candidate.space == trial.space {
-                continue;
-            }
-            if runs >= budget {
-                return trial;
-            }
-            if still_fails(&candidate, &mut runs) {
-                trial = candidate;
-                improved = true;
-            }
-        }
-        if trial.swaps > 4 {
-            let mut candidate = trial.clone();
-            candidate.swaps = 4.max(trial.swaps / 2);
-            if runs < budget && still_fails(&candidate, &mut runs) {
-                trial = candidate;
-                improved = true;
-            }
-        }
-        if !improved || runs >= budget {
-            return trial;
-        }
-    }
-}
-
 /// The tentpole property: 20 independently sampled campaigns, all holding
 /// principal-safety and exactly-once slashing. On failure, the panic
 /// message is the *shrunk* minimal reproduction.
 #[test]
 fn no_honest_principal_lost_under_any_seeded_campaign() {
-    let mut gen = Gen::deterministic("byzantine-campaigns-v1");
-    for case in 0..20 {
-        let trial = sample_trial(&mut gen);
-        if let Err(first) = holds(&trial) {
-            let minimal = shrink(trial, holds, 48);
-            let diagnosis = holds(&minimal).err().unwrap_or(first);
-            panic!(
-                "case {case}: property violated.\n  minimal repro: seed={} swaps={} space={:?}\n  \
-                 diagnosis: {diagnosis}",
-                minimal.seed, minimal.swaps, minimal.space
-            );
+    check("byzantine-campaigns-v1", 20, |g| {
+        let trial = sample_trial(g);
+        if let Err(diagnosis) = holds(&trial) {
+            panic!("{diagnosis}\n  repro: {trial:?}");
         }
-    }
+    });
 }
 
 /// A campaign with every fault class active at once (the kitchen sink)
@@ -195,41 +137,36 @@ fn kitchen_sink_campaign_holds_every_invariant() {
     assert!(report.adversary_fees > 0, "griefing spend is attributed to the adversary");
 }
 
-/// The shrinker itself: against a synthetic predicate that fails exactly
-/// when floods and spikes are both present, the greedy pass strips every
-/// irrelevant fault class and shrinks the batch to its floor.
+/// Shrinking through the harness: against a synthetic predicate that fails
+/// exactly when floods and spikes are both present, a failing sampled trial
+/// shrinks to the smallest one — every other fault class, the griefing
+/// budget and the seed at zero, the batch at its floor.
 #[test]
 fn plan_shrinking_strips_irrelevant_fault_classes() {
-    let failing = Trial {
-        seed: 7,
-        swaps: 8,
+    let panic = std::panic::catch_unwind(|| {
+        check("byzantine-shrinking", 20, |g| {
+            let trial = sample_trial(g);
+            let interact = trial.space.floods > 0 && trial.space.spikes > 0;
+            assert!(!interact, "synthetic: floods × spikes interact in {trial:?}");
+        })
+    })
+    .expect_err("some sampled trial floods and spikes at once");
+    let message = panic.downcast::<String>().expect("the harness panics with text");
+    let minimal = Trial {
+        seed: 0,
+        swaps: 4,
         space: CampaignSpace {
-            crashes: 2,
-            partitions: 1,
-            forks: 1,
-            equivocations: 1,
-            bribes: 1,
+            crashes: 0,
+            partitions: 0,
+            forks: 0,
+            equivocations: 0,
+            bribes: 0,
             floods: 1,
             spikes: 1,
-            griefing_budget: 2_000,
+            griefing_budget: 0,
             ..CampaignSpace::default()
         },
     };
-    let synthetic = |t: &Trial| -> Result<(), String> {
-        if t.space.floods > 0 && t.space.spikes > 0 {
-            Err("synthetic: floods × spikes interact".to_string())
-        } else {
-            Ok(())
-        }
-    };
-    let minimal = shrink(failing, synthetic, 64);
-    assert_eq!(minimal.space.crashes, 0);
-    assert_eq!(minimal.space.partitions, 0);
-    assert_eq!(minimal.space.forks, 0);
-    assert_eq!(minimal.space.equivocations, 0);
-    assert_eq!(minimal.space.bribes, 0);
-    assert_eq!(minimal.space.floods, 1, "the culprit class survives shrinking");
-    assert_eq!(minimal.space.spikes, 1, "the culprit class survives shrinking");
-    assert_eq!(minimal.swaps, 4, "batch size shrinks to its floor");
-    assert!(minimal.space.griefing_budget < 2_000, "budget halves while still failing");
+    let expected = format!("shrunk failure: synthetic: floods × spikes interact in {minimal:?}\n");
+    assert!(message.contains(&expected), "{message}");
 }

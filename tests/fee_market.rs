@@ -7,8 +7,8 @@
 //! single accepted transaction and (b) preserves commit-or-refund-all
 //! atomicity for every swap.
 
+use ac3_seeded::check;
 use ac3wn::prelude::*;
-use proptest::Gen;
 
 fn protocol_cfg(policy: FeePolicy) -> ProtocolConfig {
     ProtocolConfig {
@@ -30,12 +30,11 @@ fn machines(s: &MultiSwapScenario, driver: &Ac3wn) -> Vec<(SwapId, Box<dyn SwapM
 /// policy cap and every swap ends atomically (commit-or-refund-all), with
 /// the dynamic base fee moving the admission floor under the batch's feet.
 ///
-/// Uses the deterministic proptest generator directly so the number of
-/// simulated batches stays bounded.
+/// Runs 10 cases so the number of simulated batches stays bounded.
 #[test]
 fn property_escalating_fees_respect_the_cap_and_atomicity() {
-    let mut gen = Gen::deterministic("fee_market::cap_and_atomicity");
-    for case in 0..10 {
+    check("fee_market::cap_and_atomicity", 10, |gen| {
+        let case = gen.case();
         let swaps = 2 + gen.below(7) as usize; // 2..=8
         let witnesses = 1 + gen.below(3) as usize; // 1..=3
         let witness_tps = 1 + gen.below(4); // 1..=4 — the contention level
@@ -107,7 +106,7 @@ fn property_escalating_fees_respect_the_cap_and_atomicity() {
             );
         }
         s.world.assert_state_integrity();
-    }
+    });
 }
 
 /// The fee market is observable end to end: a starved shared witness chain
